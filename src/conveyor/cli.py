@@ -28,6 +28,7 @@ from conveyor.model import (
     F0_UNIT_NOTE,
     ConveyorParams,
     EnvelopeSpec,
+    default_params,
     force_closure,
     potential_closure,
 )
@@ -157,6 +158,8 @@ def _finish(manifest: RunManifest, out: Path, started: float, dry_run: bool) -> 
 def cmd_simulate(parser: argparse.ArgumentParser, args) -> int:
     p = _params_from_args(parser, args)
     cfg = _config_from_args(parser, args, p.period)
+    if not all(math.isfinite(x) for x in (args.zi, args.t0, args.t_end)):
+        parser.error("--zi, --t0 and --t-end must be finite")
     if args.t_end <= args.t0:
         parser.error(f"--t-end must exceed --t0, got {args.t_end} <= {args.t0}")
     if args.stride < 1:
@@ -247,11 +250,11 @@ def cmd_reproduce(parser: argparse.ArgumentParser, args) -> int:
     out = out_dir / f"{fig.replace('-', '_')}.csv"
 
     if fig in ("fig1", "fig2", "pot1"):
-        p = ConveyorParams(0.8, 100.0, 2.66 * math.pi, EnvelopeSpec("lorentzian", 0.37))
+        p = default_params("lorentzian")
     elif fig in ("fig3", "fig4", "pot2"):
-        p = ConveyorParams(0.8, 100.0, 2.66 * math.pi, EnvelopeSpec("gaussian", 0.37))
+        p = default_params("gaussian")
     else:
-        p = ConveyorParams(0.8, 100.0, 2.66 * math.pi, EnvelopeSpec("plane"))
+        p = default_params("plane")
     cfg = _config_from_args(parser, args, p.period)
 
     extra: dict = {"figure": fig}
@@ -302,12 +305,15 @@ def cmd_verify(parser: argparse.ArgumentParser, args) -> int:
 
     base = dict(f0=args.f0, b=args.b, k=args.k_pi * math.pi, wavelength_nm=args.wavelength_nm)
     z0 = 0.37 if args.z0 is None else args.z0
-    plane_p = ConveyorParams(envelope=EnvelopeSpec("plane"), **base)
-    params = {
-        "plane": plane_p,
-        "lorentzian": ConveyorParams(envelope=EnvelopeSpec("lorentzian", z0), **base),
-        "gaussian": ConveyorParams(envelope=EnvelopeSpec("gaussian", z0), **base),
-    }
+    try:
+        plane_p = ConveyorParams(envelope=EnvelopeSpec("plane"), **base)
+        params = {
+            "plane": plane_p,
+            "lorentzian": ConveyorParams(envelope=EnvelopeSpec("lorentzian", z0), **base),
+            "gaussian": ConveyorParams(envelope=EnvelopeSpec("gaussian", z0), **base),
+        }
+    except ValueError as exc:
+        parser.error(str(exc))
 
     cfg = _config_from_args(parser, args, plane_p.period)
     manifest = _manifest("verify", params["lorentzian"], cfg)

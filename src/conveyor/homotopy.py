@@ -34,6 +34,7 @@ from conveyor.integrate import (
     flow_T,
     flow_T_with_sensitivity,
     integrate,
+    period_gap,
 )
 from conveyor.model import ConveyorParams, force_closure, force_dz_closure
 
@@ -138,7 +139,7 @@ def continue_to_one(p: ConveyorParams, cfg: IntegratorConfig | None = None,
                 raise ContinuationStall(ContinuationTrace(tuple(steps), False))
             lam = min(steps[-1].lambda_h + dlam, 1.0)
             continue
-        residual = abs(float(traj.states[-1]) - z0)
+        residual = period_gap(p, z0, cfg, _lambda_closures(p, lam)[0])
         steps.append(ContinuationStep(lam, z0, residual, traj.sup_norm()))
         z_prev = z0
         if lam >= 1.0:

@@ -5,19 +5,21 @@ twentieth of the drive period and the ceiling is never allowed past a
 quarter period: a controller that skated over the fast phase factor while
 the solution is nearly constant would silently lose the forcing.
 
-Two specialisations of the same embedded pair live here: a scalar core for
-plain trajectories, and a two-component core that carries the variational
-equation dw/dt = dF/dz(t, z(t)) * w alongside the state, yielding the exact
-derivative of the period map in one pass.  The right-hand side is always a
-caller-supplied (t, z) callable so the homotopy solver can reuse the engine
-with its own blend of force and linear decay.
+One scalar stepper serves every caller.  For a scalar ODE the
+variational equation dw/dt = dF/dz(t, z(t)) * w has the closed-form
+solution w(T) = exp(int_0^T dF/dz(t, z(t)) dt) (Liouville's formula), so
+the derivative of the period map needs no second integrator: the stepper
+sums the integral along its own accepted steps, outside error control.
+The right-hand side is always a caller-supplied (t, z) callable so the
+homotopy solver can reuse the engine with its own blend of force and
+linear decay.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -81,10 +83,10 @@ class IntegratorConfig:
     initial_step: float | None = None
 
     def __post_init__(self):
-        if not self.rtol > 0.0:
-            raise ValueError(f"rtol must be > 0, got {self.rtol!r}")
-        if not self.atol > 0.0:
-            raise ValueError(f"atol must be > 0, got {self.atol!r}")
+        if not 0.0 < self.rtol < math.inf:
+            raise ValueError(f"rtol must be finite and > 0, got {self.rtol!r}")
+        if not 0.0 < self.atol < math.inf:
+            raise ValueError(f"atol must be finite and > 0, got {self.atol!r}")
 
     def resolved(self, period: float) -> tuple[float, float, float, float]:
         """Concrete (rtol, atol, max_step, initial_step) for a drive period."""
@@ -189,14 +191,19 @@ class Trajectory:
         return best
 
 
-def _error_norm(err: float, y0: float, y1: float, rtol: float, atol: float) -> float:
-    return abs(err) / (atol + rtol * max(abs(y0), abs(y1)))
-
-
 def _dp45_scalar(rhs: Callable[[float, float], float], z0: float, t0: float, t1: float,
                  rtol: float, atol: float, max_step: float, h0: float,
-                 collect: bool):
-    """Core scalar stepper.  Returns (z1, knots_t, knots_z, seg_t, seg_h, seg_c)."""
+                 collect: bool, rhs_dz: Callable[[float, float], float] | None = None):
+    """Core scalar stepper.  Returns (z1, log_w, knots_t, knots_z, seg_t, seg_h, seg_c).
+
+    With ``rhs_dz`` given, log_w is the integral of rhs_dz(t, z(t)) over the
+    span (0.0 otherwise): each accepted step adds h * sum(b_i * g_i), with
+    g_i = rhs_dz at the stage points the step already formed and g_1 carried
+    over from the previous endpoint.  That is the step's own solution of
+    d(log w)/dt = rhs_dz(t, z); it takes no part in error control.
+    """
+    if not math.isfinite(z0):
+        raise ValueError(f"initial state must be finite, got {z0!r}")
     span = t1 - t0
     direction = 1.0 if span > 0.0 else -1.0
     h_floor = _STEP_FLOOR_REL * abs(span)
@@ -204,6 +211,8 @@ def _dp45_scalar(rhs: Callable[[float, float], float], z0: float, t0: float, t1:
 
     t, y = t0, z0
     k1 = rhs(t, y)
+    g1 = rhs_dz(t, y) if rhs_dz is not None else 0.0
+    log_w = 0.0
     facold = 1e-4
     rejected = False
 
@@ -220,17 +229,27 @@ def _dp45_scalar(rhs: Callable[[float, float], float], z0: float, t0: float, t1:
             h = t1 - t
 
         k2 = rhs(t + _C2 * h, y + h * (_A21 * k1))
-        k3 = rhs(t + _C3 * h, y + h * (_A31 * k1 + _A32 * k2))
-        k4 = rhs(t + _C4 * h, y + h * (_A41 * k1 + _A42 * k2 + _A43 * k3))
-        k5 = rhs(t + _C5 * h, y + h * (_A51 * k1 + _A52 * k2 + _A53 * k3 + _A54 * k4))
-        k6 = rhs(t + h, y + h * (_A61 * k1 + _A62 * k2 + _A63 * k3 + _A64 * k4 + _A65 * k5))
+        y3 = y + h * (_A31 * k1 + _A32 * k2)
+        k3 = rhs(t + _C3 * h, y3)
+        y4 = y + h * (_A41 * k1 + _A42 * k2 + _A43 * k3)
+        k4 = rhs(t + _C4 * h, y4)
+        y5 = y + h * (_A51 * k1 + _A52 * k2 + _A53 * k3 + _A54 * k4)
+        k5 = rhs(t + _C5 * h, y5)
+        y6 = y + h * (_A61 * k1 + _A62 * k2 + _A63 * k3 + _A64 * k4 + _A65 * k5)
+        k6 = rhs(t + h, y6)
         y1 = y + h * (_B1 * k1 + _B3 * k3 + _B4 * k4 + _B5 * k5 + _B6 * k6)
         k7 = rhs(t + h, y1)
 
         err = h * (_E1 * k1 + _E3 * k3 + _E4 * k4 + _E5 * k5 + _E6 * k6 + _E7 * k7)
-        err_norm = _error_norm(err, y, y1, rtol, atol)
+        err_norm = abs(err) / (atol + rtol * max(abs(y), abs(y1)))
 
         if err_norm <= 1.0:
+            if rhs_dz is not None:
+                g7 = rhs_dz(t + h, y1)
+                log_w += h * (_B1 * g1 + _B3 * rhs_dz(t + _C3 * h, y3)
+                              + _B4 * rhs_dz(t + _C4 * h, y4) + _B5 * rhs_dz(t + _C5 * h, y5)
+                              + _B6 * rhs_dz(t + h, y6))
+                g1 = g7  # FSAL
             if collect:
                 dy = y1 - y
                 bspl = h * k1 - dy
@@ -258,79 +277,7 @@ def _dp45_scalar(rhs: Callable[[float, float], float], z0: float, t0: float, t1:
             rejected = True
             h *= max(_MIN_FACTOR, _SAFETY / (err_norm ** _EXPO1))
 
-    return y, knots_t, knots_z, seg_t, seg_h, seg_c
-
-
-def _dp45_pair(rhs: Callable[[float, float], float], rhs_dz: Callable[[float, float], float],
-               z0: float, t0: float, t1: float,
-               rtol: float, atol: float, max_step: float, h0: float) -> tuple[float, float]:
-    """State plus variational companion; returns (z(t1), w(t1)) with w(t0) = 1."""
-    span = t1 - t0
-    direction = 1.0 if span > 0.0 else -1.0
-    h_floor = _STEP_FLOOR_REL * abs(span)
-    h = direction * min(h0, max_step, abs(span))
-
-    t, ya, yb = t0, z0, 1.0
-
-    def f(tt: float, za: float, zb: float) -> tuple[float, float]:
-        return rhs(tt, za), rhs_dz(tt, za) * zb
-
-    k1a, k1b = f(t, ya, yb)
-    facold = 1e-4
-    rejected = False
-
-    while (t1 - t) * direction > 0.0:
-        if abs(h) < h_floor:
-            raise StepSizeUnderflow(t, h)
-        if (t + h - t1) * direction > 0.0:
-            h = t1 - t
-
-        k2a, k2b = f(t + _C2 * h, ya + h * (_A21 * k1a), yb + h * (_A21 * k1b))
-        k3a, k3b = f(t + _C3 * h, ya + h * (_A31 * k1a + _A32 * k2a), yb + h * (_A31 * k1b + _A32 * k2b))
-        k4a, k4b = f(
-            t + _C4 * h,
-            ya + h * (_A41 * k1a + _A42 * k2a + _A43 * k3a),
-            yb + h * (_A41 * k1b + _A42 * k2b + _A43 * k3b),
-        )
-        k5a, k5b = f(
-            t + _C5 * h,
-            ya + h * (_A51 * k1a + _A52 * k2a + _A53 * k3a + _A54 * k4a),
-            yb + h * (_A51 * k1b + _A52 * k2b + _A53 * k3b + _A54 * k4b),
-        )
-        k6a, k6b = f(
-            t + h,
-            ya + h * (_A61 * k1a + _A62 * k2a + _A63 * k3a + _A64 * k4a + _A65 * k5a),
-            yb + h * (_A61 * k1b + _A62 * k2b + _A63 * k3b + _A64 * k4b + _A65 * k5b),
-        )
-        y1a = ya + h * (_B1 * k1a + _B3 * k3a + _B4 * k4a + _B5 * k5a + _B6 * k6a)
-        y1b = yb + h * (_B1 * k1b + _B3 * k3b + _B4 * k4b + _B5 * k5b + _B6 * k6b)
-        k7a, k7b = f(t + h, y1a, y1b)
-
-        erra = h * (_E1 * k1a + _E3 * k3a + _E4 * k4a + _E5 * k5a + _E6 * k6a + _E7 * k7a)
-        errb = h * (_E1 * k1b + _E3 * k3b + _E4 * k4b + _E5 * k5b + _E6 * k6b + _E7 * k7b)
-        sa = atol + rtol * max(abs(ya), abs(y1a))
-        sb = atol + rtol * max(abs(yb), abs(y1b))
-        err_norm = math.sqrt(0.5 * ((erra / sa) ** 2 + (errb / sb) ** 2))
-
-        if err_norm <= 1.0:
-            t += h
-            ya, yb = y1a, y1b
-            k1a, k1b = k7a, k7b
-
-            fac11 = max(err_norm, 1e-10) ** _EXPO1
-            factor = min(_MAX_FACTOR, max(_MIN_FACTOR, _SAFETY * (facold ** _BETA) / fac11))
-            facold = max(err_norm, 1e-4)
-            if rejected:
-                factor = min(1.0, factor)
-                rejected = False
-            h *= factor
-            if abs(h) > max_step:
-                h = direction * max_step
-        else:
-            rejected = True
-            h *= max(_MIN_FACTOR, _SAFETY / (err_norm ** _EXPO1))
-
-    return ya, yb
+    return y, log_w, knots_t, knots_z, seg_t, seg_h, seg_c
 
 
 def integrate(p: ConveyorParams, rhs: Callable[[float, float], float], z_i: float,
@@ -346,15 +293,13 @@ def integrate(p: ConveyorParams, rhs: Callable[[float, float], float], z_i: floa
         raise ValueError("integration span is empty (t1 == t0)")
     cfg = cfg or IntegratorConfig()
     rtol, atol, max_step, h0 = cfg.resolved(p.period)
-    _, kt, kz, st, sh, sc = _dp45_scalar(rhs, z_i, t0, t1, rtol, atol, max_step, h0, collect=True)
-    return Trajectory(p, cfg, kt, kz, st, sh, sc)
+    _, _, *path = _dp45_scalar(rhs, z_i, t0, t1, rtol, atol, max_step, h0, collect=True)
+    return Trajectory(p, cfg, *path)
 
 
 def propagate(p: ConveyorParams, rhs: Callable[[float, float], float], z_i: float,
               t0: float, t1: float, cfg: IntegratorConfig | None = None) -> float:
     """Final value z(t1) without storing the path (fast path for maps)."""
-    if t1 == t0:
-        return z_i
     cfg = cfg or IntegratorConfig()
     rtol, atol, max_step, h0 = cfg.resolved(p.period)
     z1, *_ = _dp45_scalar(rhs, z_i, t0, t1, rtol, atol, max_step, h0, collect=False)
@@ -375,10 +320,12 @@ def flow_T_with_sensitivity(p: ConveyorParams, z0: float,
                             rhs: Callable[[float, float], float] | None = None,
                             rhs_dz: Callable[[float, float], float] | None = None,
                             ) -> tuple[float, float]:
-    """(P(z0), dP/dz0) in one pass via the variational equation.
+    """(P(z0), dP/dz0) in one pass of the scalar stepper.
 
-    The second component integrates dw/dt = rhs_dz(t, z(t)) * w from w = 1;
-    at a fixed point it is the orbit's stability multiplier.
+    By Liouville's formula dP/dz0 = exp(int_0^T rhs_dz(t, z(t)) dt); the
+    integral is summed along the same steps that give P(z0), so P(z0) is
+    bitwise ``flow_T``'s value and the derivative is positive.  At a fixed
+    point it is the orbit's stability multiplier.
     """
     if rhs is None:
         rhs = force_closure(p)
@@ -386,4 +333,19 @@ def flow_T_with_sensitivity(p: ConveyorParams, z0: float,
         rhs_dz = force_dz_closure(p)
     cfg = cfg or IntegratorConfig()
     rtol, atol, max_step, h0 = cfg.resolved(p.period)
-    return _dp45_pair(rhs, rhs_dz, z0, 0.0, p.period, rtol, atol, max_step, h0)
+    z1, log_w, *_ = _dp45_scalar(rhs, z0, 0.0, p.period, rtol, atol, max_step, h0,
+                                 collect=False, rhs_dz=rhs_dz)
+    return z1, math.exp(log_w)
+
+
+def period_gap(p: ConveyorParams, z0: float, cfg: IntegratorConfig | None = None,
+               rhs: Callable[[float, float], float] | None = None) -> float:
+    """|P(z0) - z0| re-measured at a hundredth of the tolerances.
+
+    A fixed point solved with one stepper reads |P(z*) - z*| at roundoff
+    when the same stepper measures it; the tighter run shows the solving
+    tolerance's own error in P, the honest residual of a computed orbit.
+    """
+    cfg = cfg or IntegratorConfig()
+    tight = replace(cfg, rtol=cfg.rtol / 100.0, atol=cfg.atol / 100.0)
+    return abs(flow_T(p, z0, tight, rhs) - z0)

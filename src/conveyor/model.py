@@ -50,6 +50,8 @@ class EnvelopeSpec:
     def __post_init__(self):
         if self.kind not in ENVELOPE_KINDS:
             raise ValueError(f"unknown envelope kind {self.kind!r}; expected one of {ENVELOPE_KINDS}")
+        if not math.isfinite(self.z0):
+            raise ValueError(f"envelope scale z0 must be finite, got {self.z0!r}")
         if self.kind != "plane" and not self.z0 > 0.0:
             raise ValueError(f"envelope scale z0 must be > 0, got {self.z0!r}")
 
@@ -72,6 +74,9 @@ class ConveyorParams:
     wavelength_nm: float = 580.0
 
     def __post_init__(self):
+        for name in ("f0", "b", "k", "wavelength_nm"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         if self.f0 < 0.0:
             raise ValueError(f"f0 must be >= 0, got {self.f0!r}")
         if not self.b > 0.0:

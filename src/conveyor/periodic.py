@@ -28,6 +28,7 @@ from conveyor.integrate import (
     flow_T,
     flow_T_with_sensitivity,
     integrate,
+    period_gap,
     propagate,
 )
 from conveyor.model import ConveyorParams, force_closure, force_dz_closure
@@ -88,9 +89,9 @@ def _force_sup_along(p: ConveyorParams, traj: Trajectory, refine: int = 8) -> fl
 def _build_orbit(p: ConveyorParams, z_star: float, multiplier: float, residual: float,
                  cfg: IntegratorConfig | None) -> PeriodicOrbit:
     traj = integrate(p, force_closure(p), z_star, 0.0, p.period, cfg)
-    # report whichever is larger: the solver's certificate or the stored
-    # samples' own seam gap, so samples[first] == samples[last] within residual
-    residual = max(residual, abs(float(traj.states[-1]) - z_star))
+    # the solver's certificate is the stored samples' own seam gap; the
+    # tighter re-measure adds the integration error the solve cannot see
+    residual = max(residual, period_gap(p, z_star, cfg))
     sup = traj.sup_norm()
     force_free = (
         abs(multiplier - 1.0) < FORCE_FREE_NEUTRAL

@@ -165,8 +165,12 @@ def fixed_point_scan(p: ConveyorParams, z_lo: float, z_hi: float, n: int,
 
 def multiplier_cross_check(p: ConveyorParams, orbit: PeriodicOrbit,
                            cfg: IntegratorConfig | None = None,
-                           h: float = 1e-6) -> MultiplierCheck:
-    """Variational multiplier vs central finite difference of the period map."""
+                           h: float = 1e-4) -> MultiplierCheck:
+    """Liouville multiplier vs central finite difference of the period map.
+
+    The default ``h`` keeps the integrator's ~1e-10 noise in P, divided by
+    h, well below the difference's own O(h^2) error.
+    """
     rhs = force_closure(p)
     plus = flow_T(p, orbit.z_star + h, cfg, rhs=rhs)
     minus = flow_T(p, orbit.z_star - h, cfg, rhs=rhs)

@@ -75,6 +75,14 @@ class TestSimulate:
                      "--out", str(tmp_path / "x.csv")] + extra)
             assert info.value.code == 2
 
+    @pytest.mark.parametrize("flags", [["--f0", "nan", "--zi", "0", "--t-end", "1"],
+                                       ["--zi", "nan", "--t-end", "1"],
+                                       ["--zi", "0", "--t-end", "inf"]])
+    def test_non_finite_inputs_exit_2(self, tmp_path, flags):
+        with pytest.raises(SystemExit) as info:
+            run(["simulate", *flags, "--out", str(tmp_path / "x.csv")])
+        assert info.value.code == 2
+
     def test_dry_run_writes_nothing(self, tmp_path, capsys):
         out = tmp_path / "traj.csv"
         assert run(["simulate", "--zi", "0.1", "--t-end", "1", "--out", str(out),
@@ -194,6 +202,11 @@ class TestVerify:
         stdout = capsys.readouterr().out
         assert "PASS" in stdout and "FAIL" not in stdout
         assert (tmp_path / "report.manifest.json").exists()
+
+    def test_nan_drive_is_a_flag_error(self, tmp_path):
+        with pytest.raises(SystemExit) as info:
+            run(["verify", "--f0", "nan", "--out", str(tmp_path / "report.json")])
+        assert info.value.code == 2
 
 
 class TestParser:

@@ -41,6 +41,12 @@ class TestConfig:
         with pytest.raises(ValueError):
             IntegratorConfig(atol=-1e-12)
 
+    def test_infinite_rtol_rejected(self):
+        with pytest.raises(ValueError):
+            IntegratorConfig(rtol=math.inf)
+        with pytest.raises(ValueError):
+            IntegratorConfig(atol=math.nan)
+
 
 class TestIntegrate:
     def test_zero_drive_is_constant(self):
@@ -108,6 +114,18 @@ class TestIntegrate:
         with pytest.raises(StepSizeUnderflow):
             integrate(plane_params, lambda t, z: 1e3 * (1.0 + z * z), 0.0, 0.0, 0.01)
 
+    def test_non_finite_state_rejected(self, lorentzian_params):
+        p = lorentzian_params
+        rhs = force_closure(p)
+        with pytest.raises(ValueError):
+            flow_T(p, math.nan)
+        with pytest.raises(ValueError):
+            flow_T_with_sensitivity(p, -math.inf)
+        with pytest.raises(ValueError):
+            integrate(p, rhs, math.nan, 0.0, 1.0)
+        with pytest.raises(ValueError):
+            propagate(p, rhs, math.inf, 0.0, 0.0)
+
     def test_empty_span_rejected(self, plane_params):
         with pytest.raises(ValueError):
             integrate(plane_params, force_closure(plane_params), 0.0, 1.0, 1.0)
@@ -157,6 +175,18 @@ class TestPeriodMap:
         for z0 in (-2.0, 0.0, 0.37, 5.5):
             assert flow_T(p, z0) == z0
             assert flow_T_with_sensitivity(p, z0) == (z0, 1.0)
+
+    @pytest.mark.parametrize("kind", ["plane", "lorentzian", "gaussian"])
+    @pytest.mark.parametrize("f0", [0.8, 4.0])
+    def test_sensitivity_pass_is_flow_T_and_increasing(self, kind, f0):
+        # the log-multiplier is summed along the same steps, outside error
+        # control; trajectories of a scalar ODE cannot cross, so P' > 0
+        # even where strong drive contracts hard
+        p = default_params(kind, f0=f0)
+        for z0 in (-1.3, -0.5, 0.0, 0.2246, 0.6387, 2.5):
+            z1, w = flow_T_with_sensitivity(p, z0)
+            assert z1 == flow_T(p, z0)
+            assert w > 0.0
 
     def test_fixed_point_anchor(self, lorentzian_params):
         # independently derived orbit point: P(z*) = z* within certification

@@ -124,6 +124,10 @@ class TestEnvelope:
             EnvelopeSpec("lorentzian", 0.0)
         with pytest.raises(ValueError):
             EnvelopeSpec("gaussian", -1.0)
+        with pytest.raises(ValueError):
+            EnvelopeSpec("lorentzian", math.inf)
+        with pytest.raises(ValueError):
+            EnvelopeSpec("plane", math.nan)
         EnvelopeSpec("plane")  # z0 not required
 
 
@@ -142,6 +146,14 @@ class TestParams:
             ConveyorParams(f0=0.8, b=100.0, k=-1.0, envelope=PLA)
         # zero drive is allowed: it is the exactly solvable degenerate case
         ConveyorParams(f0=0.0, b=100.0, k=1.0, envelope=PLA)
+
+    @pytest.mark.parametrize("field,value", [("f0", math.nan), ("b", math.inf),
+                                             ("k", -math.inf), ("wavelength_nm", math.nan)])
+    def test_non_finite_rejected(self, field, value):
+        # unchecked, a NaN drive would surface only later, as
+        # StepSizeUnderflow at t = 0, and b = inf would give a zero period
+        with pytest.raises(ValueError):
+            default_params("lorentzian", **{field: value})
 
     def test_default_params_overrides(self):
         p = default_params("gaussian", b=200.0)

@@ -1,11 +1,13 @@
 """Periodic-orbit shooting, scanning, basin probing and audits."""
 
+import math
+
 import numpy as np
 import pytest
 
 from conveyor.errors import EmptyAudit, NoConvergence
 from conveyor.integrate import flow_T, integrate
-from conveyor.model import default_params, force, force_closure
+from conveyor.model import ConveyorParams, EnvelopeSpec, default_params, force, force_closure
 from conveyor.periodic import (
     BasinPoint,
     basin_probe,
@@ -197,6 +199,43 @@ class TestOffReferenceParameters:
         assert abs(trace.final.z0 - orbit.z_star) < 1e-8
         assert identity_energy(orbit).rel_residual < 1e-6
         assert identity_force(orbit).rel_residual < 1e-6
+
+
+class TestResidualAgainstScipy:
+    """The reported residual must cover the period-map gap that an
+    independent integrator measures at z_star, which is the solving
+    tolerance's own error in P, not the solver's roundoff-level certificate."""
+
+    scipy_integrate = pytest.importorskip("scipy.integrate")
+
+    def reference_gap(self, p, z_star):
+        rhs = force_closure(p)
+        sol = self.scipy_integrate.solve_ivp(
+            lambda t, y: [rhs(t, y[0])],
+            (0.0, p.period),
+            [z_star],
+            rtol=1e-12,
+            atol=1e-14,
+            max_step=p.period / 4.0,
+        )
+        return abs(sol.y[0, -1] - z_star)
+
+    def test_lorentzian(self, lorentzian_params, lorentzian_orbit):
+        o = lorentzian_orbit
+        assert self.reference_gap(lorentzian_params, o.z_star) <= 2.0 * o.residual
+
+    def test_gaussian(self, gaussian_params, gaussian_orbit):
+        o = gaussian_orbit
+        assert self.reference_gap(gaussian_params, o.z_star) <= 2.0 * o.residual
+
+    def test_near_neutral_multiplier(self):
+        # mu ~ 0.9975: the integration error in P is ~1.8e-9, so a residual
+        # read off the solving stepper alone (~1e-16) would hide it
+        p = ConveyorParams(0.9728814597310971, 72.01116691909888, 2.66 * math.pi,
+                           EnvelopeSpec("lorentzian", 0.4991817149262152))
+        o = find_periodic(p, 1.96)
+        assert o.multiplier == pytest.approx(0.99749, abs=1e-5)
+        assert self.reference_gap(p, o.z_star) <= 2.0 * o.residual
 
 
 class TestBoundednessAudit:

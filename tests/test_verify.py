@@ -6,7 +6,7 @@ import pytest
 
 from conveyor.errors import ConveyorError
 from conveyor.integrate import flow_T, flow_T_with_sensitivity, integrate
-from conveyor.model import default_params, envelope_d1, force_closure
+from conveyor.model import ConveyorParams, EnvelopeSpec, default_params, envelope_d1, force_closure
 from conveyor.periodic import PeriodicOrbit, find_periodic
 from conveyor.verify import (
     fixed_point_scan,
@@ -134,6 +134,14 @@ class TestMultiplierCrossCheck:
     def test_gaussian(self, gaussian_params, gaussian_orbit):
         chk = multiplier_cross_check(gaussian_params, gaussian_orbit)
         assert chk.rel_error < 1e-4
+
+    def test_default_step_clears_integrator_noise(self):
+        # ~1e-10 of noise in P divided by a step of 1e-6 reads 3e-4 on this
+        # correct orbit, above the battery's 1e-4 pass mark
+        p = ConveyorParams(0.7804996596207963, 91.93408187863491, 2.66 * math.pi,
+                           EnvelopeSpec("gaussian", 0.4074262440839057))
+        orbit = find_periodic(p, 0.0)
+        assert multiplier_cross_check(p, orbit).rel_error < 1e-5
 
 
 class TestAgainstIndependentIntegrator:
