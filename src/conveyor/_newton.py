@@ -1,10 +1,14 @@
-"""Damped Newton with expanding-bracket bisection fallback for fixed points.
+"""Fixed points of a strictly increasing scalar map by safeguarded Newton.
 
-Solves R(z) = P(z) - z = 0 for a scalar map P given both a plain evaluator
-and one that also returns dP/dz.  Newton runs first with step-halving
-damping; whenever the iteration stalls or runs out its budget, any sign
-change of R seen so far (or found by an expanding probe around the seed)
-is refined by bisection and polished back with Newton.
+Solves R(z) = P(z) - z = 0 for the period map P of a scalar periodic ODE.
+Trajectories of such an equation cannot cross, so P is strictly increasing
+and every hyperbolic fixed point sits at a sign change of R.  Damped Newton
+runs from the guess until R changes sign; from then on every iterate stays
+inside the sign bracket, taking the Newton step where it lands inside and
+the midpoint where it would not.  A candidate whose derivative is neutral
+(|P' - 1| < NEUTRAL) does not end the search, because in a near-identity
+tail |R| dips below any tolerance without a zero nearby: it, like a stalled
+Newton, hands over to an expanding probe around the guess for a sign change.
 """
 
 from __future__ import annotations
@@ -17,9 +21,9 @@ from conveyor.errors import NoConvergence
 
 MAX_ITER = 50
 MAX_HALVINGS = 20
-_BRACKET_GROWTH = 1.6
-_BRACKET_FIRST = 0.1
-_BISECT_MAX = 200
+NEUTRAL = 1e-6
+_PROBE_FIRST = 0.1
+_PROBE_GROWTH = 1.6
 
 
 @dataclass(frozen=True)
@@ -31,162 +35,102 @@ class FixedPointResult:
     iterations: int          # total map evaluations spent
 
 
-def _refine_once(map_with_sens, z, pz, dp, r, evals):
-    """One extra Newton step past the tolerance: quadratic convergence makes
-    independently certified solves agree far tighter than tol/|dP/dz - 1|."""
-    dr = dp - 1.0
-    if dr != 0.0 and dr == dr and r != 0.0:
-        z2 = z - r / dr
-        pz2, dp2 = map_with_sens(z2)
-        evals += 1
-        r2 = pz2 - z2
-        if abs(r2) < abs(r):
-            return z2, pz2, dp2, r2, evals
-    return z, pz, dp, r, evals
-
-
 def solve_fixed_point(
     map_with_sens: Callable[[float], tuple[float, float]],
-    map_value: Callable[[float], float],
     z_guess: float,
     tol: float,
     bracket_span: float = 8.0,
 ) -> FixedPointResult:
-    """Certified fixed point of P near z_guess, or NoConvergence.
+    """Fixed point of P near z_guess with |P(z) - z| < tol, or NoConvergence.
 
-    ``map_with_sens(z)`` returns (P(z), dP/dz); ``map_value(z)`` returns
-    P(z) alone and is used for the cheap bracket/bisection evaluations.
-    ``bracket_span`` caps how far the expanding probe may wander from the
-    seed before giving up.
+    ``map_with_sens(z)`` returns (P(z), dP/dz).  Iterates stay within
+    ``bracket_span`` of the guess until a sign change of R is found, and
+    inside that sign bracket afterwards.  A neutral candidate is returned
+    only when the probe finds no sign change within ``bracket_span``; the
+    identity map, for one, returns the guess.
     """
     if not tol > 0.0:
         raise ValueError(f"tol must be > 0, got {tol!r}")
 
     evals = 0
-    z_neg = z_pos = None  # most recent points with R < 0 / R > 0
-    step_cap = bracket_span / 8.0  # keeps Newton from vaulting into regions
-    # where the map is near-identity and |R| < tol for spurious reasons
+    neg = pos = None  # latest evaluated (z, P, P', R) with R < 0 / R > 0
 
-    def note_sign(z: float, r: float):
-        nonlocal z_neg, z_pos
-        if r < 0.0:
-            z_neg = z
-        elif r > 0.0:
-            z_pos = z
-
-    z = z_guess
-    pz, dp = map_with_sens(z)
-    evals += 1
-    r = pz - z
-    note_sign(z, r)
-
-    for _ in range(MAX_ITER):
-        if abs(r) < tol:
-            z, pz, dp, r, evals = _refine_once(map_with_sens, z, pz, dp, r, evals)
-            return FixedPointResult(z, pz, dp, abs(r), evals)
-        dr = dp - 1.0
-        if dr == 0.0 or dr != dr:
-            break  # flat or NaN derivative: Newton cannot proceed
-        step = -r / dr
-        if abs(step) > step_cap:
-            step = math.copysign(step_cap, step)
-        improved = False
-        for _ in range(MAX_HALVINGS + 1):
-            z_new = z + step
-            if abs(z_new - z_guess) > bracket_span:
-                step *= 0.5  # leaving the trust window around the seed
-                continue
-            pz_new, dp_new = map_with_sens(z_new)
-            evals += 1
-            r_new = pz_new - z_new
-            note_sign(z_new, r_new)
-            if abs(r_new) < abs(r):
-                z, pz, dp, r = z_new, pz_new, dp_new, r_new
-                improved = True
-                break
-            step *= 0.5
-        if not improved:
-            break  # stalled; hand over to the bracket fallback
-
-    if abs(r) < tol:
-        z, pz, dp, r, evals = _refine_once(map_with_sens, z, pz, dp, r, evals)
-        return FixedPointResult(z, pz, dp, abs(r), evals)
-    return _bracket_solve(map_with_sens, map_value, z_guess, tol, bracket_span,
-                          z_neg, z_pos, evals, abs(r))
-
-
-def solve_fixed_point_bracketed(
-    map_with_sens: Callable[[float], tuple[float, float]],
-    map_value: Callable[[float], float],
-    z_center: float,
-    tol: float,
-    bracket_span: float = 8.0,
-) -> FixedPointResult:
-    """Bracket route alone: expanding sign probe around z_center, bisection,
-    Newton polish.  Used to look past a spurious near-identity region that
-    plain Newton is content to stop in."""
-    if not tol > 0.0:
-        raise ValueError(f"tol must be > 0, got {tol!r}")
-    return _bracket_solve(map_with_sens, map_value, z_center, tol, bracket_span,
-                          None, None, 0, math.inf)
-
-
-def _bracket_solve(map_with_sens, map_value, z_center, tol, bracket_span,
-                   z_neg, z_pos, evals, best_abs_r) -> FixedPointResult:
-    def note_sign(z: float, r: float):
-        nonlocal z_neg, z_pos
-        if r < 0.0:
-            z_neg = z
-        elif r > 0.0:
-            z_pos = z
-
-    if z_neg is None or z_pos is None:
-        delta = _BRACKET_FIRST
-        r0 = map_value(z_center) - z_center
-        evals += 1
-        note_sign(z_center, r0)
-        while delta <= bracket_span and (z_neg is None or z_pos is None):
-            for zc in (z_center + delta, z_center - delta):
-                rc = map_value(zc) - zc
-                evals += 1
-                note_sign(zc, rc)
-                if z_neg is not None and z_pos is not None:
-                    break
-            delta *= _BRACKET_GROWTH
-
-    if z_neg is None or z_pos is None:
-        raise NoConvergence(evals, best_abs_r)
-
-    best_z, best_r = 0.5 * (z_neg + z_pos), math.inf
-    lo, hi = z_pos, z_neg  # R(lo) > 0 > R(hi); order in z is irrelevant
-    for _ in range(_BISECT_MAX):
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break  # interval at floating-point resolution
-        rm = map_value(mid) - mid
-        evals += 1
-        if abs(rm) < abs(best_r):
-            best_z, best_r = mid, rm
-        if abs(rm) < tol:
-            break
-        if rm > 0.0:
-            lo = mid
-        else:
-            hi = mid
-
-    # Newton polish from the bisection point, returning exact sensitivity
-    z = best_z
-    r = best_r
-    for _ in range(5):
+    def evaluate(z: float):
+        nonlocal evals, neg, pos
         pz, dp = map_with_sens(z)
         evals += 1
-        r = pz - z
-        if abs(r) < tol:
-            z, pz, dp, r, evals = _refine_once(map_with_sens, z, pz, dp, r, evals)
-            return FixedPointResult(z, pz, dp, abs(r), evals)
-        dr = dp - 1.0
-        if dr == 0.0 or dr != dr:
-            break
-        z = z - r / dr
+        point = (z, pz, dp, pz - z)
+        if point[3] < 0.0:
+            neg = point
+        elif point[3] > 0.0:
+            pos = point
+        return point
 
-    raise NoConvergence(evals, abs(r))
+    def done(point) -> FixedPointResult:
+        # one Newton step past the tolerance: quadratic convergence makes
+        # independently certified solves agree far tighter than tol/|P' - 1|
+        z, _, dp, r = point
+        if r != 0.0 and abs(dp - 1.0) >= NEUTRAL:
+            extra = evaluate(z - r / (dp - 1.0))
+            if abs(extra[3]) < abs(r):
+                point = extra
+        return FixedPointResult(*point[:3], abs(point[3]), evals)
+
+    def neutral(point) -> bool:
+        return abs(point[2] - 1.0) < NEUTRAL
+
+    def bracketed() -> FixedPointResult:
+        point = min(neg, pos, key=lambda q: abs(q[3]))
+        for _ in range(MAX_ITER):
+            z, _, dp, r = point
+            if abs(r) < tol and not neutral(point):
+                return done(point)
+            lo, hi = sorted((neg[0], pos[0]))
+            z_new = z - r / (dp - 1.0) if dp != 1.0 else math.nan
+            if r == 0.0 or not lo < z_new < hi:
+                z_new = 0.5 * (lo + hi)
+                if z_new in (lo, hi):
+                    break  # bracket at floating-point resolution
+            point = evaluate(z_new)
+        best = min(neg, pos, point, key=lambda q: abs(q[3]))
+        if abs(best[3]) < tol:
+            return done(best)
+        raise NoConvergence(evals, abs(best[3]))
+
+    point = evaluate(z_guess)
+    step_cap = bracket_span / 8.0  # keeps Newton from vaulting into regions
+    # where the map is near-identity and |R| < tol for spurious reasons
+    for _ in range(MAX_ITER):  # damped Newton until R changes sign
+        if neg and pos:
+            return bracketed()
+        z, _, dp, r = point
+        if abs(r) < tol:
+            if not neutral(point):
+                return done(point)
+            break  # neutral candidate: probe for a genuine sign change
+        if dp == 1.0 or dp != dp:
+            break  # flat or NaN derivative: Newton cannot proceed
+        step = -r / (dp - 1.0)
+        step = math.copysign(min(abs(step), step_cap), step)
+        for _ in range(MAX_HALVINGS + 1):
+            if abs(z + step - z_guess) <= bracket_span:
+                trial = evaluate(z + step)
+                if (neg and pos) or abs(trial[3]) < abs(r):
+                    point = trial
+                    break
+            step *= 0.5
+        else:
+            break  # stalled
+
+    delta = _PROBE_FIRST
+    while not (neg and pos) and delta <= bracket_span:
+        for z in (z_guess + delta, z_guess - delta):
+            evaluate(z)
+            if neg and pos:
+                break
+        delta *= _PROBE_GROWTH
+    if neg and pos:
+        return bracketed()
+    if abs(point[3]) < tol:
+        return done(point)  # neutral, with no sign change within reach
+    raise NoConvergence(evals, abs(point[3]))

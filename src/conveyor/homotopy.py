@@ -31,7 +31,6 @@ from conveyor.errors import ContinuationStall, EmptyAudit, NoConvergence
 from conveyor.integrate import (
     IntegratorConfig,
     Trajectory,
-    flow_T,
     flow_T_with_sensitivity,
     integrate,
     period_gap,
@@ -105,11 +104,7 @@ def solve_at_lambda(p: ConveyorParams, lambda_h: float, z_guess: float,
     _check_lambda(lambda_h)
     rhs, rhs_dz = _lambda_closures(p, lambda_h)
     res = solve_fixed_point(
-        lambda z: flow_T_with_sensitivity(p, z, cfg, rhs=rhs, rhs_dz=rhs_dz),
-        lambda z: flow_T(p, z, cfg, rhs=rhs),
-        z_guess,
-        tol,
-    )
+        lambda z: flow_T_with_sensitivity(p, z, cfg, rhs=rhs, rhs_dz=rhs_dz), z_guess, tol)
     traj = integrate(p, rhs, res.z_star, 0.0, p.period, cfg)
     return res.z_star, traj
 

@@ -18,6 +18,7 @@ to call from any number of concurrent workers.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Callable
@@ -54,6 +55,9 @@ class EnvelopeSpec:
             raise ValueError(f"envelope scale z0 must be finite, got {self.z0!r}")
         if self.kind != "plane" and not self.z0 > 0.0:
             raise ValueError(f"envelope scale z0 must be > 0, got {self.z0!r}")
+        # the kernels divide by z0**2, so it must be a positive finite double
+        if self.kind != "plane" and not 0.0 < self.z0 * self.z0 < math.inf:
+            raise ValueError(f"envelope scale z0 = {self.z0!r} squares outside the double range")
 
 
 @dataclass(frozen=True)
@@ -191,29 +195,44 @@ def envelope_d2(e: EnvelopeSpec, z: float) -> float:
     return _envelope_fns(e)[2](z)
 
 
+def _softplus(x: float) -> float:
+    """log(1 + e^x) without overflow."""
+    return x + math.log1p(math.exp(-x)) if x > 0.0 else math.log1p(math.exp(x))
+
+
+def _log_scaled(e: EnvelopeSpec, z: float) -> float:
+    """log(|z| / z0), finite for every finite z != 0 whatever its size."""
+    return math.log(abs(z)) - math.log(e.z0)
+
+
 def envelope_log_value(e: EnvelopeSpec, z: float) -> float:
-    """log f(z), evaluated without underflow.
+    """log f(z), evaluated without underflow or overflow.
 
     Finite for every finite z and all three kinds, which is how genuine
     zeros of f (there are none) are told apart from double-precision
-    underflow of ``envelope_value``.
+    underflow of ``envelope_value``.  The Gaussian's exact value leaves the
+    double range beyond |z| ~ 1e154 * z0; there it saturates at
+    -sys.float_info.max.
     """
-    if e.kind == "plane":
+    if e.kind == "plane" or z == 0.0:
         return 0.0
     if e.kind == "lorentzian":
-        z0sq = e.z0 * e.z0
-        return math.log(z0sq) - math.log(z0sq + z * z)
-    return -2.0 * z * z / (e.z0 * e.z0)
+        return -_softplus(2.0 * _log_scaled(e, z))   # -log(1 + (z/z0)^2)
+    u = abs(z) / e.z0
+    return max(-2.0 * u * u, -sys.float_info.max)
 
 
 def envelope_log_abs_d1(e: EnvelopeSpec, z: float) -> float:
-    """log |f'(z)| without underflow; -inf where f' vanishes exactly."""
+    """log |f'(z)| without underflow or overflow; -inf where f' vanishes
+    exactly, saturating like ``envelope_log_value`` otherwise."""
     if e.kind == "plane" or z == 0.0:
         return -math.inf
-    z0sq = e.z0 * e.z0
+    lu = _log_scaled(e, z)
     if e.kind == "lorentzian":
-        return math.log(2.0 * z0sq * abs(z)) - 2.0 * math.log(z0sq + z * z)
-    return math.log(4.0 * abs(z) / z0sq) - 2.0 * z * z / z0sq
+        # |f'| = (2/z0) u / (1 + u^2)^2 with u = |z|/z0
+        return math.log(2.0 / e.z0) + lu - 2.0 * _softplus(2.0 * lu)
+    u = abs(z) / e.z0
+    return max(math.log(4.0 / e.z0) + lu - 2.0 * u * u, -sys.float_info.max)
 
 
 # ---------------------------------------------------------------------------

@@ -1,17 +1,15 @@
 """Location, refinement and certification of drive-periodic orbits.
 
 A periodic solution is a fixed point of the period map P(z0) = z(T; 0, z0).
-``find_periodic`` certifies one from a single guess (Newton shooting with
-exact sensitivity, bisection fallback on any sign change of P(z) - z);
-``scan_orbits`` sweeps a window and deduplicates; ``basin_probe`` measures
-which initial conditions have reached an orbit by a given horizon; and
+The equation is scalar, so P is strictly increasing and hyperbolic orbits
+sit at sign changes of R = P - z.  ``find_periodic`` certifies one orbit
+from a single guess by Newton shooting with exact sensitivity, or parks a
+guess where the drive is below ``FORCE_FREE_SUP`` (flagged ``force_free``:
+there every point looks fixed); ``scan_orbits`` solves from the sign
+changes of R on a grid and deduplicates; ``basin_probe`` measures which
+initial conditions have reached an orbit by a given horizon; and
 ``boundedness_audit`` reports the largest amplitude over a set of certified
 orbits, the empirical stand-in for the theoretical amplitude bound.
-
-Candidates found where the drive has numerically underflowed to zero (far
-tails of a decaying envelope) are flagged ``force_free`` rather than
-treated as robust orbits: there the period map is the identity to machine
-precision and every point looks fixed.
 """
 
 from __future__ import annotations
@@ -20,7 +18,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence
 
-from conveyor._newton import solve_fixed_point, solve_fixed_point_bracketed
+from conveyor._newton import NEUTRAL, solve_fixed_point
 from conveyor.errors import EmptyAudit, NoConvergence
 from conveyor.integrate import (
     IntegratorConfig,
@@ -31,15 +29,20 @@ from conveyor.integrate import (
     period_gap,
     propagate,
 )
-from conveyor.model import ConveyorParams, force_closure, force_dz_closure
+from conveyor.model import (
+    ConveyorParams,
+    envelope_log_abs_d1,
+    envelope_log_value,
+    force_closure,
+    force_dz_closure,
+)
 
 CERTIFICATION_TOL = 1e-9
 DEDUPE_TOL = 1e-6
 BASIN_TOL = 1e-3
-# an orbit candidate is force-free when the drive along it stays below
-# FORCE_FREE_SUP and the multiplier is neutral to FORCE_FREE_NEUTRAL
+# a guess is force-free when the bound f0 * (k f + |f'|) on the drive there
+# is below FORCE_FREE_SUP
 FORCE_FREE_SUP = 1e-9
-FORCE_FREE_NEUTRAL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -70,39 +73,28 @@ class BasinPoint(NamedTuple):
     converged: bool
 
 
-def _force_sup_along(p: ConveyorParams, traj: Trajectory, refine: int = 8) -> float:
-    """max |F(t, z(t))| along a trajectory, sampling each dense segment."""
-    rhs = force_closure(p)
-    ts = traj.times
-    best = 0.0
-    for j in range(len(ts) - 1):
-        t0, t1 = float(ts[j]), float(ts[j + 1])
-        for i in range(refine):
-            t = t0 + (t1 - t0) * i / refine
-            v = abs(rhs(t, traj.interp(t)))
-            if v > best:
-                best = v
-    v = abs(rhs(float(ts[-1]), float(traj.states[-1])))
-    return max(best, v)
+def _force_free(p: ConveyorParams, z: float) -> bool:
+    """Whether |F(t, z)| <= f0 (k f(z) + |f'(z)|) is below FORCE_FREE_SUP,
+    decided in log space so that underflow of f cannot pass for a zero."""
+    if p.f0 == 0.0:
+        return True
+    e = p.envelope
+    log_f = max(math.log(p.k) + envelope_log_value(e, z), envelope_log_abs_d1(e, z))
+    return math.log(2.0 * p.f0) + log_f < math.log(FORCE_FREE_SUP)
 
 
 def _build_orbit(p: ConveyorParams, z_star: float, multiplier: float, residual: float,
-                 cfg: IntegratorConfig | None) -> PeriodicOrbit:
+                 cfg: IntegratorConfig | None, force_free: bool = False) -> PeriodicOrbit:
     traj = integrate(p, force_closure(p), z_star, 0.0, p.period, cfg)
     # the solver's certificate is the stored samples' own seam gap; the
     # tighter re-measure adds the integration error the solve cannot see
     residual = max(residual, period_gap(p, z_star, cfg))
-    sup = traj.sup_norm()
-    force_free = (
-        abs(multiplier - 1.0) < FORCE_FREE_NEUTRAL
-        and _force_sup_along(p, traj) < FORCE_FREE_SUP
-    )
     return PeriodicOrbit(
         z_star=z_star,
         period=p.period,
         multiplier=multiplier,
         residual=residual,
-        sup_norm=sup,
+        sup_norm=traj.sup_norm(),
         trajectory=traj,
         force_free=force_free,
     )
@@ -114,44 +106,52 @@ def find_periodic(p: ConveyorParams, z_guess: float,
     """Certified periodic orbit from one guess.
 
     Newton iteration on R(z0) = P(z0) - z0 with the variational derivative,
-    damped by step halving; any sign change of R seen along the way (or
-    found by an expanding probe) is refined by bisection.  Raises
-    NoConvergence when neither route certifies a fixed point: there is no
-    nearby orbit, or its multiplier is neutral.
+    damped by step halving until R changes sign and kept inside the sign
+    bracket from then on; a stalled or neutral iterate hands over to an
+    expanding sign probe around the guess.  Raises NoConvergence when no
+    fixed point certifies: there is no nearby orbit, or the only candidate
+    has a neutral multiplier (|mu - 1| < 1e-6), which in the envelope's
+    slow tails means |P(z) - z| dipped below the tolerance with no genuine
+    zero nearby.
 
-    Inspect ``force_free`` on the result before trusting it as a trap:
-    candidates in regions of vanishing drive are fixed to machine precision
-    but physically just parked.
-
-    A candidate whose multiplier is neutral (|mu - 1| < 1e-6) cannot be a
-    robust fixed point: in the envelope's slow tails the period map is so
-    close to the identity that |P(z) - z| dips below any tolerance without
-    a genuine zero nearby.  Such candidates trigger one bracket search
-    around the guess for a non-neutral orbit; if the drive along them has
-    underflowed outright they are returned flagged ``force_free``,
-    otherwise NoConvergence is raised.
+    Inspect ``force_free`` on the result before trusting it as a trap: a
+    guess where the drive is below ``FORCE_FREE_SUP`` is not solved but
+    returned as it stands, parked, with multiplier 1.
     """
+    if _force_free(p, z_guess):
+        return _build_orbit(p, z_guess, 1.0, 0.0, cfg, force_free=True)
     rhs = force_closure(p)
     rhs_dz = force_dz_closure(p)
-    with_sens = lambda z: flow_T_with_sensitivity(p, z, cfg, rhs=rhs, rhs_dz=rhs_dz)
-    value = lambda z: flow_T(p, z, cfg, rhs=rhs)
+    res = solve_fixed_point(
+        lambda z: flow_T_with_sensitivity(p, z, cfg, rhs=rhs, rhs_dz=rhs_dz), z_guess, tol)
+    if abs(res.derivative - 1.0) < NEUTRAL:
+        raise NoConvergence(res.iterations, res.residual,
+                            f"only a neutral-multiplier candidate near z={res.z_star:.6g} "
+                            "(period map is locally indistinguishable from the identity)")
+    return _build_orbit(p, res.z_star, res.derivative, res.residual, cfg)
 
-    res = solve_fixed_point(with_sens, value, z_guess, tol)
-    orbit = _build_orbit(p, res.z_star, res.derivative, res.residual, cfg)
-    if abs(orbit.multiplier - 1.0) >= FORCE_FREE_NEUTRAL:
-        return orbit
-    try:
-        rescue = solve_fixed_point_bracketed(with_sens, value, z_guess, tol)
-        candidate = _build_orbit(p, rescue.z_star, rescue.derivative, rescue.residual, cfg)
-        if abs(candidate.multiplier - 1.0) >= FORCE_FREE_NEUTRAL:
-            return candidate
-    except NoConvergence:
-        pass
-    if orbit.force_free:
-        return orbit
-    raise NoConvergence(res.iterations, res.residual,
-                        f"only a neutral-multiplier candidate near z={orbit.z_star:.6g} "
-                        "(period map is locally indistinguishable from the identity)")
+
+def _hidden_pair_seeds(grid: Sequence[float], resid: Sequence[float]) -> list[float]:
+    """Seeds for a close pair of orbits that no sign change of the grid shows.
+
+    Such a pair leaves an interior local minimum of |R| between same-sign
+    neighbours.  The parabola through the three grid values there is the
+    local model of R; where it reaches zero, its roots are the seeds.
+    """
+    seeds = []
+    for i in range(1, len(grid) - 1):
+        left, mid, right = resid[i - 1], resid[i], resid[i + 1]
+        if not (mid * left > 0.0 and mid * right > 0.0
+                and abs(mid) <= min(abs(left), abs(right))):
+            continue
+        # R ~ mid + slope*s + curv*s^2 with s in grid steps from grid[i]
+        slope, curv = 0.5 * (right - left), 0.5 * (right + left) - mid
+        disc = slope * slope - 4.0 * mid * curv
+        if curv != 0.0 and disc >= 0.0:
+            h = grid[i + 1] - grid[i]
+            roots = {(-slope + sign * math.sqrt(disc)) / (2.0 * curv) for sign in (-1.0, 1.0)}
+            seeds.extend(grid[i] + s * h for s in sorted(roots))
+    return seeds
 
 
 def scan_orbits(p: ConveyorParams, z_lo: float, z_hi: float, n_grid: int,
@@ -160,10 +160,11 @@ def scan_orbits(p: ConveyorParams, z_lo: float, z_hi: float, n_grid: int,
                 dedupe_tol: float = DEDUPE_TOL) -> list[PeriodicOrbit]:
     """All certified orbits found in [z_lo, z_hi], sorted by z_star.
 
-    The period-map residual R is evaluated on the grid; every sign change
-    is refined, and Newton shooting additionally runs from each local
-    minimum of |R| (grid ends included) so tangential fixed points are not
-    missed.  Duplicates within ``dedupe_tol`` collapse to the
+    The period-map residual R is evaluated on the grid.  Every hyperbolic
+    orbit sits at a sign change of R, so Newton shooting runs from each
+    sign-change cell, seeded where the chord through its ends crosses zero,
+    and from the roots of ``_hidden_pair_seeds``' parabolas, at no extra
+    map evaluations.  Duplicates within ``dedupe_tol`` collapse to the
     lowest-residual representative; force-free candidates are dropped.
     Returns an empty list when nothing in the window certifies.
     """
@@ -177,14 +178,12 @@ def scan_orbits(p: ConveyorParams, z_lo: float, z_hi: float, n_grid: int,
     resid = [flow_T(p, g, cfg, rhs=rhs) - g for g in grid]
 
     seeds: list[float] = []
-    for i, g in enumerate(grid):
-        left = abs(resid[i - 1]) if i > 0 else math.inf
-        right = abs(resid[i + 1]) if i < n_grid - 1 else math.inf
-        if abs(resid[i]) <= left and abs(resid[i]) <= right:
-            seeds.append(g)
     for i in range(n_grid - 1):
-        if resid[i] == 0.0 or resid[i] * resid[i + 1] < 0.0:
-            seeds.append(0.5 * (grid[i] + grid[i + 1]))
+        a, b = resid[i], resid[i + 1]
+        # a grid value of exactly 0 seeds itself; a cell with two is idle
+        if a * b < 0.0 or (a == 0.0) != (b == 0.0):
+            seeds.append(grid[i] + (grid[i + 1] - grid[i]) * a / (a - b))
+    seeds += _hidden_pair_seeds(grid, resid)
 
     found: list[PeriodicOrbit] = []
     for seed in seeds:
@@ -192,11 +191,8 @@ def scan_orbits(p: ConveyorParams, z_lo: float, z_hi: float, n_grid: int,
             orbit = find_periodic(p, seed, cfg, tol)
         except NoConvergence:
             continue
-        if orbit.force_free:
-            continue
-        if not z_lo - 1e-9 <= orbit.z_star <= z_hi + 1e-9:
-            continue
-        found.append(orbit)
+        if not orbit.force_free and z_lo - 1e-9 <= orbit.z_star <= z_hi + 1e-9:
+            found.append(orbit)
 
     found.sort(key=lambda o: o.z_star)
     distinct: list[PeriodicOrbit] = []

@@ -113,6 +113,11 @@ class TestFindPeriodic:
         assert rows == []
         assert "no certified periodic orbit" in capsys.readouterr().err
 
+    def test_unrepresentable_scale_is_a_flag_error(self, tmp_path):
+        with pytest.raises(SystemExit) as info:
+            run(["find-periodic", "--z0", "1e160", "--out", str(tmp_path / "o.csv")])
+        assert info.value.code == 2
+
     def test_manifest_written(self, tmp_path):
         out = tmp_path / "orbits.csv"
         assert run(["find-periodic", "--n-grid", "9", "--out", str(out)]) == 0

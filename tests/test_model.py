@@ -6,6 +6,7 @@ mpmath evaluation.
 """
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -117,6 +118,19 @@ class TestEnvelope:
         assert envelope_value(GAU, 50.0) == 0.0  # double precision gives up
         assert math.isfinite(envelope_log_value(GAU, 50.0))
 
+    def test_lorentzian_log_forms_finite_where_z_squared_overflows(self):
+        # there f = (z0/z)^2 and |f'| = 2 z0^2 / |z|^3 to all digits
+        for z in (1e200, -1e200, 1e308):
+            log_u = math.log(abs(z)) - math.log(LOR.z0)
+            assert envelope_log_value(LOR, z) == pytest.approx(-2.0 * log_u, rel=1e-15)
+            assert envelope_log_abs_d1(LOR, z) == pytest.approx(
+                math.log(2.0 / LOR.z0) - 3.0 * log_u, rel=1e-15)
+
+    def test_gaussian_log_forms_saturate_instead_of_overflowing(self):
+        # the exact log f = -2 (z/z0)^2 is below -1.8e308 here
+        assert envelope_log_value(GAU, 1e200) == -sys.float_info.max
+        assert envelope_log_abs_d1(GAU, 1e200) == -sys.float_info.max
+
     def test_validation(self):
         with pytest.raises(ValueError):
             EnvelopeSpec("parabolic")
@@ -129,6 +143,13 @@ class TestEnvelope:
         with pytest.raises(ValueError):
             EnvelopeSpec("plane", math.nan)
         EnvelopeSpec("plane")  # z0 not required
+
+    @pytest.mark.parametrize("kind", ["lorentzian", "gaussian"])
+    @pytest.mark.parametrize("z0", [1e160, 1e-170])
+    def test_scale_must_square_to_a_positive_finite_double(self, kind, z0):
+        # z0**2 = inf gives f = inf/inf; z0**2 = 0 gives 0/0 at z = 0
+        with pytest.raises(ValueError):
+            EnvelopeSpec(kind, z0)
 
 
 class TestParams:
@@ -275,6 +296,13 @@ class TestStructuralProbes:
         assert fixed_point_test(gaussian_params, 50.0, 1e-300) is True
         assert fixed_point_classify(gaussian_params, 50.0, 1e-300) == FP_UNDERFLOW
         assert fixed_point_classify(gaussian_params, 0.5, 1e-300) == FP_NONE
+
+    @pytest.mark.parametrize("kind", ["lorentzian", "gaussian"])
+    def test_fixed_point_overflow_is_not_a_rest_point(self, kind):
+        # z*z overflows at |z| = 1e200; that must not read as f == 0
+        p = default_params(kind)
+        for z in (1e200, -1e200):
+            assert fixed_point_classify(p, z, 1e-12) == FP_UNDERFLOW
 
     def test_fixed_point_tol_validation(self, plane_params):
         with pytest.raises(ValueError):

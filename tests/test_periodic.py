@@ -5,11 +5,13 @@ import math
 import numpy as np
 import pytest
 
+from conveyor import periodic
 from conveyor.errors import EmptyAudit, NoConvergence
 from conveyor.integrate import flow_T, integrate
 from conveyor.model import ConveyorParams, EnvelopeSpec, default_params, force, force_closure
 from conveyor.periodic import (
     BasinPoint,
+    _hidden_pair_seeds,
     basin_probe,
     boundedness_audit,
     find_periodic,
@@ -88,6 +90,14 @@ class TestFindPeriodic:
         assert o.force_free
         assert o.z_star == 20.0
 
+    @pytest.mark.parametrize("kind", ["lorentzian", "gaussian"])
+    def test_overflowing_guess_parks(self, kind):
+        # z*z overflows at 1e200; the log-space drive bound still reads ~0
+        o = find_periodic(default_params(kind), 1e200)
+        assert o.force_free
+        assert o.z_star == 1e200
+        assert o.multiplier == 1.0
+
     def test_no_orbit_for_plane_drive(self, plane_params):
         # locked transport: P(z) - z ~ 2 pi / k > 0 everywhere, no fixed points
         with pytest.raises(NoConvergence) as info:
@@ -126,6 +136,57 @@ class TestScanOrbits:
             scan_orbits(gaussian_params, 1.0, -1.0, 5)
         with pytest.raises(ValueError):
             scan_orbits(gaussian_params, -1.0, 1.0, 1)
+
+    @pytest.mark.parametrize("kind,window,limit", [
+        ("lorentzian", (-4.5, 4.5, 64), 80),
+        ("gaussian", (-1.0, 1.0, 21), 30),
+    ])
+    def test_reference_scan_work(self, monkeypatch, kind, window, limit):
+        # the grid costs one map evaluation per point; the single orbit's
+        # solve, seeded from its sign-change cell, only a few more
+        calls = []
+        for name in ("flow_T", "flow_T_with_sensitivity"):
+            fn = getattr(periodic, name)
+            monkeypatch.setattr(periodic, name,
+                                lambda *a, fn=fn, **k: calls.append(1) or fn(*a, **k))
+        orbits = scan_orbits(default_params(kind), *window)
+        assert len(orbits) == 1
+        assert len(calls) <= limit
+
+    @pytest.mark.parametrize("n_grid", [9, 33])
+    @pytest.mark.parametrize("kind,f0,b,z0,window,z_star", [
+        ("lorentzian", 3.0, 100.0, 0.37, (-4.5, 4.5), 2.398240339),
+        ("lorentzian", 1.2, 60.0, 0.5, (-4.5, 4.5), 2.915273740),
+        ("lorentzian", 2.0, 140.0, 0.5, (-4.5, 4.5), 2.087431625),
+        ("gaussian", 3.0, 60.0, 0.5, (-1.5, 1.5), 0.545885295),
+    ])
+    def test_off_reference_windows(self, n_grid, kind, f0, b, z0, window, z_star):
+        p = ConveyorParams(f0, b, 2.66 * math.pi, EnvelopeSpec(kind, z0))
+        orbits = scan_orbits(p, *window, n_grid)
+        assert [round(o.z_star, 6) for o in orbits] == [round(z_star, 6)]
+
+
+class TestHiddenPairSeeds:
+    def test_dipping_parabola_seeds_its_roots(self):
+        # R = (z - 0.2)(z - 0.4) hides both orbits between grid points -1, 0, 1
+        grid = [-1.0, 0.0, 1.0]
+        resid = [(z - 0.2) * (z - 0.4) for z in grid]
+        assert all(r > 0.0 for r in resid)
+        assert _hidden_pair_seeds(grid, resid) == pytest.approx([0.2, 0.4])
+
+    def test_negative_side_is_mirrored(self):
+        grid = [-1.0, 0.0, 1.0]
+        resid = [-(z - 0.2) * (z - 0.4) for z in grid]
+        assert _hidden_pair_seeds(grid, resid) == pytest.approx([0.2, 0.4])
+
+    def test_shallow_minimum_gives_none(self):
+        assert _hidden_pair_seeds([0.0, 1.0, 2.0], [1.0, 0.5, 1.0]) == []
+        assert _hidden_pair_seeds([0.0, 1.0, 2.0], [1.68, 0.3, 0.48]) == []
+
+    def test_sign_changes_and_non_minima_give_none(self):
+        # a sign change is the cells' business, and a monotone run has no dip
+        assert _hidden_pair_seeds([0.0, 1.0, 2.0], [1.0, 0.01, -1.0]) == []
+        assert _hidden_pair_seeds([0.0, 1.0, 2.0, 3.0], [3.0, 2.0, 1.0, 0.5]) == []
 
 
 class TestBasinProbe:
