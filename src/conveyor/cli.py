@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 import conveyor
-from conveyor import analytic, homotopy, periodic, verify
+from conveyor import analytic, homotopy, model, periodic, verify
 from conveyor.errors import ContinuationStall, ConveyorError, NoConvergence, StepSizeUnderflow
 from conveyor.integrate import IntegratorConfig, integrate
 from conveyor.model import (
@@ -30,7 +30,6 @@ from conveyor.model import (
     EnvelopeSpec,
     default_params,
     force_closure,
-    potential_closure,
 )
 
 FIGURE_IDS = ("fig1", "fig2", "fig3", "fig4", "pot1", "pot2", "plane-limit")
@@ -178,7 +177,7 @@ def cmd_simulate(parser: argparse.ArgumentParser, args) -> int:
     started = time.perf_counter()
     traj = integrate(p, force_closure(p), args.zi, args.t0, args.t_end, cfg)
     rhs = force_closure(p)
-    pot = potential_closure(p)
+    pot = model.field(p).potential
     times = list(traj.times[:: args.stride])
     if times[-1] != traj.times[-1]:
         times.append(float(traj.times[-1]))
@@ -286,7 +285,7 @@ def cmd_reproduce(parser: argparse.ArgumentParser, args) -> int:
         rows = _trajectory_series(p, cfg, ics, 0.0, 5.0 * p.period, 1001)
         _write_csv(out, ["z_i", "t_s", "z_lambda"], rows)
     elif fig in ("pot1", "pot2"):
-        pot = potential_closure(p)
+        pot = model.field(p).potential
         zs = np.linspace(-6.0, 6.0, 2001)
         _write_csv(out, ["z_lambda", "V"], [(float(z), pot(0.0, float(z))) for z in zs])
     else:  # plane-limit

@@ -65,17 +65,6 @@ class ContinuationTrace:
         return self.steps[-1]
 
 
-def homotopy_rhs(p: ConveyorParams, lambda_h: float, t: float, z: float) -> float:
-    """Right-hand side of the blended problem, -(1-lam)*z + lam*F(t, z)."""
-    _check_lambda(lambda_h)
-    return -(1.0 - lambda_h) * z + lambda_h * force_closure(p)(t, z)
-
-
-def _check_lambda(lambda_h: float):
-    if not 0.0 <= lambda_h <= 1.0:
-        raise ValueError(f"lambda must lie in [0, 1], got {lambda_h!r}")
-
-
 def _lambda_closures(p: ConveyorParams, lambda_h: float,
                      ) -> tuple[Callable[[float, float], float], Callable[[float, float], float]]:
     force = force_closure(p)
@@ -99,9 +88,11 @@ def solve_at_lambda(p: ConveyorParams, lambda_h: float, z_guess: float,
 
     Newton shooting on the lambda-flow's period map, certified to
     |z(T) - z(0)| < tol; returns the fixed point and one dense period.
-    Raises NoConvergence like the plain orbit solver.
+    Raises NoConvergence like the plain orbit solver, and ValueError for a
+    lambda outside [0, 1].
     """
-    _check_lambda(lambda_h)
+    if not 0.0 <= lambda_h <= 1.0:
+        raise ValueError(f"lambda must lie in [0, 1], got {lambda_h!r}")
     rhs, rhs_dz = _lambda_closures(p, lambda_h)
     res = solve_fixed_point(
         lambda z: flow_T_with_sensitivity(p, z, cfg, rhs=rhs, rhs_dz=rhs_dz), z_guess, tol)
@@ -141,14 +132,6 @@ def continue_to_one(p: ConveyorParams, cfg: IntegratorConfig | None = None,
             return ContinuationTrace(tuple(steps), True)
         dlam = min(dlam * 1.5, LAMBDA_STEP_MAX)
         lam = min(lam + dlam, 1.0)
-
-
-def rho_audit(trace: ContinuationTrace) -> float:
-    """Largest sup-norm along the branch: the empirical uniform bound that
-    the existence argument requires of the whole family."""
-    if not trace.steps:
-        raise EmptyAudit("rho audit needs a non-empty continuation trace")
-    return max(s.sup_norm for s in trace.steps)
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,13 @@ three envelopes: plane (f == 1), Lorentzian, or Gaussian.  The drive is
 time-periodic with period 4*pi/b, which is the period at which periodic
 orbits are sought.
 
+``field(p)`` serves the whole field of one parameter set as prebound
+callables: V, F, dF/dz, dV/dt and the envelope with its exact
+derivatives.  Each envelope kind supplies two fused kernels, z -> (f, f')
+and z -> (f, f', f''), sharing one denominator or one exp.
+``force_closure`` and ``force_dz_closure`` are the names under which the
+solvers fetch F and dF/dz.
+
 All types are immutable and all operations are pure functions; they are safe
 to call from any number of concurrent workers.
 """
@@ -21,7 +28,7 @@ import math
 import sys
 from dataclasses import dataclass, replace
 from functools import lru_cache
-from typing import Callable
+from typing import Callable, NamedTuple
 
 ENVELOPE_KINDS = ("plane", "lorentzian", "gaussian")
 
@@ -53,11 +60,12 @@ class EnvelopeSpec:
             raise ValueError(f"unknown envelope kind {self.kind!r}; expected one of {ENVELOPE_KINDS}")
         if not math.isfinite(self.z0):
             raise ValueError(f"envelope scale z0 must be finite, got {self.z0!r}")
-        if self.kind != "plane" and not self.z0 > 0.0:
-            raise ValueError(f"envelope scale z0 must be > 0, got {self.z0!r}")
-        # the kernels divide by z0**2, so it must be a positive finite double
-        if self.kind != "plane" and not 0.0 < self.z0 * self.z0 < math.inf:
-            raise ValueError(f"envelope scale z0 = {self.z0!r} squares outside the double range")
+        # the kernels reach z0**6 (the Lorentzian f'' at z = 0), which must be
+        # a positive finite double; z0 ** 6 itself would raise OverflowError
+        z0sq = self.z0 * self.z0
+        if self.kind != "plane" and not (self.z0 > 0.0 and 0.0 < z0sq * z0sq * z0sq < math.inf):
+            raise ValueError(f"envelope scale z0 must be > 0 with z0**6 a positive finite "
+                             f"double, got {self.z0!r}")
 
 
 @dataclass(frozen=True)
@@ -125,30 +133,28 @@ def default_params(kind: str = "lorentzian", **overrides) -> ConveyorParams:
 
 
 # ---------------------------------------------------------------------------
-# envelope kernels
+# envelope kernels: z -> (f, f') and z -> (f, f', f'') per kind
 
 
 def _plane_kernels(z0: float):
-    one = lambda z: 1.0
-    zero = lambda z: 0.0
-    return one, zero, zero
+    return (lambda z: (1.0, 0.0)), (lambda z: (1.0, 0.0, 0.0))
 
 
 def _lorentzian_kernels(z0: float):
     z0sq = z0 * z0
 
-    def f(z: float) -> float:
-        return z0sq / (z0sq + z * z)
-
-    def d1(z: float) -> float:
+    def fd1(z: float) -> tuple[float, float]:
         den = z0sq + z * z
-        return -2.0 * z0sq * z / (den * den)
+        return z0sq / den, -2.0 * z0sq * z / (den * den)
 
-    def d2(z: float) -> float:
+    def fd2(z: float) -> tuple[float, float, float]:
         den = z0sq + z * z
-        return z0sq * (6.0 * z * z - 2.0 * z0sq) / (den * den * den)
+        den3 = den * den * den
+        # where den**3 overflows f'' is 0 (not inf/inf past |z| ~ 1.3e154)
+        d2 = z0sq * (6.0 * z * z - 2.0 * z0sq) / den3 if den3 < math.inf else 0.0
+        return z0sq / den, -2.0 * z0sq * z / (den * den), d2
 
-    return f, d1, d2
+    return fd1, fd2
 
 
 def _gaussian_kernels(z0: float):
@@ -156,16 +162,16 @@ def _gaussian_kernels(z0: float):
     c1 = -4.0 / z0sq
     c2 = 16.0 / (z0sq * z0sq)
 
-    def f(z: float) -> float:
-        return math.exp(-2.0 * z * z / z0sq)
+    def fd1(z: float) -> tuple[float, float]:
+        g = math.exp(-2.0 * z * z / z0sq)
+        return g, c1 * z * g
 
-    def d1(z: float) -> float:
-        return c1 * z * math.exp(-2.0 * z * z / z0sq)
+    def fd2(z: float) -> tuple[float, float, float]:
+        g = math.exp(-2.0 * z * z / z0sq)
+        # where exp underflows f'' is 0, even if c2 z^2 overflows (inf * 0)
+        return g, c1 * z * g, ((c2 * z * z + c1) * g if g else 0.0)
 
-    def d2(z: float) -> float:
-        return (c2 * z * z + c1) * math.exp(-2.0 * z * z / z0sq)
-
-    return f, d1, d2
+    return fd1, fd2
 
 
 _KERNELS = {
@@ -173,26 +179,6 @@ _KERNELS = {
     "lorentzian": _lorentzian_kernels,
     "gaussian": _gaussian_kernels,
 }
-
-
-@lru_cache(maxsize=256)
-def _envelope_fns(e: EnvelopeSpec):
-    return _KERNELS[e.kind](e.z0)
-
-
-def envelope_value(e: EnvelopeSpec, z: float) -> float:
-    """f(z), always in (0, 1]."""
-    return _envelope_fns(e)[0](z)
-
-
-def envelope_d1(e: EnvelopeSpec, z: float) -> float:
-    """Exact first derivative f'(z)."""
-    return _envelope_fns(e)[1](z)
-
-
-def envelope_d2(e: EnvelopeSpec, z: float) -> float:
-    """Exact second derivative f''(z)."""
-    return _envelope_fns(e)[2](z)
 
 
 def _softplus(x: float) -> float:
@@ -210,7 +196,7 @@ def envelope_log_value(e: EnvelopeSpec, z: float) -> float:
 
     Finite for every finite z and all three kinds, which is how genuine
     zeros of f (there are none) are told apart from double-precision
-    underflow of ``envelope_value``.  The Gaussian's exact value leaves the
+    underflow of f itself.  The Gaussian's exact value leaves the
     double range beyond |z| ~ 1e154 * z0; there it saturates at
     -sys.float_info.max.
     """
@@ -239,17 +225,27 @@ def envelope_log_abs_d1(e: EnvelopeSpec, z: float) -> float:
 # potential and force field
 
 
+class Field(NamedTuple):
+    """The conveyor's field at one parameter set, constants prebound."""
+
+    potential: Callable[[float, float], float]      # V(t, z), in [0, f0 f(z)]
+    force: Callable[[float, float], float]          # F = dV/dz, the equation of motion
+    force_dz: Callable[[float, float], float]       # dF/dz, for multipliers and Newton
+    potential_dt: Callable[[float, float], float]   # dV/dt = (b/2) f0 f(z) sin(2kz - bt)
+    envelope: Callable[[float], tuple[float, float, float]]  # z -> (f, f', f''), exact
+
+
 @lru_cache(maxsize=256)
-def _field_fns(p: ConveyorParams):
-    """Prebound (potential, force, force_dz, potential_dt) closures."""
-    f, d1, d2 = _envelope_fns(p.envelope)
+def field(p: ConveyorParams) -> Field:
+    """The field of ``p``, built once per parameter set."""
+    fd1, fd2 = _KERNELS[p.envelope.kind](p.envelope.z0)
     f0, b, k = p.f0, p.b, p.k
     half_b = 0.5 * b
     cos, sin = math.cos, math.sin
 
     def potential(t: float, z: float) -> float:
         c = cos(k * z - half_b * t)
-        return f0 * f(z) * c * c
+        return f0 * fd1(z)[0] * c * c
 
     def force(t: float, z: float) -> float:
         # dV/dz = -k F0 f(z) sin(2kz - bt) + F0 cos^2(kz - bt/2) f'(z),
@@ -257,7 +253,8 @@ def _field_fns(p: ConveyorParams):
         ph = k * z - half_b * t
         c = cos(ph)
         s = sin(ph)
-        return -2.0 * k * f0 * f(z) * s * c + f0 * c * c * d1(z)
+        f, d1 = fd1(z)
+        return -2.0 * k * f0 * f * s * c + f0 * c * c * d1
 
     def force_dz(t: float, z: float) -> float:
         ph = k * z - half_b * t
@@ -265,57 +262,28 @@ def _field_fns(p: ConveyorParams):
         s = sin(ph)
         two_sc = 2.0 * s * c          # sin(2kz - bt)
         cos2 = c * c - s * s          # cos(2kz - bt)
+        f, d1, d2 = fd2(z)
         return (
-            -2.0 * k * f0 * d1(z) * two_sc
-            - 2.0 * k * k * f0 * f(z) * cos2
-            + f0 * c * c * d2(z)
+            -2.0 * k * f0 * d1 * two_sc
+            - 2.0 * k * k * f0 * f * cos2
+            + f0 * c * c * d2
         )
 
     def potential_dt(t: float, z: float) -> float:
         ph = k * z - half_b * t
-        return b * f0 * f(z) * sin(ph) * cos(ph)
+        return b * f0 * fd1(z)[0] * sin(ph) * cos(ph)
 
-    return potential, force, force_dz, potential_dt
-
-
-def potential(p: ConveyorParams, t: float, z: float) -> float:
-    """V(t, z) = f0 * f(z) * cos^2(kz - bt/2); always in [0, f0*f(z)]."""
-    return _field_fns(p)[0](t, z)
-
-
-def force(p: ConveyorParams, t: float, z: float) -> float:
-    """F(t, z) = dV/dz, the right-hand side of the equation of motion."""
-    return _field_fns(p)[1](t, z)
-
-
-def force_dz(p: ConveyorParams, t: float, z: float) -> float:
-    """dF/dz, the Jacobian used by the variational equation and Newton shooting."""
-    return _field_fns(p)[2](t, z)
-
-
-def potential_dt(p: ConveyorParams, t: float, z: float) -> float:
-    """dV/dt = (b/2) * f0 * f(z) * sin(2kz - bt)."""
-    return _field_fns(p)[3](t, z)
+    return Field(potential, force, force_dz, potential_dt, fd2)
 
 
 def force_closure(p: ConveyorParams) -> Callable[[float, float], float]:
-    """The force field as a bare (t, z) callable, constants prebound."""
-    return _field_fns(p)[1]
+    """``field(p).force``, the name under which the solvers fetch F."""
+    return field(p).force
 
 
 def force_dz_closure(p: ConveyorParams) -> Callable[[float, float], float]:
-    """dF/dz as a bare (t, z) callable, constants prebound."""
-    return _field_fns(p)[2]
-
-
-def potential_closure(p: ConveyorParams) -> Callable[[float, float], float]:
-    """V as a bare (t, z) callable, constants prebound."""
-    return _field_fns(p)[0]
-
-
-def potential_dt_closure(p: ConveyorParams) -> Callable[[float, float], float]:
-    """dV/dt as a bare (t, z) callable, constants prebound."""
-    return _field_fns(p)[3]
+    """``field(p).force_dz``, the name under which the solvers fetch dF/dz."""
+    return field(p).force_dz
 
 
 # ---------------------------------------------------------------------------
@@ -332,8 +300,8 @@ def fixed_point_test(p: ConveyorParams, z: float, tol: float) -> bool:
     """
     if not tol > 0.0:
         raise ValueError(f"tol must be > 0, got {tol!r}")
-    e = p.envelope
-    return abs(envelope_value(e, z)) <= tol and abs(envelope_d1(e, z)) <= tol
+    f, d1, _ = field(p).envelope(z)
+    return abs(f) <= tol and abs(d1) <= tol
 
 
 def fixed_point_classify(p: ConveyorParams, z: float, tol: float) -> str:
@@ -362,26 +330,3 @@ def plane_regime(p: ConveyorParams) -> str:
     if abs(p.b - lock) <= 1e-12 * p.b:
         return DEGENERATE
     return RECTILINEAR if p.b < lock else OSCILLATORY
-
-
-def admissibility_probe(e: EnvelopeSpec, n_values=None) -> list[tuple[float, float, float]]:
-    """Decay probe for the envelope ratios that control far-field behavior.
-
-    For z_n = n, v_n = n + 0.1 along a geometric sequence of n, returns
-    (n, log(f(v_n)^2 / |f'(z_n)|), log(f'(v_n)^2 / |f'(z_n)|)).  For an
-    admissible decaying envelope both log-ratios decrease without bound;
-    evaluating in log space keeps the Gaussian case finite far past the
-    underflow threshold of double precision.
-    """
-    if e.kind == "plane":
-        raise ValueError("plane envelope has identically vanishing f'; probe undefined")
-    if n_values is None:
-        n_values = [10.0 * (1000.0 ** (i / 15)) for i in range(16)]  # 10 .. 1e4
-    out = []
-    for n in n_values:
-        zn, vn = float(n), float(n) + 0.1
-        log_fp_zn = envelope_log_abs_d1(e, zn)
-        r1 = 2.0 * envelope_log_value(e, vn) - log_fp_zn
-        r2 = 2.0 * envelope_log_abs_d1(e, vn) - log_fp_zn
-        out.append((zn, r1, r2))
-    return out

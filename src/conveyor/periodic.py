@@ -112,7 +112,8 @@ def find_periodic(p: ConveyorParams, z_guess: float,
     fixed point certifies: there is no nearby orbit, or the only candidate
     has a neutral multiplier (|mu - 1| < 1e-6), which in the envelope's
     slow tails means |P(z) - z| dipped below the tolerance with no genuine
-    zero nearby.
+    zero nearby.  A driven plane envelope has no periodic orbit at all (see
+    ``verify.identity_force``), so it raises after one map evaluation.
 
     Inspect ``force_free`` on the result before trusting it as a trap: a
     guess where the drive is below ``FORCE_FREE_SUP`` is not solved but
@@ -120,6 +121,10 @@ def find_periodic(p: ConveyorParams, z_guess: float,
     """
     if _force_free(p, z_guess):
         return _build_orbit(p, z_guess, 1.0, 0.0, cfg, force_free=True)
+    if p.envelope.kind == "plane":
+        # f' == 0 turns the force identity into int F^2 dt = 0 over a period
+        gap = abs(flow_T(p, z_guess, cfg) - z_guess)
+        raise NoConvergence(1, gap, "a plane drive has no periodic orbit")
     rhs = force_closure(p)
     rhs_dz = force_dz_closure(p)
     res = solve_fixed_point(

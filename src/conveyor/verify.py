@@ -25,10 +25,9 @@ from conveyor.integrate import IntegratorConfig, flow_T
 from conveyor.model import (
     FP_GENUINE,
     ConveyorParams,
-    envelope_d1,
+    field,
     fixed_point_classify,
     force_closure,
-    potential_dt_closure,
 )
 from conveyor.periodic import PeriodicOrbit
 
@@ -105,7 +104,7 @@ def identity_energy(orbit: PeriodicOrbit, tol: float = QUAD_TOL) -> IdentityResu
     p = orbit.trajectory.params
     traj = orbit.trajectory
     rhs = force_closure(p)
-    pot_t = potential_dt_closure(p)
+    pot_t = field(p).potential_dt
 
     lhs = gauss_lobatto(lambda t: rhs(t, traj.interp(t)) ** 2, 0.0, orbit.period, tol)
     rhs_val = -gauss_lobatto(lambda t: pot_t(t, traj.interp(t)), 0.0, orbit.period, tol)
@@ -126,14 +125,14 @@ def identity_force(orbit: PeriodicOrbit, tol: float = QUAD_TOL) -> IdentityResul
     p = orbit.trajectory.params
     traj = orbit.trajectory
     rhs = force_closure(p)
-    e = p.envelope
+    envelope = field(p).envelope
     half_b = 0.5 * p.b
     k = p.k
 
     def weighted_slope(t: float) -> float:
         z = traj.interp(t)
         c = math.cos(k * z - half_b * t)
-        return c * c * envelope_d1(e, z)
+        return c * c * envelope(z)[1]
 
     lhs = gauss_lobatto(lambda t: rhs(t, traj.interp(t)) ** 2, 0.0, orbit.period, tol)
     factor = -(p.b * p.f0) / (2.0 * p.k)

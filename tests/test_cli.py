@@ -1,9 +1,14 @@
 """Command-line interface tests: determinism, manifests, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import conveyor
 from conveyor import homotopy
 from conveyor.cli import main
 from conveyor.errors import ContinuationStall
@@ -114,9 +119,12 @@ class TestFindPeriodic:
         assert "no certified periodic orbit" in capsys.readouterr().err
 
     def test_unrepresentable_scale_is_a_flag_error(self, tmp_path):
-        with pytest.raises(SystemExit) as info:
-            run(["find-periodic", "--z0", "1e160", "--out", str(tmp_path / "o.csv")])
-        assert info.value.code == 2
+        # 1e160 squares to inf; 1e-60 squares to a positive double, but the
+        # kernels also reach z0**6, which is 0
+        for z0 in ("1e160", "1e-60"):
+            with pytest.raises(SystemExit) as info:
+                run(["find-periodic", "--z0", z0, "--out", str(tmp_path / "o.csv")])
+            assert info.value.code == 2
 
     def test_manifest_written(self, tmp_path):
         out = tmp_path / "orbits.csv"
@@ -212,6 +220,23 @@ class TestVerify:
         with pytest.raises(SystemExit) as info:
             run(["verify", "--f0", "nan", "--out", str(tmp_path / "report.json")])
         assert info.value.code == 2
+
+
+class TestFreshInterpreters:
+    def test_hash_seed_does_not_change_bytes(self, tmp_path):
+        # the in-process determinism tests cannot see hash-seed or
+        # import-order effects; two fresh interpreters can
+        script = ("import sys; from conveyor.cli import main; d = sys.argv[1]; "
+                  "main(['reproduce', 'fig2', '--out-dir', d]); "
+                  "main(['find-periodic', '--out', d + '/orbits.csv'])")
+        src = str(Path(conveyor.__file__).resolve().parent.parent)
+        dirs = [tmp_path / seed for seed in ("1", "4242")]
+        for d in dirs:
+            env = {**os.environ, "PYTHONHASHSEED": d.name, "PYTHONPATH": src}
+            subprocess.run([sys.executable, "-c", script, str(d)], env=env, check=True,
+                           timeout=60)
+        for name in ("fig2.csv", "orbits.csv"):
+            assert (dirs[0] / name).read_bytes() == (dirs[1] / name).read_bytes()
 
 
 class TestParser:

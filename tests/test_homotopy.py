@@ -9,39 +9,14 @@ from conveyor import homotopy
 from conveyor.errors import ContinuationStall, EmptyAudit, NoConvergence
 from conveyor.homotopy import (
     BetaBoundReport,
-    ContinuationStep,
     ContinuationTrace,
     beta_bound_audit,
     continue_to_one,
-    homotopy_rhs,
     linear_bvp,
     piecewise_linear_l1,
-    rho_audit,
     solve_at_lambda,
 )
-from conveyor.model import default_params, force
-
-
-class TestHomotopyRhs:
-    def test_endpoints(self, lorentzian_params):
-        p = lorentzian_params
-        assert homotopy_rhs(p, 0.0, 0.3, 1.7) == -1.7
-        assert homotopy_rhs(p, 1.0, 0.3, 1.7) == force(p, 0.3, 1.7)
-
-    def test_midpoint_plane_origin(self, plane_params):
-        assert homotopy_rhs(plane_params, 0.5, 0.0, 0.0) == 0.0
-
-    def test_blend(self, lorentzian_params):
-        p = lorentzian_params
-        lam, t, z = 0.3, 0.11, -0.7
-        expected = -(1 - lam) * z + lam * force(p, t, z)
-        assert homotopy_rhs(p, lam, t, z) == pytest.approx(expected, rel=1e-15)
-
-    def test_lambda_range_checked(self, lorentzian_params):
-        with pytest.raises(ValueError):
-            homotopy_rhs(lorentzian_params, -0.1, 0.0, 0.0)
-        with pytest.raises(ValueError):
-            homotopy_rhs(lorentzian_params, 1.1, 0.0, 0.0)
+from conveyor.model import default_params
 
 
 class TestSolveAtLambda:
@@ -61,6 +36,12 @@ class TestSolveAtLambda:
         assert abs(float(traj.states[-1]) - z_half) < 1e-9
         z_next, _ = solve_at_lambda(lorentzian_params, 0.501, z_half)
         assert abs(z_next - z_half) < 1e-2
+
+    def test_lambda_range_checked(self, lorentzian_params):
+        with pytest.raises(ValueError):
+            solve_at_lambda(lorentzian_params, -0.1, 0.0)
+        with pytest.raises(ValueError):
+            solve_at_lambda(lorentzian_params, 1.1, 0.0)
 
 
 class TestContinueToOne:
@@ -83,6 +64,18 @@ class TestContinueToOne:
         t_g = continue_to_one(gaussian_params)
         assert abs(t_g.final.z0 - gaussian_orbit.z_star) < 1e-8
 
+    def test_reference_branch_bounded(self, lorentzian_params):
+        trace = continue_to_one(lorentzian_params)
+        rho = max(s.sup_norm for s in trace.steps)
+        assert math.isfinite(rho)
+        assert rho < 10.0
+        # the family's amplitudes grow monotonically toward the full problem
+        assert rho == pytest.approx(trace.final.sup_norm, rel=1e-6)
+
+    def test_empty_trace_has_no_final(self):
+        with pytest.raises(EmptyAudit):
+            ContinuationTrace((), False).final
+
     def test_zero_drive_branch_is_origin(self):
         p = default_params("lorentzian", f0=0.0)
         trace = continue_to_one(p)
@@ -104,24 +97,6 @@ class TestContinueToOne:
         assert isinstance(trace, ContinuationTrace)
         assert not trace.converged
         assert trace.steps and trace.steps[-1].lambda_h <= 0.5
-
-
-class TestRhoAudit:
-    def test_single_step(self):
-        trace = ContinuationTrace((ContinuationStep(0.5, 0.1, 1e-12, 0.42),), False)
-        assert rho_audit(trace) == 0.42
-
-    def test_reference_branch_bounded(self, lorentzian_params):
-        trace = continue_to_one(lorentzian_params)
-        rho = rho_audit(trace)
-        assert math.isfinite(rho)
-        assert rho < 10.0
-        # the family's amplitudes grow monotonically toward the full problem
-        assert rho == pytest.approx(trace.final.sup_norm, rel=1e-6)
-
-    def test_empty_is_an_error(self):
-        with pytest.raises(EmptyAudit):
-            rho_audit(ContinuationTrace((), False))
 
 
 class TestLinearBvp:

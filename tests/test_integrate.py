@@ -188,6 +188,12 @@ class TestPeriodMap:
             assert z1 == flow_T(p, z0)
             assert w > 0.0
 
+    @pytest.mark.parametrize("kind", ["lorentzian", "gaussian"])
+    def test_overflowing_state_keeps_a_unit_multiplier(self, kind):
+        # z*z overflows: the field and its z-derivative are 0 there, not NaN
+        for z0 in (1e200, -1e200):
+            assert flow_T_with_sensitivity(default_params(kind), z0) == (z0, 1.0)
+
     def test_fixed_point_anchor(self, lorentzian_params):
         # independently derived orbit point: P(z*) = z* within certification
         assert abs(flow_T(lorentzian_params, Z_STAR_LORENTZIAN) - Z_STAR_LORENTZIAN) < 1e-9

@@ -19,20 +19,13 @@ from conveyor.model import (
     RECTILINEAR,
     ConveyorParams,
     EnvelopeSpec,
-    admissibility_probe,
     default_params,
-    envelope_d1,
-    envelope_d2,
     envelope_log_abs_d1,
     envelope_log_value,
-    envelope_value,
+    field,
     fixed_point_classify,
     fixed_point_test,
-    force,
-    force_dz,
     plane_regime,
-    potential,
-    potential_dt,
 )
 
 LOR = EnvelopeSpec("lorentzian", 0.37)
@@ -44,37 +37,50 @@ def central_diff(fn, x, h=1e-6):
     return (fn(x + h) - fn(x - h)) / (2.0 * h)
 
 
+# f, f' and f'' of envelope e, read through the field of a reference set
+def f(e, z):
+    return field(default_params(e.kind, z0=e.z0)).envelope(z)[0]
+
+
+def d1(e, z):
+    return field(default_params(e.kind, z0=e.z0)).envelope(z)[1]
+
+
+def d2(e, z):
+    return field(default_params(e.kind, z0=e.z0)).envelope(z)[2]
+
+
 class TestEnvelope:
     def test_plane_is_unity(self):
         for z in (-123.0, 0.0, 0.37, 4e6):
-            assert envelope_value(PLA, z) == 1.0
-            assert envelope_d1(PLA, z) == 0.0
-            assert envelope_d2(PLA, z) == 0.0
+            assert f(PLA, z) == 1.0
+            assert d1(PLA, z) == 0.0
+            assert d2(PLA, z) == 0.0
 
     def test_lorentzian_half_at_z0(self):
-        assert envelope_value(LOR, 0.37) == pytest.approx(0.5, abs=1e-15)
-        assert envelope_value(LOR, -0.37) == pytest.approx(0.5, abs=1e-15)
+        assert f(LOR, 0.37) == pytest.approx(0.5, abs=1e-15)
+        assert f(LOR, -0.37) == pytest.approx(0.5, abs=1e-15)
 
     def test_gaussian_e_minus_two_at_z0(self):
-        assert envelope_value(GAU, 0.37) == pytest.approx(math.exp(-2), rel=1e-15)
+        assert f(GAU, 0.37) == pytest.approx(math.exp(-2), rel=1e-15)
 
     def test_first_derivative_vanishes_at_origin(self):
         for e in (PLA, LOR, GAU):
-            assert envelope_d1(e, 0.0) == 0.0
+            assert d1(e, 0.0) == 0.0
 
     def test_lorentzian_d1_hand_value(self):
         # d/dz [z0^2/(z0^2+z^2)] at z0=1, z=1 is -2/(1+1)^2 = -0.5
         e = EnvelopeSpec("lorentzian", 1.0)
-        assert envelope_d1(e, 1.0) == pytest.approx(-0.5, rel=1e-15)
-        assert envelope_d1(e, 1.0) == pytest.approx(
-            central_diff(lambda z: envelope_value(e, z), 1.0), rel=1e-6
+        assert d1(e, 1.0) == pytest.approx(-0.5, rel=1e-15)
+        assert d1(e, 1.0) == pytest.approx(
+            central_diff(lambda z: f(e, z), 1.0), rel=1e-6
         )
 
     def test_gaussian_d1_hand_value(self):
         e = EnvelopeSpec("gaussian", 1.0)
-        assert envelope_d1(e, 1.0) == pytest.approx(-4.0 * math.exp(-2), rel=1e-15)
-        assert envelope_d1(e, 1.0) == pytest.approx(
-            central_diff(lambda z: envelope_value(e, z), 1.0), rel=1e-6
+        assert d1(e, 1.0) == pytest.approx(-4.0 * math.exp(-2), rel=1e-15)
+        assert d1(e, 1.0) == pytest.approx(
+            central_diff(lambda z: f(e, z), 1.0), rel=1e-6
         )
 
     @pytest.mark.parametrize("e", [LOR, GAU], ids=["lorentzian", "gaussian"])
@@ -82,24 +88,22 @@ class TestEnvelope:
         rng = np.random.default_rng(7)
         for z in rng.uniform(-3.0, 3.0, 40):
             z = float(z)
-            d1 = envelope_d1(e, z)
-            d1_fd = central_diff(lambda x: envelope_value(e, x), z)
-            assert d1 == pytest.approx(d1_fd, rel=1e-6, abs=1e-9)
-            d2 = envelope_d2(e, z)
-            d2_fd = central_diff(lambda x: envelope_d1(e, x), z)
-            assert d2 == pytest.approx(d2_fd, rel=1e-5, abs=1e-7)
+            d1_fd = central_diff(lambda x: f(e, x), z)
+            assert d1(e, z) == pytest.approx(d1_fd, rel=1e-6, abs=1e-9)
+            d2_fd = central_diff(lambda x: d1(e, x), z)
+            assert d2(e, z) == pytest.approx(d2_fd, rel=1e-5, abs=1e-7)
 
     @pytest.mark.parametrize("e", [LOR, GAU], ids=["lorentzian", "gaussian"])
     def test_parity(self, e):
         for z in (0.1, 0.37, 1.0, 2.5, 10.0):
-            assert envelope_value(e, -z) == envelope_value(e, z)
-            assert envelope_d1(e, -z) == -envelope_d1(e, z)
+            assert f(e, -z) == f(e, z)
+            assert d1(e, -z) == -d1(e, z)
 
     @pytest.mark.parametrize("e", [LOR, GAU], ids=["lorentzian", "gaussian"])
     def test_decay_along_decades(self, e):
         zs = [10.0, 100.0, 1000.0, 10000.0]
-        fs = [abs(envelope_value(e, z)) for z in zs]
-        dfs = [abs(envelope_d1(e, z)) for z in zs]
+        fs = [abs(f(e, z)) for z in zs]
+        dfs = [abs(d1(e, z)) for z in zs]
         assert all(a >= b for a, b in zip(fs, fs[1:]))
         assert all(a >= b for a, b in zip(dfs, dfs[1:]))
         assert fs[-1] < 1e-7 and dfs[-1] < 1e-7
@@ -108,14 +112,14 @@ class TestEnvelope:
         for e in (LOR, GAU):
             for z in (0.2, 1.0, 3.0):
                 assert envelope_log_value(e, z) == pytest.approx(
-                    math.log(envelope_value(e, z)), rel=1e-12
+                    math.log(f(e, z)), rel=1e-12
                 )
                 assert envelope_log_abs_d1(e, z) == pytest.approx(
-                    math.log(abs(envelope_d1(e, z))), rel=1e-12
+                    math.log(abs(d1(e, z))), rel=1e-12
                 )
 
     def test_log_forms_stay_finite_past_underflow(self):
-        assert envelope_value(GAU, 50.0) == 0.0  # double precision gives up
+        assert f(GAU, 50.0) == 0.0  # double precision gives up
         assert math.isfinite(envelope_log_value(GAU, 50.0))
 
     def test_lorentzian_log_forms_finite_where_z_squared_overflows(self):
@@ -145,11 +149,20 @@ class TestEnvelope:
         EnvelopeSpec("plane")  # z0 not required
 
     @pytest.mark.parametrize("kind", ["lorentzian", "gaussian"])
-    @pytest.mark.parametrize("z0", [1e160, 1e-170])
+    @pytest.mark.parametrize("z0", [1e160, 1e-170, 1e100, 1e-60, 1e-100])
     def test_scale_must_square_to_a_positive_finite_double(self, kind, z0):
-        # z0**2 = inf gives f = inf/inf; z0**2 = 0 gives 0/0 at z = 0
+        # z0**2 = inf gives f = inf/inf; z0**2 = 0 gives 0/0 at z = 0; the
+        # kernels reach z0**6, so 1e100 gives a NaN f'' and 1e-60 and 1e-100
+        # divide by zero
         with pytest.raises(ValueError):
             EnvelopeSpec(kind, z0)
+
+    @pytest.mark.parametrize("kind", ["lorentzian", "gaussian"])
+    @pytest.mark.parametrize("z0", [1e-50, 1e50])
+    def test_extreme_accepted_scales_have_finite_kernels(self, kind, z0):
+        e = EnvelopeSpec(kind, z0)
+        for z in (0.0, z0, 1e3 * z0):
+            assert all(math.isfinite(v) for v in (f(e, z), d1(e, z), d2(e, z)))
 
 
 class TestParams:
@@ -185,18 +198,18 @@ class TestParams:
 
 class TestPotentialAndForce:
     def test_potential_at_origin_is_f0(self, lorentzian_params):
-        assert potential(lorentzian_params, 0.0, 0.0) == pytest.approx(0.8, rel=1e-15)
+        assert field(lorentzian_params).potential(0.0, 0.0) == pytest.approx(0.8, rel=1e-15)
 
     def test_potential_zero_at_quarter_phase(self):
         for kind in ("plane", "lorentzian", "gaussian"):
             p = default_params(kind)
             z = math.pi / (2.0 * p.k)  # k z - b t/2 = pi/2 at t = 0
-            assert abs(potential(p, 0.0, z)) < 1e-16
+            assert abs(field(p).potential(0.0, z)) < 1e-16
 
     def test_potential_reference_value(self, lorentzian_params):
         # frozen from a 40-digit evaluation of 0.8 * f(0.37) * cos(0.37 k)^2
         expected = 0.3990152699233614
-        got = potential(lorentzian_params, 0.0, 0.37)
+        got = field(lorentzian_params).potential(0.0, 0.37)
         assert got == pytest.approx(expected, rel=1e-14)
         mp = pytest.importorskip("mpmath")
         mp.mp.dps = 40
@@ -206,32 +219,41 @@ class TestPotentialAndForce:
         assert got == pytest.approx(float(ref), rel=1e-14)
 
     def test_force_plane_zero_at_origin(self, plane_params):
-        assert force(plane_params, 0.0, 0.0) == 0.0
+        assert field(plane_params).force(0.0, 0.0) == 0.0
 
     def test_force_plane_peak_value(self, plane_params):
         # at 2kz - bt = pi/2 the plane force is -k f0 = -6.68530916683908
         z = math.pi / (4.0 * plane_params.k)
-        assert force(plane_params, 0.0, z) == pytest.approx(-6.68530916683908, rel=1e-12)
+        assert field(plane_params).force(0.0, z) == pytest.approx(-6.68530916683908, rel=1e-12)
 
     def test_force_dz_plane_at_origin(self, plane_params):
         k = plane_params.k
-        assert force_dz(plane_params, 0.0, 0.0) == pytest.approx(-2.0 * 0.8 * k * k, rel=1e-13)
-        assert force_dz(plane_params, 0.0, 0.0) == pytest.approx(-111.73339664055659, rel=1e-12)
+        assert field(plane_params).force_dz(0.0, 0.0) == pytest.approx(-2.0 * 0.8 * k * k, rel=1e-13)
+        assert field(plane_params).force_dz(0.0, 0.0) == pytest.approx(-111.73339664055659, rel=1e-12)
 
     def test_force_dz_vanishes_far_out(self, lorentzian_params):
         # polynomial tail: ~2 k^2 f0 * f(z) ~ 3e-11 at z = 1e6, shrinking ~1/z^2
-        assert abs(force_dz(lorentzian_params, 0.3, 1e6)) < 1e-10
-        assert abs(force_dz(lorentzian_params, 0.3, 1e6)) < abs(
-            force_dz(lorentzian_params, 0.3, 1e3)
+        assert abs(field(lorentzian_params).force_dz(0.3, 1e6)) < 1e-10
+        assert abs(field(lorentzian_params).force_dz(0.3, 1e6)) < abs(
+            field(lorentzian_params).force_dz(0.3, 1e3)
         )
 
+    @pytest.mark.parametrize("kind", ["lorentzian", "gaussian"])
+    def test_force_dz_finite_where_z_squared_overflows(self, kind):
+        # 6 z^2 overflows from ~5.5e153 and z^2 itself from ~1.3e154; there
+        # f'' is 0, not inf/inf (Lorentzian) or inf * 0 (Gaussian)
+        fld = field(default_params(kind))
+        for z in (1e154, -1e154, 1.3e154, -1.3e154, 1e200, -1e200):
+            assert fld.envelope(z)[2] == 0.0
+            assert math.isfinite(fld.force_dz(0.3, z))
+
     def test_potential_dt_zero_at_origin(self, lorentzian_params):
-        assert potential_dt(lorentzian_params, 0.0, 0.0) == 0.0
+        assert field(lorentzian_params).potential_dt(0.0, 0.0) == 0.0
 
     def test_potential_dt_plane_peak(self, plane_params):
         # at 2kz - bt = pi/2: dV/dt = b f0 / 2 = 40
         z = math.pi / (4.0 * plane_params.k)
-        assert potential_dt(plane_params, 0.0, z) == pytest.approx(40.0, rel=1e-12)
+        assert field(plane_params).potential_dt(0.0, z) == pytest.approx(40.0, rel=1e-12)
 
     @pytest.mark.parametrize("kind", ["plane", "lorentzian", "gaussian"])
     def test_gradient_consistency(self, kind):
@@ -241,12 +263,12 @@ class TestPotentialAndForce:
         rng = np.random.default_rng(11)
         for t, z in zip(rng.uniform(0, 1, 60), rng.uniform(-2, 2, 60)):
             t, z = float(t), float(z)
-            fz = force(p, t, z)
-            fd = central_diff(lambda x: potential(p, t, x), z)
+            fz = field(p).force(t, z)
+            fd = central_diff(lambda x: field(p).potential(t, x), z)
             if abs(fz) > 1e-2 * scale:  # away from zeros of the gradient
                 assert fz == pytest.approx(fd, rel=1e-6)
-            vt = potential_dt(p, t, z)
-            vt_fd = central_diff(lambda s: potential(p, s, z), t)
+            vt = field(p).potential_dt(t, z)
+            vt_fd = central_diff(lambda s: field(p).potential(s, z), t)
             if abs(vt) > 1e-2 * scale * p.b / p.k:
                 assert vt == pytest.approx(vt_fd, rel=1e-6)
 
@@ -257,8 +279,8 @@ class TestPotentialAndForce:
         scale = 2.0 * p.k * p.k * p.f0
         for t, z in zip(rng.uniform(0, 1, 40), rng.uniform(-2, 2, 40)):
             t, z = float(t), float(z)
-            dfz = force_dz(p, t, z)
-            fd = central_diff(lambda x: force(p, t, x), z)
+            dfz = field(p).force_dz(t, z)
+            fd = central_diff(lambda x: field(p).force(t, x), z)
             assert dfz == pytest.approx(fd, rel=1e-5, abs=1e-5 * scale)
 
     @pytest.mark.parametrize("kind", ["plane", "lorentzian", "gaussian"])
@@ -267,8 +289,8 @@ class TestPotentialAndForce:
         T = p.period
         rng = np.random.default_rng(17)
         for t, z in zip(rng.uniform(-5, 5, 1000), rng.uniform(-10, 10, 1000)):
-            a = force(p, float(t), float(z))
-            b = force(p, float(t) + T, float(z))
+            a = field(p).force(float(t), float(z))
+            b = field(p).force(float(t) + T, float(z))
             assert abs(b - a) < 1e-12 * (1.0 + abs(a))
 
     @pytest.mark.parametrize("kind", ["plane", "lorentzian", "gaussian"])
@@ -276,8 +298,8 @@ class TestPotentialAndForce:
         p = default_params(kind)
         rng = np.random.default_rng(19)
         for t, z in zip(rng.uniform(0, 1, 200), rng.uniform(-6, 6, 200)):
-            v = potential(p, float(t), float(z))
-            ceiling = p.f0 * envelope_value(p.envelope, float(z))
+            v = field(p).potential(float(t), float(z))
+            ceiling = p.f0 * field(p).envelope(float(z))[0]
             assert -1e-16 <= v <= ceiling + 1e-15
             assert ceiling <= p.f0 + 1e-15
 
@@ -314,23 +336,3 @@ class TestStructuralProbes:
         p = default_params("plane")
         exact = default_params("plane", b=2.0 * p.f0 * p.k * p.k)
         assert plane_regime(exact) == DEGENERATE
-
-    def test_admissibility_probe_lorentzian(self):
-        out = admissibility_probe(LOR)
-        r1 = [row[1] for row in out]
-        r2 = [row[2] for row in out]
-        assert all(a > b for a, b in zip(r1, r1[1:]))
-        assert all(a > b for a, b in zip(r2, r2[1:]))
-        assert math.exp(r1[-1]) < 1e-4 and math.exp(r2[-1]) < 1e-4
-
-    def test_admissibility_probe_gaussian_log_space(self):
-        out = admissibility_probe(GAU)
-        r1 = [row[1] for row in out]
-        r2 = [row[2] for row in out]
-        assert all(a > b for a, b in zip(r1, r1[1:]))
-        assert all(a > b for a, b in zip(r2, r2[1:]))
-        assert r1[-1] < -1e6 and r2[-1] < -1e6  # diverging to -inf
-
-    def test_admissibility_probe_rejects_plane(self):
-        with pytest.raises(ValueError):
-            admissibility_probe(PLA)

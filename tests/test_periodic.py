@@ -8,7 +8,7 @@ import pytest
 from conveyor import periodic
 from conveyor.errors import EmptyAudit, NoConvergence
 from conveyor.integrate import flow_T, integrate
-from conveyor.model import ConveyorParams, EnvelopeSpec, default_params, force, force_closure
+from conveyor.model import ConveyorParams, EnvelopeSpec, default_params, field, force_closure
 from conveyor.periodic import (
     BasinPoint,
     _hidden_pair_seeds,
@@ -23,6 +23,16 @@ from tests.conftest import (
     Z_STAR_GAUSSIAN,
     Z_STAR_LORENTZIAN,
 )
+
+
+def count_map_evaluations(monkeypatch) -> list:
+    """A list that grows by one per period-map evaluation made in ``periodic``."""
+    calls = []
+    for name in ("flow_T", "flow_T_with_sensitivity"):
+        fn = getattr(periodic, name)
+        monkeypatch.setattr(periodic, name,
+                            lambda *a, fn=fn, **k: calls.append(1) or fn(*a, **k))
+    return calls
 
 
 class TestFindPeriodic:
@@ -53,8 +63,9 @@ class TestFindPeriodic:
     def test_periodic_extension_seam(self, lorentzian_params, lorentzian_orbit):
         # the right-hand side is continuous across t = T when z(T) ~ z(0)
         o = lorentzian_orbit
-        f_end = force(lorentzian_params, o.period, float(o.samples[-1, 1]))
-        f_start = force(lorentzian_params, 0.0, float(o.samples[0, 1]))
+        force = field(lorentzian_params).force
+        f_end = force(o.period, float(o.samples[-1, 1]))
+        f_start = force(0.0, float(o.samples[0, 1]))
         assert abs(f_end - f_start) < 1e-6
 
     def test_periodic_extension_resample(self, lorentzian_params, lorentzian_orbit):
@@ -105,6 +116,18 @@ class TestFindPeriodic:
         assert info.value.iterations > 0
         assert info.value.last_residual > 0.0
 
+    @pytest.mark.parametrize("b", [100.0, 200.0])
+    def test_plane_drive_costs_one_map(self, monkeypatch, b):
+        # f' == 0 makes int F^2 dt vanish over any period, so no orbit exists
+        # in either plane regime, and one map evaluation reports the gap
+        calls = count_map_evaluations(monkeypatch)
+        p = default_params("plane", b=b)
+        with pytest.raises(NoConvergence) as info:
+            find_periodic(p, 0.3)
+        assert len(calls) == 1
+        assert info.value.iterations == 1
+        assert info.value.last_residual == abs(flow_T(p, 0.3) - 0.3)
+
 
 class TestScanOrbits:
     def test_lorentzian_window_has_exactly_one(self, lorentzian_params):
@@ -144,11 +167,7 @@ class TestScanOrbits:
     def test_reference_scan_work(self, monkeypatch, kind, window, limit):
         # the grid costs one map evaluation per point; the single orbit's
         # solve, seeded from its sign-change cell, only a few more
-        calls = []
-        for name in ("flow_T", "flow_T_with_sensitivity"):
-            fn = getattr(periodic, name)
-            monkeypatch.setattr(periodic, name,
-                                lambda *a, fn=fn, **k: calls.append(1) or fn(*a, **k))
+        calls = count_map_evaluations(monkeypatch)
         orbits = scan_orbits(default_params(kind), *window)
         assert len(orbits) == 1
         assert len(calls) <= limit

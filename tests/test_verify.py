@@ -6,7 +6,7 @@ import pytest
 
 from conveyor.errors import ConveyorError
 from conveyor.integrate import flow_T, flow_T_with_sensitivity, integrate
-from conveyor.model import ConveyorParams, EnvelopeSpec, default_params, envelope_d1, force_closure
+from conveyor.model import ConveyorParams, EnvelopeSpec, default_params, field, force_closure
 from conveyor.periodic import PeriodicOrbit, find_periodic
 from conveyor.verify import (
     fixed_point_scan,
@@ -59,12 +59,12 @@ class TestIdentities:
     def test_orbit_average_slope_is_negative(self, lorentzian_params, lorentzian_orbit):
         # the positive right side of the force identity means the weighted
         # envelope slope integral is negative along the orbit
-        e = lorentzian_params.envelope
+        envelope = field(lorentzian_params).envelope
         traj = lorentzian_orbit.trajectory
         k, b = lorentzian_params.k, lorentzian_params.b
         val = gauss_lobatto(
             lambda t: math.cos(k * traj.interp(t) - 0.5 * b * t) ** 2
-            * envelope_d1(e, traj.interp(t)),
+            * envelope(traj.interp(t))[1],
             0.0,
             lorentzian_orbit.period,
         )
