@@ -18,8 +18,6 @@ import time
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
-import numpy as np
-
 import conveyor
 from conveyor import analytic, homotopy, model, periodic, verify
 from conveyor.errors import ContinuationStall, ConveyorError, NoConvergence, StepSizeUnderflow
@@ -55,6 +53,12 @@ class RunManifest:
 
 def _fmt(x: float) -> str:
     return format(float(x), ".17g")
+
+
+def _linspace(a: float, b: float, n: int) -> list[float]:
+    """n >= 2 evenly spaced floats from a to b, bit for bit ``np.linspace``."""
+    step = (b - a) / (n - 1)
+    return [i * step + a for i in range(n - 1)] + [b]
 
 
 def _write_csv(path: Path, header: list[str], rows) -> None:
@@ -178,12 +182,12 @@ def cmd_simulate(parser: argparse.ArgumentParser, args) -> int:
     traj = integrate(p, force_closure(p), args.zi, args.t0, args.t_end, cfg)
     rhs = force_closure(p)
     pot = model.field(p).potential
-    times = list(traj.times[:: args.stride])
-    if times[-1] != traj.times[-1]:
-        times.append(float(traj.times[-1]))
+    knot_t, _ = traj.knots
+    times = knot_t[:: args.stride]
+    if times[-1] != knot_t[-1]:
+        times.append(knot_t[-1])
     rows = []
     for t in times:
-        t = float(t)
         z = traj.interp(t)
         rows.append((t, z, rhs(t, z), pot(t, z)))
     _write_csv(out, ["t_s", "z_lambda", "dzdt", "V"], rows)
@@ -193,8 +197,12 @@ def cmd_simulate(parser: argparse.ArgumentParser, args) -> int:
 def cmd_find_periodic(parser: argparse.ArgumentParser, args) -> int:
     p = _params_from_args(parser, args)
     cfg = _config_from_args(parser, args, p.period)
+    if not math.isfinite(args.z_hi - args.z_lo):
+        parser.error(f"window [{args.z_lo}, {args.z_hi}] and its width must be finite")
     if not args.z_lo < args.z_hi:
         parser.error(f"--z-lo must be below --z-hi, got [{args.z_lo}, {args.z_hi}]")
+    if args.n_grid < 2:
+        parser.error(f"--n-grid must be >= 2, got {args.n_grid}")
     out = Path(args.out)
     manifest = _manifest("find-periodic", p, cfg, {
         "z_lo_wavelengths": args.z_lo,
@@ -233,13 +241,13 @@ def cmd_continue(parser: argparse.ArgumentParser, args) -> int:
 def _trajectory_series(p: ConveyorParams, cfg: IntegratorConfig, z_list, t0: float,
                        t_end: float, n_samples: int):
     """Long-format (z_i, t, z) rows, trajectories ordered by initial condition."""
-    ts = np.linspace(t0, t_end, n_samples)
+    ts = _linspace(t0, t_end, n_samples)
     rows = []
     rhs = force_closure(p)
     for z_i in z_list:
-        traj = integrate(p, rhs, float(z_i), t0, t_end, cfg)
+        traj = integrate(p, rhs, z_i, t0, t_end, cfg)
         for t in ts:
-            rows.append((float(z_i), float(t), traj.interp(float(t))))
+            rows.append((z_i, t, traj.interp(t)))
     return rows
 
 
@@ -255,6 +263,8 @@ def cmd_reproduce(parser: argparse.ArgumentParser, args) -> int:
     else:
         p = default_params("plane")
     cfg = _config_from_args(parser, args, p.period)
+    if not 0.0 < args.t_end < math.inf:
+        parser.error(f"--t-end must be finite and > 0, got {args.t_end}")
 
     extra: dict = {"figure": fig}
     if fig in ("fig1", "fig3"):
@@ -269,25 +279,25 @@ def cmd_reproduce(parser: argparse.ArgumentParser, args) -> int:
 
     if fig == "fig1":
         # approach to the trap from a spread of release points
-        ics = np.linspace(-4.5, 4.5, 10)
+        ics = _linspace(-4.5, 4.5, 10)
         rows = _trajectory_series(p, cfg, ics, 0.0, args.t_end, 1001)
         _write_csv(out, ["z_i", "t_s", "z_lambda"], rows)
     elif fig == "fig3":
         # central releases converge; outside the envelope the drive is null
-        ics = sorted([-4.0, -3.0, 3.0, 4.0] + list(np.linspace(-1.0, 1.0, 6)))
+        ics = sorted([-4.0, -3.0, 3.0, 4.0] + _linspace(-1.0, 1.0, 6))
         rows = _trajectory_series(p, cfg, ics, 0.0, args.t_end, 1001)
         _write_csv(out, ["z_i", "t_s", "z_lambda"], rows)
     elif fig in ("fig2", "fig4"):
         # settled behavior near the orbit: same frequency and amplitude
         orbit = periodic.find_periodic(p, 0.0, cfg)
         spread = 0.1 if fig == "fig2" else 0.05
-        ics = orbit.z_star + np.linspace(-spread, spread, 5)
+        ics = [orbit.z_star + x for x in _linspace(-spread, spread, 5)]
         rows = _trajectory_series(p, cfg, ics, 0.0, 5.0 * p.period, 1001)
         _write_csv(out, ["z_i", "t_s", "z_lambda"], rows)
     elif fig in ("pot1", "pot2"):
         pot = model.field(p).potential
-        zs = np.linspace(-6.0, 6.0, 2001)
-        _write_csv(out, ["z_lambda", "V"], [(float(z), pot(0.0, float(z))) for z in zs])
+        zs = _linspace(-6.0, 6.0, 2001)
+        _write_csv(out, ["z_lambda", "V"], [(z, pot(0.0, z)) for z in zs])
     else:  # plane-limit
         sol = analytic.PlaneSolution(0.0, p)
         t = 1500.0

@@ -22,9 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
 
 from conveyor._newton import solve_fixed_point
 from conveyor.errors import ContinuationStall, EmptyAudit, NoConvergence
@@ -36,6 +34,9 @@ from conveyor.integrate import (
     period_gap,
 )
 from conveyor.model import ConveyorParams, force_closure, force_dz_closure
+
+if TYPE_CHECKING:
+    import numpy as np
 
 LAMBDA_START = 0.01
 LAMBDA_STEP_INIT = 0.05
@@ -147,6 +148,7 @@ def linear_bvp(t: Sequence[float], q: Sequence[float], c0: float) -> np.ndarray:
     samples satisfy the boundary condition to roundoff and the ODE to the
     interpolation error of q.
     """
+    import numpy as np
     t = np.asarray(t, dtype=float)
     q = np.asarray(q, dtype=float)
     if t.ndim != 1 or t.shape != q.shape or t.size < 2:
@@ -175,6 +177,7 @@ def linear_bvp(t: Sequence[float], q: Sequence[float], c0: float) -> np.ndarray:
 
 def piecewise_linear_l1(t: Sequence[float], q: Sequence[float]) -> float:
     """Exact L1 norm of the piecewise-linear interpolant of (t, q)."""
+    import numpy as np
     t = np.asarray(t, dtype=float)
     q = np.asarray(q, dtype=float)
     total = 0.0
@@ -204,6 +207,7 @@ def beta_bound_audit(period: float, n_cases: int = 100, seed: int = 20260810,
     random trig polynomial q and a random c0 and checks the solved y.
     Reports the worst observed ratio.
     """
+    import numpy as np
     if not period > 0.0:
         raise ValueError(f"period must be > 0, got {period!r}")
     beta = 1.0 + 1.0 / (-math.expm1(-period))

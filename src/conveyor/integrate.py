@@ -20,12 +20,13 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, replace
-from typing import Callable, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable
 
 from conveyor.errors import StepSizeUnderflow
 from conveyor.model import ConveyorParams, force_closure, force_dz_closure
+
+if TYPE_CHECKING:
+    import numpy as np
 
 # Dormand-Prince 5(4) tableau
 _A21 = 1.0 / 5.0
@@ -106,29 +107,28 @@ class Trajectory:
 
     Knot times are the integrator's accepted steps; interpolation at a knot
     returns the stored knot value exactly, and queries anywhere between the
-    endpoints evaluate the per-step dense polynomial.
+    endpoints evaluate the per-step dense polynomial.  Knots are lists of
+    floats (``knots``), so interpolation needs no numpy; only the array
+    getters ``times``, ``states``, ``samples`` and ``sample`` import it.
     """
 
-    __slots__ = ("params", "config", "_kt", "_kz", "_seg_t", "_seg_h", "_seg_c", "_lo", "_hi")
+    __slots__ = ("params", "config", "_kt", "_kz", "_back", "_seg_h", "_seg_c", "_lo", "_hi")
 
     def __init__(self, params: ConveyorParams, config: IntegratorConfig,
-                 knot_t: Sequence[float], knot_z: Sequence[float],
-                 seg_t: Sequence[float], seg_h: Sequence[float], seg_c):
-        if knot_t[-1] < knot_t[0]:  # normalise backward runs to ascending time
-            knot_t = knot_t[::-1]
-            knot_z = knot_z[::-1]
-            seg_t = seg_t[::-1]
-            seg_h = seg_h[::-1]
-            seg_c = seg_c[::-1]
+                 knot_t: list[float], knot_z: list[float],
+                 seg_h: list[float], seg_c: list[tuple]):
+        # a backward run is stored ascending; its steps start at the later knot
+        self._back = knot_t[-1] < knot_t[0]
+        if self._back:
+            knot_t, knot_z, seg_h, seg_c = knot_t[::-1], knot_z[::-1], seg_h[::-1], seg_c[::-1]
         self.params = params
         self.config = config
-        self._kt = np.asarray(knot_t, dtype=float)
-        self._kz = np.asarray(knot_z, dtype=float)
-        self._seg_t = list(seg_t)
-        self._seg_h = list(seg_h)
-        self._seg_c = list(seg_c)
-        self._lo = float(self._kt[0])
-        self._hi = float(self._kt[-1])
+        self._kt = knot_t
+        self._kz = knot_z
+        self._seg_h = seg_h
+        self._seg_c = seg_c
+        self._lo = knot_t[0]
+        self._hi = knot_t[-1]
 
     @property
     def t0(self) -> float:
@@ -139,17 +139,25 @@ class Trajectory:
         return self._hi
 
     @property
+    def knots(self) -> tuple[list[float], list[float]]:
+        """Accepted knot times and states as fresh lists, ascending in t."""
+        return list(self._kt), list(self._kz)
+
+    @property
     def times(self) -> np.ndarray:
-        return self._kt
+        import numpy as np
+        return np.array(self.knots[0])
 
     @property
     def states(self) -> np.ndarray:
-        return self._kz
+        import numpy as np
+        return np.array(self.knots[1])
 
     @property
     def samples(self) -> np.ndarray:
         """Accepted (t, z) pairs as an (n, 2) array, ascending in t."""
-        return np.column_stack((self._kt, self._kz))
+        import numpy as np
+        return np.column_stack(self.knots)
 
     def __call__(self, t: float) -> float:
         return self.interp(t)
@@ -163,24 +171,25 @@ class Trajectory:
         j = bisect_right(kt, t) - 1
         if j < 0:
             j = 0
-        elif j >= len(self._seg_t):
-            j = len(self._seg_t) - 1
+        elif j >= len(self._seg_h):
+            j = len(self._seg_h) - 1
         if t == kt[j]:
-            return float(self._kz[j])
+            return self._kz[j]
         if t == kt[j + 1]:
-            return float(self._kz[j + 1])
+            return self._kz[j + 1]
         c1, c2, c3, c4, c5 = self._seg_c[j]
-        th = (t - self._seg_t[j]) / self._seg_h[j]
+        th = (t - kt[j + self._back]) / self._seg_h[j]
         th1 = 1.0 - th
         return c1 + th * (c2 + th1 * (c3 + th * (c4 + th1 * c5)))
 
     def sample(self, ts) -> np.ndarray:
         """Vector of interpolated values at the given times."""
+        import numpy as np
         return np.array([self.interp(float(t)) for t in np.asarray(ts, dtype=float).ravel()])
 
     def sup_norm(self, refine: int = 8) -> float:
         """max |z| over the span, sampling each step's interpolant."""
-        best = float(np.abs(self._kz).max())
+        best = max(map(abs, self._kz))
         for c1, c2, c3, c4, c5 in self._seg_c:
             for i in range(1, refine):
                 th = i / refine
@@ -194,7 +203,7 @@ class Trajectory:
 def _dp45_scalar(rhs: Callable[[float, float], float], z0: float, t0: float, t1: float,
                  rtol: float, atol: float, max_step: float, h0: float,
                  collect: bool, rhs_dz: Callable[[float, float], float] | None = None):
-    """Core scalar stepper.  Returns (z1, log_w, knots_t, knots_z, seg_t, seg_h, seg_c).
+    """Core scalar stepper.  Returns (z1, log_w, knots_t, knots_z, seg_h, seg_c).
 
     With ``rhs_dz`` given, log_w is the integral of rhs_dz(t, z(t)) over the
     span (0.0 otherwise): each accepted step adds h * sum(b_i * g_i), with
@@ -218,7 +227,6 @@ def _dp45_scalar(rhs: Callable[[float, float], float], z0: float, t0: float, t1:
 
     knots_t = [t0]
     knots_z = [z0]
-    seg_t: list[float] = []
     seg_h: list[float] = []
     seg_c: list[tuple] = []
 
@@ -255,7 +263,6 @@ def _dp45_scalar(rhs: Callable[[float, float], float], z0: float, t0: float, t1:
                 bspl = h * k1 - dy
                 c4_ = dy - h * k7 - bspl
                 c5_ = h * (_D1 * k1 + _D3 * k3 + _D4 * k4 + _D5 * k5 + _D6 * k6 + _D7 * k7)
-                seg_t.append(t)
                 seg_h.append(h)
                 seg_c.append((y, dy, bspl, c4_, c5_))
                 knots_t.append(t + h)
@@ -277,7 +284,7 @@ def _dp45_scalar(rhs: Callable[[float, float], float], z0: float, t0: float, t1:
             rejected = True
             h *= max(_MIN_FACTOR, _SAFETY / (err_norm ** _EXPO1))
 
-    return y, log_w, knots_t, knots_z, seg_t, seg_h, seg_c
+    return y, log_w, knots_t, knots_z, seg_h, seg_c
 
 
 def integrate(p: ConveyorParams, rhs: Callable[[float, float], float], z_i: float,
@@ -293,7 +300,8 @@ def integrate(p: ConveyorParams, rhs: Callable[[float, float], float], z_i: floa
         raise ValueError("integration span is empty (t1 == t0)")
     cfg = cfg or IntegratorConfig()
     rtol, atol, max_step, h0 = cfg.resolved(p.period)
-    _, _, *path = _dp45_scalar(rhs, z_i, t0, t1, rtol, atol, max_step, h0, collect=True)
+    _, _, *path = _dp45_scalar(rhs, float(z_i), float(t0), float(t1), rtol, atol, max_step, h0,
+                               collect=True)
     return Trajectory(p, cfg, *path)
 
 

@@ -6,13 +6,15 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import conveyor
 from conveyor import homotopy
-from conveyor.cli import main
+from conveyor.cli import _linspace, main
 from conveyor.errors import ContinuationStall
 from conveyor.homotopy import ContinuationTrace
+from conveyor.model import default_params
 
 
 def run(argv):
@@ -126,6 +128,15 @@ class TestFindPeriodic:
                 run(["find-periodic", "--z0", z0, "--out", str(tmp_path / "o.csv")])
             assert info.value.code == 2
 
+    @pytest.mark.parametrize("flags", [["--n-grid", "1"], ["--n-grid", "-3"],
+                                       ["--z-hi", "inf"], ["--z-lo", "nan"],
+                                       ["--z-lo", "-1e308", "--z-hi", "1e308"]])
+    def test_bad_window_exits_2(self, tmp_path, flags):
+        with pytest.raises(SystemExit) as info:
+            run(["find-periodic", *flags, "--out", str(tmp_path / "o.csv")])
+        assert info.value.code == 2
+        assert not (tmp_path / "o.csv").exists()
+
     def test_manifest_written(self, tmp_path):
         out = tmp_path / "orbits.csv"
         assert run(["find-periodic", "--n-grid", "9", "--out", str(out)]) == 0
@@ -194,6 +205,14 @@ class TestReproduce:
         assert float(rows[0][0]) == 1500.0
         assert 8910.0 <= float(rows[0][1]) <= 9090.0
 
+    @pytest.mark.parametrize("figure, t_end", [("fig1", "0"), ("fig1", "nan"), ("fig1", "-1"),
+                                               ("fig3", "inf"), ("pot1", "-inf")])
+    def test_bad_horizon_exits_2(self, tmp_path, figure, t_end):
+        with pytest.raises(SystemExit) as info:
+            run(["reproduce", figure, "--t-end", t_end, "--out-dir", str(tmp_path)])
+        assert info.value.code == 2
+        assert list(tmp_path.iterdir()) == []
+
     def test_unknown_figure_rejected(self, tmp_path):
         with pytest.raises(SystemExit) as info:
             run(["reproduce", "fig9", "--out-dir", str(tmp_path)])
@@ -237,6 +256,51 @@ class TestFreshInterpreters:
                            timeout=60)
         for name in ("fig2.csv", "orbits.csv"):
             assert (dirs[0] / name).read_bytes() == (dirs[1] / name).read_bytes()
+
+
+class TestNumpyFreeCommands:
+    def test_commands_run_without_numpy(self, tmp_path):
+        # every command but verify, run in one fresh interpreter, must leave
+        # numpy unimported; a stray array on any command's path fails here
+        script = (
+            "import sys; from conveyor.cli import main; d = sys.argv[1]\n"
+            "for argv in (['simulate', '--zi', '1', '--t-end', '1', '--out', d + '/s.csv'],\n"
+            "             ['find-periodic', '--n-grid', '9', '--out', d + '/o.csv'],\n"
+            "             ['continue', '--out', d + '/c.csv'],\n"
+            "             ['reproduce', 'fig2', '--out-dir', d],\n"
+            "             ['reproduce', 'pot2', '--out-dir', d],\n"
+            "             ['reproduce', 'plane-limit', '--out-dir', d]):\n"
+            "    assert main(argv) == 0, argv\n"
+            "assert 'numpy' not in sys.modules, 'numpy was imported'\n"
+        )
+        src = str(Path(conveyor.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONPATH": src}
+        subprocess.run([sys.executable, "-c", script, str(tmp_path)], env=env, check=True,
+                       timeout=60)
+        assert len(list(tmp_path.glob("*.csv"))) == 6
+
+
+class TestLinspace:
+    PERIOD = default_params("lorentzian").period  # the Gaussian figures share it
+    CLI_CALLS = [(-4.5, 4.5, 10), (-1.0, 1.0, 6), (-0.1, 0.1, 5), (-0.05, 0.05, 5),
+                 (-6.0, 6.0, 2001), (0.0, 5.0, 1001), (0.0, 0.5, 1001), (0.0, 5.0 * PERIOD, 1001)]
+
+    @staticmethod
+    def assert_bitwise(a, b, n):
+        ours = _linspace(a, b, n)
+        ref = np.linspace(a, b, n)
+        assert len(ours) == n and all(type(x) is float for x in ours)
+        assert [x.hex() for x in ours] == [float(x).hex() for x in ref]
+
+    @pytest.mark.parametrize("a, b, n", CLI_CALLS)
+    def test_cli_calls_match_numpy(self, a, b, n):
+        self.assert_bitwise(a, b, n)
+
+    def test_random_calls_match_numpy(self):
+        rng = np.random.default_rng(7)
+        for _ in range(200):
+            a, b = (float(x) for x in rng.normal(scale=10.0 ** rng.integers(-3, 4), size=2))
+            self.assert_bitwise(a, b, int(rng.integers(2, 3000)))
 
 
 class TestParser:

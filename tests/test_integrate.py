@@ -156,6 +156,29 @@ class TestTrajectory:
         for t in (0.1, 0.25, 0.4):
             assert traj.interp(t) == pytest.approx(fwd.interp(t), abs=1e-8)
 
+    def test_array_getters_return_arrays(self, lorentzian_params):
+        traj = integrate(lorentzian_params, force_closure(lorentzian_params), 0.2, 0.0, 0.5)
+        n = len(traj.knots[0])
+        for arr, shape in ((traj.times, (n,)), (traj.states, (n,)), (traj.samples, (n, 2)),
+                           (traj.sample([0.1, 0.2, 0.3]), (3,))):
+            assert isinstance(arr, np.ndarray)
+            assert arr.dtype == np.float64 and arr.shape == shape
+
+    def test_knots_are_fresh_float_lists(self, lorentzian_params):
+        traj = integrate(lorentzian_params, force_closure(lorentzian_params), 0.2, 0.0, 0.5)
+        kt, kz = traj.knots
+        assert kt == traj.times.tolist() and kz == traj.states.tolist()
+        kt.clear()
+        assert len(traj.knots[0]) == len(kz) > 0
+
+    @pytest.mark.parametrize("z_i, t0, t1", [(1, 0, 1), (np.float64(0.5), np.float64(0.0), 1),
+                                             (np.int64(2), 1, np.float32(0.25))])
+    def test_int_and_numpy_inputs_give_floats(self, lorentzian_params, z_i, t0, t1):
+        traj = integrate(lorentzian_params, force_closure(lorentzian_params), z_i, t0, t1)
+        for v in (traj.t0, traj.t1, traj.interp(float(t0)), traj.interp(float(t1)),
+                  traj.sup_norm(), *traj.knots[0], *traj.knots[1]):
+            assert type(v) is float
+
     def test_out_of_span_rejected(self, lorentzian_params):
         traj = integrate(lorentzian_params, force_closure(lorentzian_params), 0.2, 0.0, 0.5)
         with pytest.raises(ValueError):
