@@ -162,14 +162,17 @@ def _gaussian_kernels(z0: float):
     c1 = -4.0 / z0sq
     c2 = 16.0 / (z0sq * z0sq)
 
+    # where exp underflows f' is the signed 0 of c1 z * 0 and f'' is 0, even
+    # where c1 z or c2 z^2 overflows (inf * 0)
     def fd1(z: float) -> tuple[float, float]:
         g = math.exp(-2.0 * z * z / z0sq)
-        return g, c1 * z * g
+        return g, (c1 * z * g if g else math.copysign(0.0, c1 * z))
 
     def fd2(z: float) -> tuple[float, float, float]:
         g = math.exp(-2.0 * z * z / z0sq)
-        # where exp underflows f'' is 0, even if c2 z^2 overflows (inf * 0)
-        return g, c1 * z * g, ((c2 * z * z + c1) * g if g else 0.0)
+        if not g:
+            return g, math.copysign(0.0, c1 * z), 0.0
+        return g, c1 * z * g, (c2 * z * z + c1) * g
 
     return fd1, fd2
 

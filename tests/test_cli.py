@@ -1,5 +1,6 @@
 """Command-line interface tests: determinism, manifests, exit codes."""
 
+import argparse
 import json
 import os
 import subprocess
@@ -11,7 +12,7 @@ import pytest
 
 import conveyor
 from conveyor import homotopy
-from conveyor.cli import _linspace, main
+from conveyor.cli import _linspace, build_parser, main
 from conveyor.errors import ContinuationStall
 from conveyor.homotopy import ContinuationTrace
 from conveyor.model import default_params
@@ -82,13 +83,17 @@ class TestSimulate:
                      "--out", str(tmp_path / "x.csv")] + extra)
             assert info.value.code == 2
 
+    # the last two are finite but put the drive phase k*z - b*t/2 out of range
     @pytest.mark.parametrize("flags", [["--f0", "nan", "--zi", "0", "--t-end", "1"],
                                        ["--zi", "nan", "--t-end", "1"],
-                                       ["--zi", "0", "--t-end", "inf"]])
+                                       ["--zi", "0", "--t-end", "inf"],
+                                       ["--zi", "1e308", "--t-end", "1"],
+                                       ["--zi", "0", "--t0=-1e308", "--t-end", "1e308"]])
     def test_non_finite_inputs_exit_2(self, tmp_path, flags):
         with pytest.raises(SystemExit) as info:
             run(["simulate", *flags, "--out", str(tmp_path / "x.csv")])
         assert info.value.code == 2
+        assert list(tmp_path.iterdir()) == []
 
     def test_dry_run_writes_nothing(self, tmp_path, capsys):
         out = tmp_path / "traj.csv"
@@ -130,7 +135,9 @@ class TestFindPeriodic:
 
     @pytest.mark.parametrize("flags", [["--n-grid", "1"], ["--n-grid", "-3"],
                                        ["--z-hi", "inf"], ["--z-lo", "nan"],
-                                       ["--z-lo", "-1e308", "--z-hi", "1e308"]])
+                                       ["--z-lo", "-1e308", "--z-hi", "1e308"],
+                                       # finite width, but k*z overflows at z-lo
+                                       ["--z-lo=-1e308", "--z-hi=1e307"]])
     def test_bad_window_exits_2(self, tmp_path, flags):
         with pytest.raises(SystemExit) as info:
             run(["find-periodic", *flags, "--out", str(tmp_path / "o.csv")])
@@ -240,6 +247,14 @@ class TestVerify:
             run(["verify", "--f0", "nan", "--out", str(tmp_path / "report.json")])
         assert info.value.code == 2
 
+    def test_dry_run_lists_the_report(self, tmp_path, capsys):
+        out = tmp_path / "report.json"
+        assert run(["verify", "--out", str(out), "--dry-run"]) == 0
+        printed = json.loads(capsys.readouterr().out)
+        assert printed["command"] == "verify"
+        assert printed["outputs"] == [str(out)]
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestFreshInterpreters:
     def test_hash_seed_does_not_change_bytes(self, tmp_path):
@@ -314,3 +329,32 @@ class TestParser:
         with pytest.raises(SystemExit) as info:
             run([])
         assert info.value.code == 2
+
+    def test_flag_sets(self):
+        # adding or removing a flag must change this list
+        shared = {"-h", "--help", "--rtol", "--atol", "--max-step", "--initial-step", "--dry-run"}
+        params = {"--z0", "--f0", "--b", "--k-pi", "--wavelength-nm"}
+        expected = {
+            "simulate": shared | params | {"--envelope", "--zi", "--t0", "--t-end", "--stride",
+                                           "--out"},
+            "find-periodic": shared | params | {"--envelope", "--z-lo", "--z-hi", "--n-grid",
+                                                "--out"},
+            "continue": shared | params | {"--envelope", "--out"},
+            "reproduce": shared | {"--t-end", "--out-dir"},
+            "verify": shared | params | {"--out"},
+        }
+        sub = next(a for a in build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        found = {name: {s for a in ap._actions for s in a.option_strings}
+                 for name, ap in sub.choices.items()}
+        assert found == expected
+
+    @pytest.mark.parametrize("argv", [["verify", "--envelope", "gaussian", "--out", "report.json"],
+                                      ["reproduce", "fig1", "--out", "x.csv"]])
+    def test_unknown_or_abbreviated_flag_exits_2(self, tmp_path, monkeypatch, argv):
+        # verify takes no --envelope; --out is not read as reproduce's --out-dir
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as info:
+            run(argv)
+        assert info.value.code == 2
+        assert list(tmp_path.iterdir()) == []

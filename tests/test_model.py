@@ -247,6 +247,16 @@ class TestPotentialAndForce:
             assert fld.envelope(z)[2] == 0.0
             assert math.isfinite(fld.force_dz(0.3, z))
 
+    def test_gaussian_d1_where_exp_underflows(self):
+        # c1*z = -4z/z0^2 overflows at z0 = 1e-50, z = 1e250; f' keeps the sign of
+        # c1*z times 0, as it has wherever c1*z is finite
+        fld = field(default_params("gaussian", z0=1e-50))
+        for z, sign in ((1e250, -1.0), (-1e250, 1.0), (1e-40, -1.0), (-1e-40, 1.0)):
+            f, d1, d2 = fld.envelope(z)
+            assert (f, d1, d2) == (0.0, 0.0, 0.0)
+            assert math.copysign(1.0, d1) == sign
+            assert math.isfinite(fld.force(0.3, z)) and math.isfinite(fld.force_dz(0.3, z))
+
     def test_potential_dt_zero_at_origin(self, lorentzian_params):
         assert field(lorentzian_params).potential_dt(0.0, 0.0) == 0.0
 

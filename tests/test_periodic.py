@@ -109,6 +109,14 @@ class TestFindPeriodic:
         assert o.z_star == 1e200
         assert o.multiplier == 1.0
 
+    def test_underflowed_gaussian_guess_parks(self):
+        # at z0 = 1e-50 and z = 1e250, exp underflows to 0 while c1*z overflows;
+        # f' is a signed 0 there, not inf * 0 = nan
+        o = find_periodic(default_params("gaussian", z0=1e-50), 1e250)
+        assert o.force_free
+        assert o.z_star == 1e250
+        assert o.multiplier == 1.0
+
     def test_no_orbit_for_plane_drive(self, plane_params):
         # locked transport: P(z) - z ~ 2 pi / k > 0 everywhere, no fixed points
         with pytest.raises(NoConvergence) as info:
