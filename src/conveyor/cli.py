@@ -33,6 +33,9 @@ from conveyor.model import (
 )
 
 FIGURE_IDS = ("fig1", "fig2", "fig3", "fig4", "pot1", "pot2", "plane-limit")
+# a horizon costs at least |t_end - t0| / max_step accepted steps, each kept
+# as a knot; 10^5 allows 628 s at the reference step ceiling of period/20
+MAX_STEPS = 100_000
 
 
 def _fmt(x: float) -> str:
@@ -87,10 +90,17 @@ def _config_from_args(parser: argparse.ArgumentParser, args, period: float) -> I
 
 
 def _check_phase(parser: argparse.ArgumentParser, p: ConveyorParams, names: str, zs, ts):
-    """Reject positions and times whose drive phase k*z - b*t/2 is not a
-    finite double: ``math.cos`` raises on it inside the force."""
-    if not all(math.isfinite(p.k * z - 0.5 * p.b * t) for z in zs for t in ts):
+    """Reject positions and times whose drive phase k*z - b*t/2 is not finite."""
+    if not all(p.phase_is_finite(z, t) for z in zs for t in ts):
         parser.error(f"{names} must be finite and keep the drive phase k*z - b*t/2 finite")
+
+
+def _check_horizon(parser: argparse.ArgumentParser, p: ConveyorParams, cfg: IntegratorConfig,
+                   names: str, t0: float, t_end: float):
+    """Reject a span that needs more than MAX_STEPS steps at the step ceiling."""
+    max_step = cfg.resolved(p.period)[2]
+    if abs(t_end - t0) / max_step > MAX_STEPS:
+        parser.error(f"{names} span more than {MAX_STEPS} steps of at most {max_step:.6g} s")
 
 
 def _manifest(command: str, p: ConveyorParams, cfg: IntegratorConfig, out: Path,
@@ -145,6 +155,7 @@ def cmd_simulate(parser: argparse.ArgumentParser, args) -> int:
     _check_phase(parser, p, "--zi, --t0 and --t-end", (args.zi,), (args.t0, args.t_end))
     if args.t_end <= args.t0:
         parser.error(f"--t-end must exceed --t0, got {args.t_end} <= {args.t0}")
+    _check_horizon(parser, p, cfg, "--t0 and --t-end", args.t0, args.t_end)
     if args.stride < 1:
         parser.error(f"--stride must be >= 1, got {args.stride}")
     out = Path(args.out)
@@ -238,6 +249,7 @@ def cmd_reproduce(parser: argparse.ArgumentParser, args) -> int:
 
     extra: dict = {"figure": fig}
     if fig in ("fig1", "fig3"):
+        _check_horizon(parser, p, cfg, "0 and --t-end", 0.0, args.t_end)
         extra["t_end_s"] = args.t_end
 
     def compute():
@@ -296,7 +308,8 @@ def cmd_verify(parser: argparse.ArgumentParser, args) -> int:
             except NoConvergence as exc:
                 record(f"orbit[{kind}]", False, error=str(exc))
                 continue
-            record(f"orbit[{kind}]", orbit.residual < 1e-9 and not orbit.force_free,
+            certified = orbit.residual < periodic.CERTIFICATION_TOL and not orbit.force_free
+            record(f"orbit[{kind}]", certified,
                    z_star=orbit.z_star, multiplier=orbit.multiplier, residual=orbit.residual)
             ie = verify.identity_energy(orbit)
             record(f"identity_energy[{kind}]", ie.rel_residual < 1e-6,

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from conveyor._newton import solve_fixed_point
 from conveyor.errors import ContinuationStall, EmptyAudit, NoConvergence
@@ -30,8 +30,7 @@ from conveyor.integrate import (
     IntegratorConfig,
     Trajectory,
     flow_T_with_sensitivity,
-    integrate,
-    period_gap,
+    tight_period,
 )
 from conveyor.model import ConveyorParams, force_closure, force_dz_closure
 
@@ -66,39 +65,31 @@ class ContinuationTrace:
         return self.steps[-1]
 
 
-def _lambda_closures(p: ConveyorParams, lambda_h: float,
-                     ) -> tuple[Callable[[float, float], float], Callable[[float, float], float]]:
-    force = force_closure(p)
-    force_dz = force_dz_closure(p)
-    decay = 1.0 - lambda_h
-    lam = lambda_h
-
-    def rhs(t: float, z: float) -> float:
-        return -decay * z + lam * force(t, z)
-
-    def rhs_dz(t: float, z: float) -> float:
-        return -decay + lam * force_dz(t, z)
-
-    return rhs, rhs_dz
-
-
 def solve_at_lambda(p: ConveyorParams, lambda_h: float, z_guess: float,
                     cfg: IntegratorConfig | None = None,
                     tol: float = BVP_TOL) -> tuple[float, Trajectory]:
     """Periodic initial condition of the blended problem at one lambda.
 
     Newton shooting on the lambda-flow's period map, certified to
-    |z(T) - z(0)| < tol; returns the fixed point and one dense period.
-    Raises NoConvergence like the plain orbit solver, and ValueError for a
-    lambda outside [0, 1].
+    |z(T) - z(0)| < tol; returns the fixed point and one dense period of the
+    lambda-flow from it, integrated at a hundredth of the tolerances, whose
+    seam gap |z(T) - z(0)| is the step's residual.  Raises NoConvergence
+    like the plain orbit solver, and ValueError for a lambda outside [0, 1].
     """
     if not 0.0 <= lambda_h <= 1.0:
         raise ValueError(f"lambda must lie in [0, 1], got {lambda_h!r}")
-    rhs, rhs_dz = _lambda_closures(p, lambda_h)
+    force, force_dz = force_closure(p), force_dz_closure(p)
+    decay = 1.0 - lambda_h
+
+    def rhs(t: float, z: float) -> float:
+        return -decay * z + lambda_h * force(t, z)
+
+    def rhs_dz(t: float, z: float) -> float:
+        return -decay + lambda_h * force_dz(t, z)
+
     res = solve_fixed_point(
         lambda z: flow_T_with_sensitivity(p, z, cfg, rhs=rhs, rhs_dz=rhs_dz), z_guess, tol)
-    traj = integrate(p, rhs, res.z_star, 0.0, p.period, cfg)
-    return res.z_star, traj
+    return res.z_star, tight_period(p, res.z_star, cfg, rhs)
 
 
 def continue_to_one(p: ConveyorParams, cfg: IntegratorConfig | None = None,
@@ -126,7 +117,7 @@ def continue_to_one(p: ConveyorParams, cfg: IntegratorConfig | None = None,
                 raise ContinuationStall(ContinuationTrace(tuple(steps), False))
             lam = min(steps[-1].lambda_h + dlam, 1.0)
             continue
-        residual = period_gap(p, z0, cfg, _lambda_closures(p, lam)[0])
+        residual = abs(traj.interp(p.period) - z0)
         steps.append(ContinuationStep(lam, z0, residual, traj.sup_norm()))
         z_prev = z0
         if lam >= 1.0:

@@ -112,17 +112,15 @@ class Trajectory:
     getters ``times``, ``states``, ``samples`` and ``sample`` import it.
     """
 
-    __slots__ = ("params", "config", "_kt", "_kz", "_back", "_seg_h", "_seg_c", "_lo", "_hi")
+    __slots__ = ("params", "_kt", "_kz", "_back", "_seg_h", "_seg_c", "_lo", "_hi")
 
-    def __init__(self, params: ConveyorParams, config: IntegratorConfig,
-                 knot_t: list[float], knot_z: list[float],
+    def __init__(self, params: ConveyorParams, knot_t: list[float], knot_z: list[float],
                  seg_h: list[float], seg_c: list[tuple]):
         # a backward run is stored ascending; its steps start at the later knot
         self._back = knot_t[-1] < knot_t[0]
         if self._back:
             knot_t, knot_z, seg_h, seg_c = knot_t[::-1], knot_z[::-1], seg_h[::-1], seg_c[::-1]
         self.params = params
-        self.config = config
         self._kt = knot_t
         self._kz = knot_z
         self._seg_h = seg_h
@@ -200,10 +198,14 @@ class Trajectory:
         return best
 
 
-def _dp45_scalar(rhs: Callable[[float, float], float], z0: float, t0: float, t1: float,
-                 rtol: float, atol: float, max_step: float, h0: float,
-                 collect: bool, rhs_dz: Callable[[float, float], float] | None = None):
-    """Core scalar stepper.  Returns (z1, log_w, knots_t, knots_z, seg_h, seg_c).
+def _dp45_scalar(p: ConveyorParams, rhs: Callable[[float, float], float] | None, z0: float,
+                 t0: float, t1: float, cfg: IntegratorConfig | None, collect: bool,
+                 rhs_dz: Callable[[float, float], float] | None = None):
+    """The one entry into the stepper.  Returns (z1, log_w, knots_t, knots_z, seg_h, seg_c).
+
+    ``rhs`` defaults to the force field of ``p`` and ``cfg`` to
+    ``IntegratorConfig()``, resolved against the period of ``p``.  The drive
+    phase at z0 must be finite at t0 and at t1.
 
     With ``rhs_dz`` given, log_w is the integral of rhs_dz(t, z(t)) over the
     span (0.0 otherwise): each accepted step adds h * sum(b_i * g_i), with
@@ -211,8 +213,13 @@ def _dp45_scalar(rhs: Callable[[float, float], float], z0: float, t0: float, t1:
     over from the previous endpoint.  That is the step's own solution of
     d(log w)/dt = rhs_dz(t, z); it takes no part in error control.
     """
-    if not math.isfinite(z0):
-        raise ValueError(f"initial state must be finite, got {z0!r}")
+    if rhs is None:
+        rhs = force_closure(p)
+    rtol, atol, max_step, h0 = (cfg or IntegratorConfig()).resolved(p.period)
+    z0, t0, t1 = float(z0), float(t0), float(t1)
+    if not (p.phase_is_finite(z0, t0) and p.phase_is_finite(z0, t1)):
+        raise ValueError(f"initial state z={z0!r} must be finite with a finite drive phase "
+                         f"k*z - b*t/2 at t={t0!r} and t={t1!r}")
     span = t1 - t0
     direction = 1.0 if span > 0.0 else -1.0
     h_floor = _STEP_FLOOR_REL * abs(span)
@@ -298,29 +305,21 @@ def integrate(p: ConveyorParams, rhs: Callable[[float, float], float], z_i: floa
     """
     if t1 == t0:
         raise ValueError("integration span is empty (t1 == t0)")
-    cfg = cfg or IntegratorConfig()
-    rtol, atol, max_step, h0 = cfg.resolved(p.period)
-    _, _, *path = _dp45_scalar(rhs, float(z_i), float(t0), float(t1), rtol, atol, max_step, h0,
-                               collect=True)
-    return Trajectory(p, cfg, *path)
+    _, _, *path = _dp45_scalar(p, rhs, z_i, t0, t1, cfg, collect=True)
+    return Trajectory(p, *path)
 
 
 def propagate(p: ConveyorParams, rhs: Callable[[float, float], float], z_i: float,
               t0: float, t1: float, cfg: IntegratorConfig | None = None) -> float:
     """Final value z(t1) without storing the path (fast path for maps)."""
-    cfg = cfg or IntegratorConfig()
-    rtol, atol, max_step, h0 = cfg.resolved(p.period)
-    z1, *_ = _dp45_scalar(rhs, z_i, t0, t1, rtol, atol, max_step, h0, collect=False)
-    return z1
+    return _dp45_scalar(p, rhs, z_i, t0, t1, cfg, collect=False)[0]
 
 
 def flow_T(p: ConveyorParams, z0: float, cfg: IntegratorConfig | None = None,
            rhs: Callable[[float, float], float] | None = None) -> float:
     """Period map P(z0) = z(T; 0, z0), the map whose fixed points are the
     drive-periodic solutions.  ``rhs`` defaults to the conveyor force field."""
-    if rhs is None:
-        rhs = force_closure(p)
-    return propagate(p, rhs, z0, 0.0, p.period, cfg)
+    return _dp45_scalar(p, rhs, z0, 0.0, p.period, cfg, collect=False)[0]
 
 
 def flow_T_with_sensitivity(p: ConveyorParams, z0: float,
@@ -335,25 +334,20 @@ def flow_T_with_sensitivity(p: ConveyorParams, z0: float,
     bitwise ``flow_T``'s value and the derivative is positive.  At a fixed
     point it is the orbit's stability multiplier.
     """
-    if rhs is None:
-        rhs = force_closure(p)
     if rhs_dz is None:
         rhs_dz = force_dz_closure(p)
-    cfg = cfg or IntegratorConfig()
-    rtol, atol, max_step, h0 = cfg.resolved(p.period)
-    z1, log_w, *_ = _dp45_scalar(rhs, z0, 0.0, p.period, rtol, atol, max_step, h0,
-                                 collect=False, rhs_dz=rhs_dz)
+    z1, log_w, *_ = _dp45_scalar(p, rhs, z0, 0.0, p.period, cfg, collect=False, rhs_dz=rhs_dz)
     return z1, math.exp(log_w)
 
 
-def period_gap(p: ConveyorParams, z0: float, cfg: IntegratorConfig | None = None,
-               rhs: Callable[[float, float], float] | None = None) -> float:
-    """|P(z0) - z0| re-measured at a hundredth of the tolerances.
+def tight_period(p: ConveyorParams, z0: float, cfg: IntegratorConfig | None = None,
+                 rhs: Callable[[float, float], float] | None = None) -> Trajectory:
+    """One dense period from z0 at a hundredth of the tolerances.
 
-    A fixed point solved with one stepper reads |P(z*) - z*| at roundoff
-    when the same stepper measures it; the tighter run shows the solving
+    A fixed point reads |P(z*) - z*| at roundoff on the stepper that solved
+    it; the seam gap |z(T) - z0| of this tighter run shows the solving
     tolerance's own error in P, the honest residual of a computed orbit.
     """
     cfg = cfg or IntegratorConfig()
     tight = replace(cfg, rtol=cfg.rtol / 100.0, atol=cfg.atol / 100.0)
-    return abs(flow_T(p, z0, tight, rhs) - z0)
+    return integrate(p, rhs, z0, 0.0, p.period, tight)

@@ -103,6 +103,10 @@ class ConveyorParams:
         """Period of the drive: t -> F(t, z) repeats every 4*pi/b seconds."""
         return 4.0 * math.pi / self.b
 
+    def phase_is_finite(self, z: float, t: float) -> bool:
+        """Whether k*z - b*t/2 is finite: ``math.cos`` raises on inf in the force."""
+        return math.isfinite(self.k * z - 0.5 * self.b * t)
+
 
 #: Reference parameter set used as the default profile of the command-line
 #: tools: f0 = 0.8 wavelength^2/s, b = 100 rad/s, k = 2.66*pi rad/wavelength,

@@ -25,9 +25,8 @@ from conveyor.integrate import (
     Trajectory,
     flow_T,
     flow_T_with_sensitivity,
-    integrate,
-    period_gap,
     propagate,
+    tight_period,
 )
 from conveyor.model import (
     ConveyorParams,
@@ -83,17 +82,17 @@ def _force_free(p: ConveyorParams, z: float) -> bool:
     return math.log(2.0 * p.f0) + log_f < math.log(FORCE_FREE_SUP)
 
 
-def _build_orbit(p: ConveyorParams, z_star: float, multiplier: float, residual: float,
+def _build_orbit(p: ConveyorParams, z_star: float, multiplier: float,
                  cfg: IntegratorConfig | None, force_free: bool = False) -> PeriodicOrbit:
-    traj = integrate(p, force_closure(p), z_star, 0.0, p.period, cfg)
-    # the solver's certificate is the stored samples' own seam gap; the
-    # tighter re-measure adds the integration error the solve cannot see
-    residual = max(residual, period_gap(p, z_star, cfg))
+    traj = tight_period(p, z_star, cfg)
+    # the certificate is the stored period's own seam gap; that period runs at
+    # a hundredth of the solve's tolerances, so the gap shows the integration
+    # error that the solve, which reads its own stepper, cannot see
     return PeriodicOrbit(
         z_star=z_star,
         period=p.period,
         multiplier=multiplier,
-        residual=residual,
+        residual=abs(traj.interp(p.period) - z_star),
         sup_norm=traj.sup_norm(),
         trajectory=traj,
         force_free=force_free,
@@ -120,7 +119,7 @@ def find_periodic(p: ConveyorParams, z_guess: float,
     returned as it stands, parked, with multiplier 1.
     """
     if _force_free(p, z_guess):
-        return _build_orbit(p, z_guess, 1.0, 0.0, cfg, force_free=True)
+        return _build_orbit(p, z_guess, 1.0, cfg, force_free=True)
     if p.envelope.kind == "plane":
         # f' == 0 turns the force identity into int F^2 dt = 0 over a period
         gap = abs(flow_T(p, z_guess, cfg) - z_guess)
@@ -133,7 +132,7 @@ def find_periodic(p: ConveyorParams, z_guess: float,
         raise NoConvergence(res.iterations, res.residual,
                             f"only a neutral-multiplier candidate near z={res.z_star:.6g} "
                             "(period map is locally indistinguishable from the identity)")
-    return _build_orbit(p, res.z_star, res.derivative, res.residual, cfg)
+    return _build_orbit(p, res.z_star, res.derivative, cfg)
 
 
 def _hidden_pair_seeds(grid: Sequence[float], resid: Sequence[float]) -> list[float]:
@@ -235,11 +234,9 @@ def basin_probe(p: ConveyorParams, initial_conditions: Sequence[float], horizon:
                 orbit = find_periodic(p, guess, cfg)
             except NoConvergence:
                 continue
-            if orbit.force_free:
-                continue
-            if all(abs(orbit.z_star - o.z_star) >= DEDUPE_TOL for o in orbits):
+            if not orbit.force_free:
                 orbits.append(orbit)
-            break  # one certified orbit is enough for the default probe
+                break  # one certified orbit is enough for the default probe
 
     targets = [o.z_star for o in orbits if not o.force_free]
     rhs = force_closure(p)

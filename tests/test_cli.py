@@ -273,6 +273,36 @@ class TestFreshInterpreters:
             assert (dirs[0] / name).read_bytes() == (dirs[1] / name).read_bytes()
 
 
+class TestStepBudget:
+    # 10^5 steps of the default ceiling period/20 is 628.3 s at the reference
+    # set; --dry-run keeps an accepted horizon from computing
+    @pytest.mark.parametrize("argv, accepted, rejected", [
+        (["simulate", "--zi", "0", "--out", "x.csv"], ["--t-end", "628"], ["--t-end", "629"]),
+        (["simulate", "--zi", "0", "--out", "x.csv"], ["--t0", "-628", "--t-end", "0"],
+         ["--t0", "-1", "--t-end", "628"]),
+        (["reproduce", "fig1"], ["--t-end", "628"], ["--t-end", "629"]),
+        (["reproduce", "fig3"], ["--t-end", "628"], ["--t-end", "629"]),
+    ])
+    def test_budget_edge(self, argv, accepted, rejected):
+        assert run(argv + accepted + ["--dry-run"]) == 0
+        with pytest.raises(SystemExit) as info:
+            run(argv + rejected + ["--dry-run"])
+        assert info.value.code == 2
+
+    def test_long_horizons_exit_2_at_once(self, tmp_path):
+        # without the budget each runs ~1.6e11 steps while its knots grow
+        src = str(Path(conveyor.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONPATH": src}
+        for argv in (["simulate", "--zi", "0", "--t-end", "1e9", "--out", "x.csv"],
+                     ["reproduce", "fig1", "--t-end", "1e9", "--out-dir", "."],
+                     ["reproduce", "fig3", "--t-end", "1e9", "--out-dir", "."]):
+            proc = subprocess.run([sys.executable, "-m", "conveyor.cli", *argv], env=env,
+                                  cwd=tmp_path, capture_output=True, text=True, timeout=10)
+            assert proc.returncode == 2, argv
+            assert "steps" in proc.stderr
+        assert list(tmp_path.iterdir()) == []
+
+
 class TestNumpyFreeCommands:
     def test_commands_run_without_numpy(self, tmp_path):
         # every command but verify, run in one fresh interpreter, must leave

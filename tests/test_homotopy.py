@@ -57,6 +57,25 @@ class TestContinueToOne:
         assert len(trace.steps) <= 60
         assert all(s.residual < 1e-9 for s in trace.steps)
 
+    @pytest.mark.parametrize("kind", ["lorentzian", "gaussian"])
+    def test_residual_is_the_returned_seam_gap(self, kind, monkeypatch):
+        # each step's residual and sup-norm are read off the one tight period
+        # that solve_at_lambda returns, with no second integration
+        solve, periods = homotopy.solve_at_lambda, []
+
+        def spy(*args, **kwargs):
+            z0, traj = solve(*args, **kwargs)
+            periods.append(traj)
+            return z0, traj
+
+        monkeypatch.setattr(homotopy, "solve_at_lambda", spy)
+        p = default_params(kind)
+        trace = continue_to_one(p)
+        assert len(periods) == len(trace.steps)
+        for s, traj in zip(trace.steps, periods):
+            assert s.residual == abs(traj.interp(p.period) - s.z0)
+            assert s.sup_norm == traj.sup_norm()
+
     def test_endpoint_equivalence(self, lorentzian_params, lorentzian_orbit,
                                   gaussian_params, gaussian_orbit):
         t_l = continue_to_one(lorentzian_params)

@@ -13,6 +13,7 @@ from conveyor.integrate import (
     flow_T_with_sensitivity,
     integrate,
     propagate,
+    tight_period,
 )
 from conveyor.model import default_params, force_closure
 from tests.conftest import Z_STAR_LORENTZIAN
@@ -125,6 +126,21 @@ class TestIntegrate:
             integrate(p, rhs, math.nan, 0.0, 1.0)
         with pytest.raises(ValueError):
             propagate(p, rhs, math.inf, 0.0, 0.0)
+
+    # k*z or b*t/2 overflows to inf, on which math.cos in the force would raise
+    # a bare "math domain error"; the stepper's entry names the phase instead
+    @pytest.mark.parametrize("call", [
+        lambda p, rhs: integrate(p, rhs, 1e308, 0.0, 1.0),
+        lambda p, rhs: propagate(p, rhs, 1e308, 0.0, 1.0),
+        lambda p, rhs: propagate(p, rhs, 0.0, 0.0, 1e308),
+        lambda p, rhs: flow_T(p, 1e308),
+        lambda p, rhs: flow_T_with_sensitivity(p, -1e308),
+        lambda p, rhs: tight_period(p, 1e308),
+    ], ids=["integrate", "propagate", "propagate-end", "flow_T", "flow_T_with_sensitivity",
+            "tight_period"])
+    def test_unrepresentable_drive_phase_rejected(self, lorentzian_params, call):
+        with pytest.raises(ValueError, match="drive phase"):
+            call(lorentzian_params, force_closure(lorentzian_params))
 
     def test_empty_span_rejected(self, plane_params):
         with pytest.raises(ValueError):

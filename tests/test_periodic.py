@@ -117,6 +117,11 @@ class TestFindPeriodic:
         assert o.z_star == 1e250
         assert o.multiplier == 1.0
 
+    def test_unrepresentable_drive_phase_rejected(self, lorentzian_params):
+        # the guess parks as force-free, but k*z overflows before the period runs
+        with pytest.raises(ValueError, match="drive phase"):
+            find_periodic(lorentzian_params, 1e308)
+
     def test_no_orbit_for_plane_drive(self, plane_params):
         # locked transport: P(z) - z ~ 2 pi / k > 0 everywhere, no fixed points
         with pytest.raises(NoConvergence) as info:
@@ -179,6 +184,17 @@ class TestScanOrbits:
         orbits = scan_orbits(default_params(kind), *window)
         assert len(orbits) == 1
         assert len(calls) <= limit
+
+    @pytest.mark.parametrize("kind,window", [("lorentzian", (-4.5, 4.5, 64)),
+                                             ("gaussian", (-1.0, 1.0, 21))])
+    def test_residual_is_the_stored_seam_gap(self, kind, window):
+        # the one period each orbit stores is the tight-tolerance run itself,
+        # so its own seam gap is the certificate, bit for bit
+        p = default_params(kind)
+        orbits = [find_periodic(p, 0.0), *scan_orbits(p, *window)]
+        for o in orbits:
+            assert o.residual == abs(o.trajectory.interp(o.period) - o.z_star)
+            assert 0.0 < o.residual < periodic.CERTIFICATION_TOL
 
     @pytest.mark.parametrize("n_grid", [9, 33])
     @pytest.mark.parametrize("kind,f0,b,z0,window,z_star", [
