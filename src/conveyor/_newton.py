@@ -29,7 +29,6 @@ _PROBE_GROWTH = 1.6
 @dataclass(frozen=True)
 class FixedPointResult:
     z_star: float
-    map_value: float
     derivative: float        # dP/dz at z_star
     residual: float          # |P(z_star) - z_star|
     iterations: int          # total map evaluations spent
@@ -74,7 +73,7 @@ def solve_fixed_point(
             extra = evaluate(z - r / (dp - 1.0))
             if abs(extra[3]) < abs(r):
                 point = extra
-        return FixedPointResult(*point[:3], abs(point[3]), evals)
+        return FixedPointResult(point[0], point[2], abs(point[3]), evals)
 
     def neutral(point) -> bool:
         return abs(point[2] - 1.0) < NEUTRAL

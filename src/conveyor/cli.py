@@ -22,7 +22,7 @@ from pathlib import Path
 import conveyor
 from conveyor import analytic, homotopy, model, periodic, verify
 from conveyor.errors import ConveyorError, NoConvergence
-from conveyor.integrate import IntegratorConfig, integrate
+from conveyor.integrate import MAX_STEPS, IntegratorConfig, integrate
 from conveyor.model import (
     ENVELOPE_KINDS,
     F0_UNIT_NOTE,
@@ -33,9 +33,6 @@ from conveyor.model import (
 )
 
 FIGURE_IDS = ("fig1", "fig2", "fig3", "fig4", "pot1", "pot2", "plane-limit")
-# a horizon costs at least |t_end - t0| / max_step accepted steps, each kept
-# as a knot; 10^5 allows 628 s at the reference step ceiling of period/20
-MAX_STEPS = 100_000
 
 
 def _fmt(x: float) -> str:
@@ -98,8 +95,8 @@ def _check_phase(parser: argparse.ArgumentParser, p: ConveyorParams, names: str,
 def _check_horizon(parser: argparse.ArgumentParser, p: ConveyorParams, cfg: IntegratorConfig,
                    names: str, t0: float, t_end: float):
     """Reject a span that needs more than MAX_STEPS steps at the step ceiling."""
-    max_step = cfg.resolved(p.period)[2]
-    if abs(t_end - t0) / max_step > MAX_STEPS:
+    if not cfg.span_fits(p.period, t0, t_end):
+        max_step = cfg.resolved(p.period)[2]
         parser.error(f"{names} span more than {MAX_STEPS} steps of at most {max_step:.6g} s")
 
 

@@ -67,6 +67,9 @@ _MIN_FACTOR = 0.2
 _MAX_FACTOR = 10.0
 
 _STEP_FLOOR_REL = 1e-14
+# a span costs at least |t1 - t0| / max_step accepted steps, each kept as a
+# knot by a dense run; 10^5 allows 628 s at the reference ceiling of period/20
+MAX_STEPS = 100_000
 
 
 @dataclass(frozen=True)
@@ -100,6 +103,10 @@ class IntegratorConfig:
         if not 0.0 < h0 <= max_step:
             raise ValueError(f"initial_step must lie in (0, max_step], got {h0!r}")
         return self.rtol, self.atol, max_step, h0
+
+    def span_fits(self, period: float, t0: float, t1: float) -> bool:
+        """Whether t0 -> t1 takes at most MAX_STEPS steps of the step ceiling."""
+        return abs(t1 - t0) / self.resolved(period)[2] <= MAX_STEPS
 
 
 class Trajectory:
@@ -157,9 +164,6 @@ class Trajectory:
         import numpy as np
         return np.column_stack(self.knots)
 
-    def __call__(self, t: float) -> float:
-        return self.interp(t)
-
     def interp(self, t: float) -> float:
         """z(t) for t between the trajectory endpoints."""
         slack = 1e-12 * (self._hi - self._lo)
@@ -205,7 +209,8 @@ def _dp45_scalar(p: ConveyorParams, rhs: Callable[[float, float], float] | None,
 
     ``rhs`` defaults to the force field of ``p`` and ``cfg`` to
     ``IntegratorConfig()``, resolved against the period of ``p``.  The drive
-    phase at z0 must be finite at t0 and at t1.
+    phase at z0 must be finite at t0 and at t1, and the span must fit in
+    MAX_STEPS steps of the step ceiling.
 
     With ``rhs_dz`` given, log_w is the integral of rhs_dz(t, z(t)) over the
     span (0.0 otherwise): each accepted step adds h * sum(b_i * g_i), with
@@ -215,11 +220,15 @@ def _dp45_scalar(p: ConveyorParams, rhs: Callable[[float, float], float] | None,
     """
     if rhs is None:
         rhs = force_closure(p)
-    rtol, atol, max_step, h0 = (cfg or IntegratorConfig()).resolved(p.period)
+    cfg = cfg or IntegratorConfig()
+    rtol, atol, max_step, h0 = cfg.resolved(p.period)
     z0, t0, t1 = float(z0), float(t0), float(t1)
     if not (p.phase_is_finite(z0, t0) and p.phase_is_finite(z0, t1)):
         raise ValueError(f"initial state z={z0!r} must be finite with a finite drive phase "
                          f"k*z - b*t/2 at t={t0!r} and t={t1!r}")
+    if not cfg.span_fits(p.period, t0, t1):
+        raise ValueError(f"span t={t0!r} to t={t1!r} needs more than {MAX_STEPS} steps "
+                         f"of at most {max_step:.6g} s")
     span = t1 - t0
     direction = 1.0 if span > 0.0 else -1.0
     h_floor = _STEP_FLOOR_REL * abs(span)

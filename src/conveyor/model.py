@@ -16,7 +16,8 @@ callables: V, F, dF/dz, dV/dt and the envelope with its exact
 derivatives.  Each envelope kind supplies two fused kernels, z -> (f, f')
 and z -> (f, f', f''), sharing one denominator or one exp.
 ``force_closure`` and ``force_dz_closure`` are the names under which the
-solvers fetch F and dF/dz.
+solvers fetch F and dF/dz.  ``log_drive_bound`` bounds log |F(t, z)| over
+a period in log space; it is -inf exactly where every point is at rest.
 
 All types are immutable and all operations are pure functions; they are safe
 to call from any number of concurrent workers.
@@ -36,11 +37,6 @@ ENVELOPE_KINDS = ("plane", "lorentzian", "gaussian")
 RECTILINEAR = "rectilinear"
 OSCILLATORY = "oscillatory"
 DEGENERATE = "degenerate"
-
-# fixed_point_classify results
-FP_NONE = "none"
-FP_GENUINE = "fixed"
-FP_UNDERFLOW = "underflow"
 
 
 @dataclass(frozen=True)
@@ -293,36 +289,19 @@ def force_dz_closure(p: ConveyorParams) -> Callable[[float, float], float]:
     return field(p).force_dz
 
 
-# ---------------------------------------------------------------------------
-# structural probes
+def log_drive_bound(p: ConveyorParams, z: float) -> float:
+    """log of 2 f0 max(k f(z), |f'(z)|), a bound on |F(t, z)| over all t.
 
-
-def fixed_point_test(p: ConveyorParams, z: float, tol: float) -> bool:
-    """Numeric criterion for z being a rest point of the flow.
-
-    True iff |f(z)| <= tol and |f'(z)| <= tol.  A point is a genuine rest
-    point exactly when f and f' both vanish there; for the three supported
-    envelopes that never happens, so a True here at huge |z| is a
-    double-precision underflow artifact (see ``fixed_point_classify``).
+    Evaluated in log space, so underflow of f cannot pass for a zero: the
+    bound is finite for every finite z when f0 > 0 (f > 0 for every
+    envelope) and -inf when f0 = 0, the one case in which F vanishes at z
+    for every t.
     """
-    if not tol > 0.0:
-        raise ValueError(f"tol must be > 0, got {tol!r}")
-    f, d1, _ = field(p).envelope(z)
-    return abs(f) <= tol and abs(d1) <= tol
-
-
-def fixed_point_classify(p: ConveyorParams, z: float, tol: float) -> str:
-    """Classify ``fixed_point_test`` hits: "none", "fixed", or "underflow".
-
-    "underflow" marks points where the numeric test passes but the
-    log-space evaluation shows f(z) > 0, i.e. the apparent rest point is an
-    artifact of finite precision, not a feature of the flow.
-    """
-    if not fixed_point_test(p, z, tol):
-        return FP_NONE
-    if envelope_log_value(p.envelope, z) == -math.inf:
-        return FP_GENUINE
-    return FP_UNDERFLOW
+    if p.f0 == 0.0:
+        return -math.inf
+    e = p.envelope
+    log_f = max(math.log(p.k) + envelope_log_value(e, z), envelope_log_abs_d1(e, z))
+    return math.log(2.0 * p.f0) + log_f
 
 
 def plane_regime(p: ConveyorParams) -> str:

@@ -4,12 +4,13 @@ A periodic solution is a fixed point of the period map P(z0) = z(T; 0, z0).
 The equation is scalar, so P is strictly increasing and hyperbolic orbits
 sit at sign changes of R = P - z.  ``find_periodic`` certifies one orbit
 from a single guess by Newton shooting with exact sensitivity, or parks a
-guess where the drive is below ``FORCE_FREE_SUP`` (flagged ``force_free``:
-there every point looks fixed); ``scan_orbits`` solves from the sign
-changes of R on a grid and deduplicates; ``basin_probe`` measures which
-initial conditions have reached an orbit by a given horizon; and
-``boundedness_audit`` reports the largest amplitude over a set of certified
-orbits, the empirical stand-in for the theoretical amplitude bound.
+guess where the drive bound ``model.log_drive_bound`` is below
+``FORCE_FREE_SUP`` (flagged ``force_free``: there every point looks
+fixed); ``scan_orbits`` solves from the sign changes of R on a grid and
+deduplicates; ``basin_probe`` measures which initial conditions have
+reached an orbit by a given horizon; and ``boundedness_audit`` reports the
+largest amplitude over a set of certified orbits, the empirical stand-in
+for the theoretical amplitude bound.
 """
 
 from __future__ import annotations
@@ -28,19 +29,13 @@ from conveyor.integrate import (
     propagate,
     tight_period,
 )
-from conveyor.model import (
-    ConveyorParams,
-    envelope_log_abs_d1,
-    envelope_log_value,
-    force_closure,
-    force_dz_closure,
-)
+from conveyor.model import ConveyorParams, force_closure, force_dz_closure, log_drive_bound
 
 CERTIFICATION_TOL = 1e-9
 DEDUPE_TOL = 1e-6
 BASIN_TOL = 1e-3
-# a guess is force-free when the bound f0 * (k f + |f'|) on the drive there
-# is below FORCE_FREE_SUP
+# a guess is force-free when ``log_drive_bound`` there is below
+# log(FORCE_FREE_SUP)
 FORCE_FREE_SUP = 1e-9
 
 
@@ -70,16 +65,6 @@ class BasinPoint(NamedTuple):
     z_i: float
     z_final: float
     converged: bool
-
-
-def _force_free(p: ConveyorParams, z: float) -> bool:
-    """Whether |F(t, z)| <= f0 (k f(z) + |f'(z)|) is below FORCE_FREE_SUP,
-    decided in log space so that underflow of f cannot pass for a zero."""
-    if p.f0 == 0.0:
-        return True
-    e = p.envelope
-    log_f = max(math.log(p.k) + envelope_log_value(e, z), envelope_log_abs_d1(e, z))
-    return math.log(2.0 * p.f0) + log_f < math.log(FORCE_FREE_SUP)
 
 
 def _build_orbit(p: ConveyorParams, z_star: float, multiplier: float,
@@ -115,10 +100,11 @@ def find_periodic(p: ConveyorParams, z_guess: float,
     ``verify.identity_force``), so it raises after one map evaluation.
 
     Inspect ``force_free`` on the result before trusting it as a trap: a
-    guess where the drive is below ``FORCE_FREE_SUP`` is not solved but
-    returned as it stands, parked, with multiplier 1.
+    guess where ``model.log_drive_bound`` puts the drive below
+    ``FORCE_FREE_SUP`` (every guess when f0 = 0) is not solved but returned
+    as it stands, parked, with multiplier 1.
     """
-    if _force_free(p, z_guess):
+    if log_drive_bound(p, z_guess) < math.log(FORCE_FREE_SUP):
         return _build_orbit(p, z_guess, 1.0, cfg, force_free=True)
     if p.envelope.kind == "plane":
         # f' == 0 turns the force identity into int F^2 dt = 0 over a period

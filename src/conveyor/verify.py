@@ -11,8 +11,9 @@ Both sides are evaluated here by adaptive Gauss-Lobatto quadrature on the
 orbit's dense output; small relative residuals certify that a computed
 orbit behaves like a genuine periodic solution rather than a numerical
 coincidence.  The fixed-point scan certifies the complementary structural
-fact that the flow has no rest points, separating double-precision
-underflow from genuine zeros of the envelope.
+fact that the flow has no rest points: it flags a grid point where
+``model.log_drive_bound`` is -inf, that is where F(t, z) = 0 for every t,
+which happens exactly when f0 = 0, since no envelope vanishes.
 """
 
 from __future__ import annotations
@@ -22,13 +23,7 @@ from typing import Callable, NamedTuple
 
 from conveyor.errors import ConveyorError
 from conveyor.integrate import IntegratorConfig, flow_T
-from conveyor.model import (
-    FP_GENUINE,
-    ConveyorParams,
-    field,
-    fixed_point_classify,
-    force_closure,
-)
+from conveyor.model import ConveyorParams, field, force_closure, log_drive_bound
 from conveyor.periodic import PeriodicOrbit
 
 QUAD_TOL = 1e-10
@@ -90,26 +85,26 @@ def gauss_lobatto(fn: Callable[[float], float], a: float, b: float,
     return recurse(a, b, fa, fb, tol, 0)
 
 
-def _require_certified(orbit: PeriodicOrbit):
+def _identity(orbit: PeriodicOrbit, factor: float,
+              integrand: Callable[[float, float], float], tol: float) -> IdentityResult:
+    """int |F|^2 dt against factor * int integrand(t, z(t)) dt over the orbit."""
     if orbit.residual > 1e-6:
         raise ConveyorError(
             f"orbit is not certified (residual {orbit.residual:.3e}); "
             "identities only hold on periodic solutions"
         )
+    traj = orbit.trajectory
+    rhs = force_closure(traj.params)
+    lhs = gauss_lobatto(lambda t: rhs(t, traj.interp(t)) ** 2, 0.0, orbit.period, tol)
+    rhs_val = factor * gauss_lobatto(lambda t: integrand(t, traj.interp(t)),
+                                     0.0, orbit.period, tol)
+    rel = abs(lhs - rhs_val) / (abs(lhs) + abs(rhs_val) + _RESIDUAL_EPS)
+    return IdentityResult(lhs, rhs_val, rel)
 
 
 def identity_energy(orbit: PeriodicOrbit, tol: float = QUAD_TOL) -> IdentityResult:
     """Energy-balance certificate: int |F|^2 dt vs -int dV/dt dt."""
-    _require_certified(orbit)
-    p = orbit.trajectory.params
-    traj = orbit.trajectory
-    rhs = force_closure(p)
-    pot_t = field(p).potential_dt
-
-    lhs = gauss_lobatto(lambda t: rhs(t, traj.interp(t)) ** 2, 0.0, orbit.period, tol)
-    rhs_val = -gauss_lobatto(lambda t: pot_t(t, traj.interp(t)), 0.0, orbit.period, tol)
-    rel = abs(lhs - rhs_val) / (abs(lhs) + abs(rhs_val) + _RESIDUAL_EPS)
-    return IdentityResult(lhs, rhs_val, rel)
+    return _identity(orbit, -1.0, field(orbit.trajectory.params).potential_dt, tol)
 
 
 def identity_force(orbit: PeriodicOrbit, tol: float = QUAD_TOL) -> IdentityResult:
@@ -121,45 +116,32 @@ def identity_force(orbit: PeriodicOrbit, tol: float = QUAD_TOL) -> IdentityResul
     waves admit no non-trivial periodic solutions; for decaying envelopes
     a positive right side forces the orbit to sit where f' < 0 on average.
     """
-    _require_certified(orbit)
     p = orbit.trajectory.params
-    traj = orbit.trajectory
-    rhs = force_closure(p)
     envelope = field(p).envelope
     half_b = 0.5 * p.b
     k = p.k
 
-    def weighted_slope(t: float) -> float:
-        z = traj.interp(t)
+    def weighted_slope(t: float, z: float) -> float:
         c = math.cos(k * z - half_b * t)
         return c * c * envelope(z)[1]
 
-    lhs = gauss_lobatto(lambda t: rhs(t, traj.interp(t)) ** 2, 0.0, orbit.period, tol)
-    factor = -(p.b * p.f0) / (2.0 * p.k)
-    rhs_val = factor * gauss_lobatto(weighted_slope, 0.0, orbit.period, tol)
-    rel = abs(lhs - rhs_val) / (abs(lhs) + abs(rhs_val) + _RESIDUAL_EPS)
-    return IdentityResult(lhs, rhs_val, rel)
+    return _identity(orbit, -(p.b * p.f0) / (2.0 * p.k), weighted_slope, tol)
 
 
-def fixed_point_scan(p: ConveyorParams, z_lo: float, z_hi: float, n: int,
-                     tol: float = 1e-12) -> list[float]:
-    """Grid scan for genuine rest points of the flow; expected empty.
+def fixed_point_scan(p: ConveyorParams, z_lo: float, z_hi: float, n: int) -> list[float]:
+    """Grid points where the flow is at rest: F(t, z) = 0 for every t.
 
-    Applies the numeric rest-point test at each grid point and keeps only
-    hits that survive log-space classification: positions where the
-    envelope merely underflowed double precision are artifacts, not rest
-    points, and are excluded.
+    A point is flagged where ``log_drive_bound`` is -inf.  The bound works
+    in log space, so a point where the envelope merely underflows double
+    precision is not flagged; for f0 > 0 the list is empty, and for f0 = 0
+    it holds every grid point.
     """
     if not z_lo < z_hi:
         raise ValueError(f"need z_lo < z_hi, got [{z_lo!r}, {z_hi!r}]")
     if n < 2:
         raise ValueError(f"need n >= 2 grid points, got {n!r}")
-    flagged = []
-    for i in range(n):
-        z = z_lo + (z_hi - z_lo) * i / (n - 1)
-        if fixed_point_classify(p, z, tol) == FP_GENUINE:
-            flagged.append(z)
-    return flagged
+    grid = (z_lo + (z_hi - z_lo) * i / (n - 1) for i in range(n))
+    return [z for z in grid if log_drive_bound(p, z) == -math.inf]
 
 
 def multiplier_cross_check(p: ConveyorParams, orbit: PeriodicOrbit,

@@ -242,6 +242,16 @@ class TestVerify:
         assert "PASS" in stdout and "FAIL" not in stdout
         assert (tmp_path / "report.manifest.json").exists()
 
+    def test_rest_point_scans_fail_without_drive(self, tmp_path, capsys):
+        out = tmp_path / "report.json"
+        assert run(["verify", "--f0", "0", "--out", str(out)]) == 3
+        checks = {c["name"]: c for c in json.loads(out.read_text())["checks"]}
+        for kind in ("plane", "lorentzian", "gaussian"):
+            scan = checks[f"fixed_point_scan[{kind}]"]
+            assert scan["passed"] is False
+            assert len(scan["flagged"]) == 1001
+        assert "FAIL fixed_point_scan[plane]" in capsys.readouterr().out
+
     def test_nan_drive_is_a_flag_error(self, tmp_path):
         with pytest.raises(SystemExit) as info:
             run(["verify", "--f0", "nan", "--out", str(tmp_path / "report.json")])

@@ -1,13 +1,19 @@
 """Integrator tests: closed-form oracle, convergence, reversal, sensitivity."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import conveyor
 from conveyor.analytic import PlaneSolution, plane_solution, taylor_small_f0
 from conveyor.errors import StepSizeUnderflow
 from conveyor.integrate import (
+    MAX_STEPS,
     IntegratorConfig,
     flow_T,
     flow_T_with_sensitivity,
@@ -145,6 +151,40 @@ class TestIntegrate:
     def test_empty_span_rejected(self, plane_params):
         with pytest.raises(ValueError):
             integrate(plane_params, force_closure(plane_params), 0.0, 1.0, 1.0)
+
+
+class TestStepBudget:
+    def test_span_fits_edge(self):
+        cfg = IntegratorConfig()
+        period = default_params("lorentzian").period
+        edge = MAX_STEPS * period / 20.0
+        assert cfg.span_fits(period, 0.0, edge) and cfg.span_fits(period, edge, 0.0)
+        assert not cfg.span_fits(period, 0.0, 1.001 * edge)
+        assert not cfg.span_fits(period, 1.001 * edge, 0.0)
+        # a quarter-period ceiling stretches the same budget five times
+        assert IntegratorConfig(max_step=period / 4.0).span_fits(period, 0.0, 4.0 * edge)
+
+    def test_library_horizons_raise_at_once(self):
+        # without the budget each call runs ~1.6e11 steps while its knots grow;
+        # a subprocess with a timeout turns that hang into a failure
+        script = (
+            "from conveyor.integrate import integrate, propagate\n"
+            "from conveyor.model import default_params, force_closure\n"
+            "from conveyor.periodic import basin_probe\n"
+            "p = default_params('lorentzian'); rhs = force_closure(p)\n"
+            "for call in (lambda: integrate(p, rhs, 0.0, 0.0, 1e9),\n"
+            "             lambda: propagate(p, rhs, 0.0, 0.0, 1e9),\n"
+            "             lambda: basin_probe(p, [0.0], 1e9)):\n"
+            "    try:\n"
+            "        call()\n"
+            "    except ValueError as exc:\n"
+            "        assert 'steps' in str(exc), exc\n"
+            "    else:\n"
+            "        raise AssertionError('a 1e9 s horizon was accepted')\n"
+        )
+        src = str(Path(conveyor.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONPATH": src}
+        subprocess.run([sys.executable, "-c", script], env=env, check=True, timeout=10)
 
 
 class TestTrajectory:

@@ -13,8 +13,6 @@ import pytest
 
 from conveyor.model import (
     DEGENERATE,
-    FP_NONE,
-    FP_UNDERFLOW,
     OSCILLATORY,
     RECTILINEAR,
     ConveyorParams,
@@ -23,8 +21,7 @@ from conveyor.model import (
     envelope_log_abs_d1,
     envelope_log_value,
     field,
-    fixed_point_classify,
-    fixed_point_test,
+    log_drive_bound,
     plane_regime,
 )
 
@@ -315,30 +312,53 @@ class TestPotentialAndForce:
 
 
 class TestStructuralProbes:
+    # log_drive_bound is -inf exactly where F(t, z) = 0 for every t, the
+    # flow's rest points; with f0 > 0 there are none
+
     def test_fixed_point_plane_never(self, plane_params):
         for z in (-10.0, 0.0, 3.3):
-            assert fixed_point_test(plane_params, z, 1e-6) is False
+            assert log_drive_bound(plane_params, z) == pytest.approx(
+                math.log(2.0 * plane_params.f0 * plane_params.k), rel=1e-15)
 
     def test_fixed_point_lorentzian_never(self, lorentzian_params):
         # f > 0 everywhere, so the rest-point criterion can never hold
         for z in np.linspace(-50, 50, 101):
-            assert fixed_point_test(lorentzian_params, float(z), 1e-12) is False
+            assert math.isfinite(log_drive_bound(lorentzian_params, float(z)))
 
     def test_fixed_point_gaussian_underflow_artifact(self, gaussian_params):
-        assert fixed_point_test(gaussian_params, 50.0, 1e-300) is True
-        assert fixed_point_classify(gaussian_params, 50.0, 1e-300) == FP_UNDERFLOW
-        assert fixed_point_classify(gaussian_params, 0.5, 1e-300) == FP_NONE
+        # f(50) underflows to 0.0 in double precision; its log does not
+        f, d1, _ = field(gaussian_params).envelope(50.0)
+        assert f == 0.0 and d1 == 0.0
+        bound = log_drive_bound(gaussian_params, 50.0)
+        assert math.isfinite(bound)
+        # |f'| = (4/z0) u f with u = 50/z0 dominates k f
+        u = 50.0 / 0.37
+        expected = math.log(2.0 * gaussian_params.f0 * 4.0 / 0.37 * u) - 2.0 * u * u
+        assert bound == pytest.approx(expected, rel=1e-12)
 
     @pytest.mark.parametrize("kind", ["lorentzian", "gaussian"])
     def test_fixed_point_overflow_is_not_a_rest_point(self, kind):
         # z*z overflows at |z| = 1e200; that must not read as f == 0
         p = default_params(kind)
         for z in (1e200, -1e200):
-            assert fixed_point_classify(p, z, 1e-12) == FP_UNDERFLOW
+            assert math.isfinite(log_drive_bound(p, z))
 
-    def test_fixed_point_tol_validation(self, plane_params):
-        with pytest.raises(ValueError):
-            fixed_point_test(plane_params, 0.0, 0.0)
+    @pytest.mark.parametrize("kind", ["plane", "lorentzian", "gaussian"])
+    def test_drive_free_is_a_rest_point(self, kind):
+        p = default_params(kind, f0=0.0)
+        for z in (-1e200, -50.0, 0.0, 0.5, 1e200):
+            assert log_drive_bound(p, z) == -math.inf
+
+    @pytest.mark.parametrize("kind", ["plane", "lorentzian", "gaussian"])
+    def test_drive_bound_bounds_the_force(self, kind):
+        # sup_t |F(t, z)| <= 2 f0 max(k f, |f'|), and within a factor 2 of it
+        p = default_params(kind)
+        force = field(p).force
+        ts = np.linspace(0.0, p.period, 401)
+        for z in np.linspace(-3.0, 3.0, 61):
+            sup = max(abs(force(float(t), float(z))) for t in ts)
+            bound = math.exp(log_drive_bound(p, float(z)))
+            assert bound / 2.0 * 0.999 <= sup <= bound * (1.0 + 1e-12)
 
     def test_plane_regime_reference(self):
         assert plane_regime(default_params("plane")) == RECTILINEAR  # 100 < 111.73

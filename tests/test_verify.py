@@ -114,6 +114,14 @@ class TestFixedPointScan:
         p = default_params(kind)
         assert fixed_point_scan(p, -100.0, 100.0, 1001) == []
 
+    @pytest.mark.parametrize("kind", ["plane", "lorentzian", "gaussian"])
+    def test_drive_free_flags_every_point(self, kind):
+        # with f0 = 0 every point is at rest: P(z) - z is exactly 0
+        p = default_params(kind, f0=0.0)
+        assert flow_T(p, 0.5) == 0.5
+        grid = [-25.0 + 50.0 * i / 1000 for i in range(1001)]
+        assert fixed_point_scan(p, -25.0, 25.0, 1001) == grid
+
     def test_gaussian_underflow_region_excluded(self, gaussian_params):
         # |z| <= 25 spans deep underflow for z0 = 0.37, still no flags
         assert fixed_point_scan(gaussian_params, -25.0, 25.0, 2001) == []
