@@ -252,6 +252,17 @@ class TestVerify:
             assert len(scan["flagged"]) == 1001
         assert "FAIL fixed_point_scan[plane]" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("f0, passed", [("0", False), ("0.8", True)])
+    def test_parked_orbit_certificates_fail(self, tmp_path, f0, passed):
+        # without drive both orbits park, where the identities and the two
+        # multipliers agree whatever the field; they must not pass there
+        out = tmp_path / "report.json"
+        run(["verify", "--f0", f0, "--out", str(out)])
+        checks = {c["name"]: c for c in json.loads(out.read_text())["checks"]}
+        for kind in ("lorentzian", "gaussian"):
+            for name in ("identity_energy", "identity_force", "multiplier_cross_check"):
+                assert checks[f"{name}[{kind}]"]["passed"] is passed, (name, kind)
+
     def test_nan_drive_is_a_flag_error(self, tmp_path):
         with pytest.raises(SystemExit) as info:
             run(["verify", "--f0", "nan", "--out", str(tmp_path / "report.json")])
@@ -315,8 +326,8 @@ class TestStepBudget:
 
 class TestNumpyFreeCommands:
     def test_commands_run_without_numpy(self, tmp_path):
-        # every command but verify, run in one fresh interpreter, must leave
-        # numpy unimported; a stray array on any command's path fails here
+        # every command, run in one fresh interpreter, must leave numpy
+        # unimported; a stray array on any command's path fails here
         script = (
             "import sys; from conveyor.cli import main; d = sys.argv[1]\n"
             "for argv in (['simulate', '--zi', '1', '--t-end', '1', '--out', d + '/s.csv'],\n"
@@ -324,7 +335,8 @@ class TestNumpyFreeCommands:
             "             ['continue', '--out', d + '/c.csv'],\n"
             "             ['reproduce', 'fig2', '--out-dir', d],\n"
             "             ['reproduce', 'pot2', '--out-dir', d],\n"
-            "             ['reproduce', 'plane-limit', '--out-dir', d]):\n"
+            "             ['reproduce', 'plane-limit', '--out-dir', d],\n"
+            "             ['verify', '--out', d + '/v.json']):\n"
             "    assert main(argv) == 0, argv\n"
             "assert 'numpy' not in sys.modules, 'numpy was imported'\n"
         )

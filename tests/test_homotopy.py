@@ -11,6 +11,7 @@ from conveyor.homotopy import (
     BetaBoundReport,
     ContinuationTrace,
     beta_bound_audit,
+    beta_bound_check,
     continue_to_one,
     linear_bvp,
     piecewise_linear_l1,
@@ -154,6 +155,30 @@ class TestLinearBvp:
         with pytest.raises(ValueError):
             linear_bvp([0.0, 0.0], [1.0, 1.0], 0.0)
 
+    def test_bits_match_the_numpy_loop(self):
+        # the loop linear_bvp ran before its recurrence moved onto lists,
+        # kept verbatim as the reference; both share np.exp, whose last bit
+        # depends on the CPU's SIMD path, so only a same-machine reference
+        # can demand equal bits
+        def numpy_loop(t, q, c0):
+            conv = np.empty_like(q)
+            conv[0] = 0.0
+            acc = 0.0
+            for j, h in enumerate(np.diff(t)):
+                eh = math.exp(-h)
+                slope = (q[j + 1] - q[j]) / h
+                acc = acc * eh + q[j] * (-math.expm1(-h)) + slope * (h + math.expm1(-h))
+                conv[j + 1] = acc
+            T = float(t[-1])
+            y_T = (math.exp(-T) * c0 + conv[-1]) / (-math.expm1(-T))
+            return np.exp(-t) * (y_T + c0) + conv
+
+        rng = np.random.default_rng(20260810)
+        t = np.concatenate([[0.0], np.sort(rng.uniform(0.0, 3.0, 511))])
+        q = rng.normal(size=t.size)
+        c0 = float(rng.normal())
+        assert linear_bvp(t, q, c0).tobytes() == numpy_loop(t, q, c0).tobytes()
+
 
 class TestBetaBound:
     def test_l1_norm_handles_sign_changes(self):
@@ -164,6 +189,7 @@ class TestBetaBound:
     def test_audit_passes_and_is_nearly_tight(self, lorentzian_params):
         report = beta_bound_audit(lorentzian_params.period, n_cases=100)
         assert isinstance(report, BetaBoundReport)
+        assert type(report.max_ratio) is float and type(report.passed) is bool
         assert report.passed
         assert report.max_ratio <= report.beta
         # the c0-dominated cases push the ratio to within ~1 of beta
@@ -180,3 +206,40 @@ class TestBetaBound:
     def test_period_validated(self):
         with pytest.raises(ValueError):
             beta_bound_audit(0.0)
+        with pytest.raises(ValueError):
+            beta_bound_check(0.0)
+
+    def test_check_attains_the_sharp_constant(self, lorentzian_params):
+        T = lorentzian_params.period
+        report = beta_bound_check(T)
+        assert report.passed is True
+        assert report.n_cases == 13
+        assert report.beta == 1.0 + 1.0 / (-math.expm1(-T))
+        # the worst case is q = 0, c0 = 1, which attains 1/(1 - exp(-T))
+        assert report.max_ratio == pytest.approx(1.0 / (1.0 - math.exp(-T)), rel=1e-12)
+        assert report.max_ratio == pytest.approx(8.468216375029098, rel=1e-12)
+        assert type(report.max_ratio) is float
+
+    def test_check_fails_without_the_decay(self, lorentzian_params, monkeypatch):
+        def no_decay(t, q, c0):
+            conv, acc = [0.0], 0.0
+            for j in range(len(t) - 1):
+                h = t[j + 1] - t[j]
+                em = math.expm1(-h)
+                acc = acc + q[j] * -em + (q[j + 1] - q[j]) / h * (h + em)
+                conv.append(acc)
+            T = t[-1]
+            return conv, (math.exp(-T) * c0 + acc) / (-math.expm1(-T)) + c0
+
+        monkeypatch.setattr(homotopy, "_bvp_recurrence", no_decay)
+        assert beta_bound_check(lorentzian_params.period).passed is False
+
+    def test_check_fails_without_the_boundary_jump(self, lorentzian_params, monkeypatch):
+        recurrence = homotopy._bvp_recurrence
+
+        def periodic_only(t, q, c0):
+            conv, y_0 = recurrence(t, q, c0)
+            return conv, y_0 - c0  # y(0) = y(T) in place of y(0) - y(T) = c0
+
+        monkeypatch.setattr(homotopy, "_bvp_recurrence", periodic_only)
+        assert beta_bound_check(lorentzian_params.period).passed is False
