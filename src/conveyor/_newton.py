@@ -1,29 +1,29 @@
-"""Fixed points of a strictly increasing scalar map by safeguarded Newton.
+"""Fixed points of a strictly increasing scalar map by a capture march and
+bracketed Newton.
 
-Solves R(z) = P(z) - z = 0 for the period map P of a scalar periodic ODE.
-Trajectories of such an equation cannot cross, so P is strictly increasing
-and every hyperbolic fixed point sits at a sign change of R.  Damped Newton
-runs from the guess until R changes sign; from then on every iterate stays
-inside the sign bracket, taking the Newton step where it lands inside and
-the midpoint where it would not.  A candidate whose derivative is neutral
-(|P' - 1| < NEUTRAL) does not end the search, because in a near-identity
-tail |R| dips below any tolerance without a zero nearby: it, like a stalled
-Newton, hands over to an expanding probe around the guess for a sign change.
+Solves R(z) = P(z) - z = 0 for the period map P of a scalar periodic ODE,
+strictly increasing because trajectories cannot cross, so its iterates
+move monotonically, in the direction of sign R, to the first fixed point
+that way.  The march follows them to a sign change of R, by the Newton
+step where it points that way and by a doubled step otherwise; it cannot
+reach a repelling fixed point, whose sign change a caller hands in as the
+bracket.  Inside the bracket each iterate takes the Newton step where it
+lands inside and the midpoint where not.  A neutral candidate
+(|P' - 1| < NEUTRAL) never ends the search: in a near-identity tail |R|
+dips below any tolerance with no zero nearby.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 from conveyor.errors import NoConvergence
 
 MAX_ITER = 50
-MAX_HALVINGS = 20
 NEUTRAL = 1e-6
-_PROBE_FIRST = 0.1
-_PROBE_GROWTH = 1.6
+SPAN = 8.0
 
 
 @dataclass(frozen=True)
@@ -34,36 +34,47 @@ class FixedPointResult:
     iterations: int          # total map evaluations spent
 
 
+def check_tol(tol: float, name: str = "tol") -> None:
+    """ValueError unless the tolerance is finite and > 0."""
+    if not (tol > 0.0 and math.isfinite(tol)):
+        raise ValueError(f"{name} must be finite and > 0, got {tol!r}")
+
+
 def solve_fixed_point(
     map_with_sens: Callable[[float], tuple[float, float]],
     z_guess: float,
     tol: float,
-    bracket_span: float = 8.0,
+    bracket: Sequence[tuple[float, float]] = (),
 ) -> FixedPointResult:
-    """Fixed point of P near z_guess with |P(z) - z| < tol, or NoConvergence.
+    """Fixed point captured from z_guess with |P(z) - z| < tol, or NoConvergence.
 
-    ``map_with_sens(z)`` returns (P(z), dP/dz).  Iterates stay within
-    ``bracket_span`` of the guess until a sign change of R is found, and
-    inside that sign bracket afterwards.  A neutral candidate is returned
-    only when the probe finds no sign change within ``bracket_span``; the
-    identity map, for one, returns the guess.
+    ``map_with_sens(z)`` returns (P(z), dP/dz).  ``bracket`` holds known
+    (z, R(z)) points, such as a grid cell's ends around z_guess.  The march
+    gives up SPAN from the guess.  A neutral candidate is returned only when
+    it finds no sign change; the identity map, for one, returns the guess.
     """
-    if not tol > 0.0:
-        raise ValueError(f"tol must be > 0, got {tol!r}")
+    check_tol(tol)
 
     evals = 0
-    neg = pos = None  # latest evaluated (z, P, P', R) with R < 0 / R > 0
+    neg = pos = None  # latest (z, P, P', R) with R < 0 / R > 0
+    direction = 0.0   # sign of R at the guess, once known
 
-    def evaluate(z: float):
-        nonlocal evals, neg, pos
-        pz, dp = map_with_sens(z)
-        evals += 1
-        point = (z, pz, dp, pz - z)
-        if point[3] < 0.0:
+    def record(point):
+        nonlocal neg, pos
+        # R = 0 where P is the identity in floating point, as where the drive
+        # underflows, ends the march: its fixed point lies no further
+        side = point[3] or -direction
+        if side < 0.0:
             neg = point
-        elif point[3] > 0.0:
+        elif side > 0.0:
             pos = point
         return point
+
+    def evaluate(z: float):
+        nonlocal evals
+        pz, dp = map_with_sens(z)
+        evals += 1
+        return record((z, pz, dp, pz - z))
 
     def done(point) -> FixedPointResult:
         # one Newton step past the tolerance: quadratic convergence makes
@@ -96,40 +107,27 @@ def solve_fixed_point(
             return done(best)
         raise NoConvergence(evals, abs(best[3]))
 
+    for z, r in bracket:
+        # slope unknown: neutral, so never a Newton start nor the answer
+        record((z, z + r, 1.0, r))
     point = evaluate(z_guess)
-    step_cap = bracket_span / 8.0  # keeps Newton from vaulting into regions
-    # where the map is near-identity and |R| < tol for spurious reasons
-    for _ in range(MAX_ITER):  # damped Newton until R changes sign
+    direction = math.copysign(1.0, point[3])
+    edge = z_guess + direction * SPAN
+    step = 0.0
+    for _ in range(MAX_ITER):  # the capture march
         if neg and pos:
             return bracketed()
         z, _, dp, r = point
-        if abs(r) < tol:
-            if not neutral(point):
-                return done(point)
-            break  # neutral candidate: probe for a genuine sign change
-        if dp == 1.0 or dp != dp:
-            break  # flat or NaN derivative: Newton cannot proceed
-        step = -r / (dp - 1.0)
-        step = math.copysign(min(abs(step), step_cap), step)
-        for _ in range(MAX_HALVINGS + 1):
-            if abs(z + step - z_guess) <= bracket_span:
-                trial = evaluate(z + step)
-                if (neg and pos) or abs(trial[3]) < abs(r):
-                    point = trial
-                    break
-            step *= 0.5
-        else:
-            break  # stalled
-
-    delta = _PROBE_FIRST
-    while not (neg and pos) and delta <= bracket_span:
-        for z in (z_guess + delta, z_guess - delta):
-            evaluate(z)
-            if neg and pos:
-                break
-        delta *= _PROBE_GROWTH
-    if neg and pos:
-        return bracketed()
+        if abs(r) < tol and not neutral(point):
+            return done(point)
+        if z == edge or not abs(r) > 0.0:
+            break  # at the span, or no direction to march in
+        newton = -r / (dp - 1.0) if dp != 1.0 else r
+        if newton * direction > 0.0:
+            step = newton
+        else:  # doubled; the first reflected, over which R's linear model moves by R
+            step = 2.0 * step or -newton
+        point = evaluate(min(z + step, edge) if direction > 0.0 else max(z + step, edge))
     if abs(point[3]) < tol:
         return done(point)  # neutral, with no sign change within reach
     raise NoConvergence(evals, abs(point[3]))

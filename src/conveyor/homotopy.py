@@ -27,7 +27,7 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, NamedTuple, Sequence
 
-from conveyor._newton import solve_fixed_point
+from conveyor._newton import check_tol, solve_fixed_point
 from conveyor.errors import ContinuationStall, EmptyAudit, NoConvergence
 from conveyor.integrate import (
     IntegratorConfig,
@@ -77,10 +77,11 @@ def solve_at_lambda(p: ConveyorParams, lambda_h: float, z_guess: float,
     |z(T) - z(0)| < tol; returns the fixed point and one dense period of the
     lambda-flow from it, integrated at a hundredth of the tolerances, whose
     seam gap |z(T) - z(0)| is the step's residual.  Raises NoConvergence
-    like the plain orbit solver, and ValueError for a lambda outside [0, 1].
+    like the plain orbit solver, ValueError for lambda outside [0, 1] or tol.
     """
     if not 0.0 <= lambda_h <= 1.0:
         raise ValueError(f"lambda must lie in [0, 1], got {lambda_h!r}")
+    check_tol(tol)
     force, force_dz = force_closure(p), force_dz_closure(p)
     decay = 1.0 - lambda_h
 

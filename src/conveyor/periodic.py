@@ -2,15 +2,15 @@
 
 A periodic solution is a fixed point of the period map P(z0) = z(T; 0, z0).
 The equation is scalar, so P is strictly increasing and hyperbolic orbits
-sit at sign changes of R = P - z.  ``find_periodic`` certifies one orbit
-from a single guess by Newton shooting with exact sensitivity, or parks a
-guess where the drive bound ``model.log_drive_bound`` is below
+sit at sign changes of R = P - z.  ``find_periodic`` certifies the orbit
+that captures a guess by Newton shooting with exact sensitivity, or parks
+a guess where the drive bound ``model.log_drive_bound`` is below
 ``FORCE_FREE_SUP`` (flagged ``force_free``: there every point looks
-fixed); ``scan_orbits`` solves from the sign changes of R on a grid and
-deduplicates; ``basin_probe`` measures which initial conditions have
-reached an orbit by a given horizon; and ``boundedness_audit`` reports the
-largest amplitude over a set of certified orbits, the empirical stand-in
-for the theoretical amplitude bound.
+fixed); ``scan_orbits`` solves in every grid cell where R changes sign,
+repelling orbits included; ``basin_probe`` measures which initial
+conditions have reached an orbit by a given horizon; and
+``boundedness_audit`` reports the largest amplitude over a set of
+certified orbits, the empirical stand-in for the theoretical bound.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence
 
-from conveyor._newton import NEUTRAL, solve_fixed_point
+from conveyor._newton import NEUTRAL, check_tol, solve_fixed_point
 from conveyor.errors import EmptyAudit, NoConvergence
 from conveyor.integrate import (
     IntegratorConfig,
@@ -87,33 +87,39 @@ def _build_orbit(p: ConveyorParams, z_star: float, multiplier: float,
 def find_periodic(p: ConveyorParams, z_guess: float,
                   cfg: IntegratorConfig | None = None,
                   tol: float = CERTIFICATION_TOL) -> PeriodicOrbit:
-    """Certified periodic orbit from one guess.
+    """Certified periodic orbit that captures one guess.
 
-    Newton iteration on R(z0) = P(z0) - z0 with the variational derivative,
-    damped by step halving until R changes sign and kept inside the sign
-    bracket from then on; a stalled or neutral iterate hands over to an
-    expanding sign probe around the guess.  Raises NoConvergence when no
-    fixed point certifies: there is no nearby orbit, or the only candidate
-    has a neutral multiplier (|mu - 1| < 1e-6), which in the envelope's
-    slow tails means |P(z) - z| dipped below the tolerance with no genuine
-    zero nearby.  A driven plane envelope has no periodic orbit at all (see
-    ``verify.identity_force``), so it raises after one map evaluation.
+    The iterates of P move from the guess to the first fixed point in the
+    direction of sign R, R = P(z0) - z0; Newton shooting with the
+    variational derivative marches that way to a sign change of R and stays
+    inside it, so a repelling orbit is never captured.  Raises NoConvergence
+    when nothing certifies within ``_newton.SPAN`` of the guess or the only
+    candidate is neutral (|mu - 1| < 1e-6: in the envelope's slow tails
+    |P(z) - z| dips below the tolerance with no zero nearby), and at once
+    for a driven plane envelope, which has no periodic orbit at all (see
+    ``verify.identity_force``).  A bad ``tol`` raises ValueError.
 
     Inspect ``force_free`` on the result before trusting it as a trap: a
     guess where ``model.log_drive_bound`` puts the drive below
     ``FORCE_FREE_SUP`` (every guess when f0 = 0) is not solved but returned
     as it stands, parked, with multiplier 1.
     """
+    return _certify(p, z_guess, cfg, tol)
+
+
+def _certify(p: ConveyorParams, z_guess: float, cfg: IntegratorConfig | None,
+             tol: float, bracket: Sequence[tuple[float, float]] = ()) -> PeriodicOrbit:
+    """``find_periodic`` with known (z, R) points for ``solve_fixed_point``."""
+    check_tol(tol)
     if log_drive_bound(p, z_guess) < math.log(FORCE_FREE_SUP):
         return _build_orbit(p, z_guess, 1.0, cfg, force_free=True)
     if p.envelope.kind == "plane":
         # f' == 0 turns the force identity into int F^2 dt = 0 over a period
         gap = abs(flow_T(p, z_guess, cfg) - z_guess)
         raise NoConvergence(1, gap, "a plane drive has no periodic orbit")
-    rhs = force_closure(p)
-    rhs_dz = force_dz_closure(p)
-    res = solve_fixed_point(
-        lambda z: flow_T_with_sensitivity(p, z, cfg, rhs=rhs, rhs_dz=rhs_dz), z_guess, tol)
+    rhs, rhs_dz = force_closure(p), force_dz_closure(p)
+    res = solve_fixed_point(lambda z: flow_T_with_sensitivity(p, z, cfg, rhs=rhs, rhs_dz=rhs_dz),
+                            z_guess, tol, bracket)
     if abs(res.derivative - 1.0) < NEUTRAL:
         raise NoConvergence(res.iterations, res.residual,
                             f"only a neutral-multiplier candidate near z={res.z_star:.6g} "
@@ -122,25 +128,20 @@ def find_periodic(p: ConveyorParams, z_guess: float,
 
 
 def _hidden_pair_seeds(grid: Sequence[float], resid: Sequence[float]) -> list[float]:
-    """Seeds for a close pair of orbits that no sign change of the grid shows.
+    """Probes for a close pair of orbits that no sign change of the grid shows.
 
     Such a pair leaves an interior local minimum of |R| between same-sign
     neighbours.  The parabola through the three grid values there is the
-    local model of R; where it reaches zero, its roots are the seeds.
+    local model of R; where it reaches zero, its vertex is the probe.
     """
     seeds = []
     for i in range(1, len(grid) - 1):
         left, mid, right = resid[i - 1], resid[i], resid[i + 1]
-        if not (mid * left > 0.0 and mid * right > 0.0
-                and abs(mid) <= min(abs(left), abs(right))):
-            continue
         # R ~ mid + slope*s + curv*s^2 with s in grid steps from grid[i]
         slope, curv = 0.5 * (right - left), 0.5 * (right + left) - mid
-        disc = slope * slope - 4.0 * mid * curv
-        if curv != 0.0 and disc >= 0.0:
-            h = grid[i + 1] - grid[i]
-            roots = {(-slope + sign * math.sqrt(disc)) / (2.0 * curv) for sign in (-1.0, 1.0)}
-            seeds.extend(grid[i] + s * h for s in sorted(roots))
+        if (mid * left > 0.0 and mid * right > 0.0 and abs(mid) <= min(abs(left), abs(right))
+                and curv != 0.0 and slope * slope - 4.0 * mid * curv >= 0.0):
+            seeds.append(grid[i] - slope / (2.0 * curv) * (grid[i + 1] - grid[i]))
     return seeds
 
 
@@ -150,35 +151,34 @@ def scan_orbits(p: ConveyorParams, z_lo: float, z_hi: float, n_grid: int,
                 dedupe_tol: float = DEDUPE_TOL) -> list[PeriodicOrbit]:
     """All certified orbits found in [z_lo, z_hi], sorted by z_star.
 
-    The period-map residual R is evaluated on the grid.  Every hyperbolic
-    orbit sits at a sign change of R, so Newton shooting runs from each
-    sign-change cell, seeded where the chord through its ends crosses zero,
-    and from the roots of ``_hidden_pair_seeds``' parabolas, at no extra
-    map evaluations.  Duplicates within ``dedupe_tol`` collapse to the
-    lowest-residual representative; force-free candidates are dropped.
-    Returns an empty list when nothing in the window certifies.
+    R is evaluated on the grid and at ``_hidden_pair_seeds``' probes, which
+    split a dip of R through zero into two sign changes.  Every hyperbolic
+    orbit, repelling ones too, sits at one, and Newton shooting runs inside
+    each such cell, seeded where its chord crosses zero.  Duplicates within
+    ``dedupe_tol`` collapse to the lowest-residual representative;
+    force-free candidates are dropped.  Returns an empty list when nothing
+    in the window certifies.  Bad tolerances raise ValueError.
     """
     if not z_lo < z_hi:
         raise ValueError(f"need z_lo < z_hi, got [{z_lo!r}, {z_hi!r}]")
     if n_grid < 2:
         raise ValueError(f"n_grid must be >= 2, got {n_grid!r}")
+    check_tol(tol)
+    check_tol(dedupe_tol, "dedupe_tol")
 
     rhs = force_closure(p)
     grid = [z_lo + (z_hi - z_lo) * i / (n_grid - 1) for i in range(n_grid)]
     resid = [flow_T(p, g, cfg, rhs=rhs) - g for g in grid]
-
-    seeds: list[float] = []
-    for i in range(n_grid - 1):
-        a, b = resid[i], resid[i + 1]
-        # a grid value of exactly 0 seeds itself; a cell with two is idle
-        if a * b < 0.0 or (a == 0.0) != (b == 0.0):
-            seeds.append(grid[i] + (grid[i + 1] - grid[i]) * a / (a - b))
-    seeds += _hidden_pair_seeds(grid, resid)
+    probes = [(v, flow_T(p, v, cfg, rhs=rhs) - v) for v in _hidden_pair_seeds(grid, resid)]
+    cells = sorted([*zip(grid, resid), *probes])
 
     found: list[PeriodicOrbit] = []
-    for seed in seeds:
+    for (za, a), (zb, b) in zip(cells, cells[1:]):
+        # a grid value of exactly 0 seeds itself; a cell with two is idle
+        if not (a * b < 0.0 or (a == 0.0) != (b == 0.0)):
+            continue
         try:
-            orbit = find_periodic(p, seed, cfg, tol)
+            orbit = _certify(p, za + (zb - za) * a / (a - b), cfg, tol, ((za, a), (zb, b)))
         except NoConvergence:
             continue
         if not orbit.force_free and z_lo - 1e-9 <= orbit.z_star <= z_hi + 1e-9:

@@ -44,8 +44,26 @@ class TestSolveAtLambda:
         with pytest.raises(ValueError):
             solve_at_lambda(lorentzian_params, 1.1, 0.0)
 
+    @pytest.mark.parametrize("tol", [-1.0, 0.0, math.nan, math.inf])
+    def test_tolerance_validated(self, monkeypatch, lorentzian_params, tol):
+        calls = []
+        monkeypatch.setattr(homotopy, "flow_T_with_sensitivity",
+                            lambda *a, **k: calls.append(1) or (0.0, 0.0))
+        with pytest.raises(ValueError, match="tol"):
+            solve_at_lambda(lorentzian_params, 0.5, 0.0, tol=tol)
+        assert calls == []
+
 
 class TestContinueToOne:
+    @pytest.mark.parametrize("tol", [-1.0, 0.0, math.nan, math.inf])
+    def test_tolerance_validated(self, monkeypatch, lorentzian_params, tol):
+        calls = []
+        monkeypatch.setattr(homotopy, "flow_T_with_sensitivity",
+                            lambda *a, **k: calls.append(1) or (0.0, 0.0))
+        with pytest.raises(ValueError, match="tol"):
+            continue_to_one(lorentzian_params, tol=tol)
+        assert calls == []
+
     @pytest.mark.parametrize("kind", ["lorentzian", "gaussian"])
     def test_branch_reaches_one(self, kind):
         p = default_params(kind)

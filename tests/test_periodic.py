@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from conveyor import integrate as integrator
 from conveyor import periodic
 from conveyor.errors import EmptyAudit, NoConvergence
 from conveyor.integrate import flow_T, integrate
@@ -79,13 +80,24 @@ class TestFindPeriodic:
         # budget: restated periodicity error plus two integrations' tolerance
         assert gap < 10.0 * o.residual + 100.0 * (1e-10 * abs(o.z_star) + 1e-12)
 
-    def test_guesses_agree_lorentzian(self, lorentzian_params):
-        stars = [find_periodic(lorentzian_params, g).z_star for g in (-4.5, -2.0, 0.0, 2.0, 4.5)]
+    def test_guesses_agree_lorentzian(self, monkeypatch, lorentzian_params):
+        # the capture march reaches the orbit from the far tail in few maps
+        calls = count_map_evaluations(monkeypatch)
+        stars, cost = [], []
+        for g in (-4.5, -2.0, 0.0, 2.0, 4.5):
+            stars.append(find_periodic(lorentzian_params, g).z_star)
+            cost.append(len(calls) - sum(cost))
         assert max(stars) - min(stars) < 1e-6
+        assert max(cost) <= 20, cost
 
-    def test_guesses_agree_gaussian(self, gaussian_params):
-        stars = [find_periodic(gaussian_params, g).z_star for g in (-1.0, -0.5, 0.0, 0.5, 1.0)]
+    def test_guesses_agree_gaussian(self, monkeypatch, gaussian_params):
+        calls = count_map_evaluations(monkeypatch)
+        stars, cost = [], []
+        for g in (-1.0, -0.5, 0.0, 0.5, 1.0):
+            stars.append(find_periodic(gaussian_params, g).z_star)
+            cost.append(len(calls) - sum(cost))
         assert max(stars) - min(stars) < 1e-6
+        assert max(cost) <= 12, cost
 
     def test_zero_drive_returns_guess(self):
         p = default_params("plane", f0=0.0)
@@ -121,6 +133,12 @@ class TestFindPeriodic:
         # the guess parks as force-free, but k*z overflows before the period runs
         with pytest.raises(ValueError, match="drive phase"):
             find_periodic(lorentzian_params, 1e308)
+
+    @pytest.mark.parametrize("tol", [-1.0, 0.0, math.nan, math.inf])
+    def test_tolerance_validated_before_parking(self, gaussian_params, tol):
+        # 20 wavelengths out the guess would park without reaching the solver
+        with pytest.raises(ValueError, match="tol"):
+            find_periodic(gaussian_params, 20.0, tol=tol)
 
     def test_no_orbit_for_plane_drive(self, plane_params):
         # locked transport: P(z) - z ~ 2 pi / k > 0 everywhere, no fixed points
@@ -173,6 +191,14 @@ class TestScanOrbits:
         with pytest.raises(ValueError):
             scan_orbits(gaussian_params, -1.0, 1.0, 1)
 
+    @pytest.mark.parametrize("tol", [-1.0, 0.0, math.nan, math.inf])
+    def test_tolerances_validated(self, gaussian_params, tol):
+        # the far window has no sign change, so no solve would check them
+        with pytest.raises(ValueError, match="tol"):
+            scan_orbits(gaussian_params, 5.0, 10.0, 11, tol=tol)
+        with pytest.raises(ValueError, match="dedupe_tol"):
+            scan_orbits(gaussian_params, 5.0, 10.0, 11, dedupe_tol=tol)
+
     @pytest.mark.parametrize("kind,window,limit", [
         ("lorentzian", (-4.5, 4.5, 64), 80),
         ("gaussian", (-1.0, 1.0, 21), 30),
@@ -210,17 +236,17 @@ class TestScanOrbits:
 
 
 class TestHiddenPairSeeds:
-    def test_dipping_parabola_seeds_its_roots(self):
+    def test_dipping_parabola_gives_its_vertex(self):
         # R = (z - 0.2)(z - 0.4) hides both orbits between grid points -1, 0, 1
         grid = [-1.0, 0.0, 1.0]
         resid = [(z - 0.2) * (z - 0.4) for z in grid]
         assert all(r > 0.0 for r in resid)
-        assert _hidden_pair_seeds(grid, resid) == pytest.approx([0.2, 0.4])
+        assert _hidden_pair_seeds(grid, resid) == pytest.approx([0.3])
 
     def test_negative_side_is_mirrored(self):
         grid = [-1.0, 0.0, 1.0]
         resid = [-(z - 0.2) * (z - 0.4) for z in grid]
-        assert _hidden_pair_seeds(grid, resid) == pytest.approx([0.2, 0.4])
+        assert _hidden_pair_seeds(grid, resid) == pytest.approx([0.3])
 
     def test_shallow_minimum_gives_none(self):
         assert _hidden_pair_seeds([0.0, 1.0, 2.0], [1.0, 0.5, 1.0]) == []
@@ -230,6 +256,41 @@ class TestHiddenPairSeeds:
         # a sign change is the cells' business, and a monotone run has no dip
         assert _hidden_pair_seeds([0.0, 1.0, 2.0], [1.0, 0.01, -1.0]) == []
         assert _hidden_pair_seeds([0.0, 1.0, 2.0, 3.0], [3.0, 2.0, 1.0, 0.5]) == []
+
+
+class TestScanFindsEveryOrbit:
+    """Scans of an autonomous field g(z) = c (z - r_1)...(z - r_n) put in
+    place of the drive: the period map's fixed points are exactly the r_i,
+    with multipliers exp(g'(r_i) T), repelling where g'(r_i) > 0."""
+
+    @staticmethod
+    def use_field(monkeypatch, c, roots):
+        def g(t, z):
+            return c * math.prod(z - r for r in roots)
+
+        def g_dz(t, z):
+            return c * sum(math.prod(z - s for s in roots[:i] + roots[i + 1:])
+                           for i in range(len(roots)))
+
+        for module in (periodic, integrator):
+            monkeypatch.setattr(module, "force_closure", lambda p: g)
+            monkeypatch.setattr(module, "force_dz_closure", lambda p: g_dz)
+        return g_dz
+
+    @pytest.mark.parametrize("c,roots,n_grid", [
+        (3.0, (0.2, 0.4), 5),          # a hidden pair: R > 0 at every grid point
+        (3.0, (0.25, 0.3), 5),
+        (3.0, (-0.5, 0.1, 0.6), 9),    # -0.5 and 0.6 repel, -0.5 on the grid
+        (-3.0, (-0.5, 0.1, 0.6), 9),   # 0.1 repels
+    ], ids=["hidden-pair", "close-hidden-pair", "cubic", "reversed-cubic"])
+    def test_roots_and_multipliers(self, monkeypatch, lorentzian_params, c, roots, n_grid):
+        g_dz = self.use_field(monkeypatch, c, roots)
+        orbits = scan_orbits(lorentzian_params, -1.0, 1.0, n_grid)
+        assert [o.z_star for o in orbits] == pytest.approx(list(roots), abs=1e-9)
+        T = lorentzian_params.period
+        for o, r in zip(orbits, roots):
+            assert o.multiplier == pytest.approx(math.exp(g_dz(0.0, r) * T), abs=1e-6)
+        assert any(o.multiplier > 1.0 for o in orbits)
 
 
 class TestBasinProbe:
