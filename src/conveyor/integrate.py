@@ -167,7 +167,7 @@ class Trajectory:
     def interp(self, t: float) -> float:
         """z(t) for t between the trajectory endpoints."""
         slack = 1e-12 * (self._hi - self._lo)
-        if t < self._lo - slack or t > self._hi + slack:
+        if not self._lo - slack <= t <= self._hi + slack:   # NaN included
             raise ValueError(f"t={t!r} outside trajectory span [{self._lo!r}, {self._hi!r}]")
         kt = self._kt
         j = bisect_right(kt, t) - 1
@@ -265,7 +265,8 @@ def _dp45_scalar(p: ConveyorParams, rhs: Callable[[float, float], float] | None,
         k7 = rhs(t + h, y1)
 
         err = h * (_E1 * k1 + _E3 * k3 + _E4 * k4 + _E5 * k5 + _E6 * k6 + _E7 * k7)
-        err_norm = abs(err) / (atol + rtol * max(abs(y), abs(y1)))
+        ay, ay1 = abs(y), abs(y1)   # comparisons, not max/min calls, with the same picks
+        err_norm = abs(err) / (atol + rtol * (ay1 if ay1 > ay else ay))
 
         if err_norm <= 1.0:
             if rhs_dz is not None:
@@ -287,18 +288,22 @@ def _dp45_scalar(p: ConveyorParams, rhs: Callable[[float, float], float] | None,
             y = y1
             k1 = k7  # FSAL
 
-            fac11 = max(err_norm, 1e-10) ** _EXPO1
-            factor = min(_MAX_FACTOR, max(_MIN_FACTOR, _SAFETY * (facold ** _BETA) / fac11))
-            facold = max(err_norm, 1e-4)
-            if rejected:
-                factor = min(1.0, factor)
-                rejected = False
+            fac11 = (1e-10 if 1e-10 > err_norm else err_norm) ** _EXPO1
+            factor = _SAFETY * (facold ** _BETA) / fac11
+            cap = 1.0 if rejected else _MAX_FACTOR   # no growth right after a rejection
+            if not factor > _MIN_FACTOR:
+                factor = _MIN_FACTOR
+            elif factor > cap:
+                factor = cap
+            facold = 1e-4 if 1e-4 > err_norm else err_norm
+            rejected = False
             h *= factor
             if abs(h) > max_step:
                 h = direction * max_step
         else:
             rejected = True
-            h *= max(_MIN_FACTOR, _SAFETY / (err_norm ** _EXPO1))
+            shrink = _SAFETY / (err_norm ** _EXPO1)
+            h *= shrink if shrink > _MIN_FACTOR else _MIN_FACTOR
 
     return y, log_w, knots_t, knots_z, seg_h, seg_c
 

@@ -13,8 +13,10 @@ orbits are sought.
 
 ``field(p)`` serves the whole field of one parameter set as prebound
 callables: V, F, dF/dz, dV/dt and the envelope with its exact
-derivatives.  Each envelope kind supplies two fused kernels, z -> (f, f')
-and z -> (f, f', f''), sharing one denominator or one exp.
+derivatives.  Each envelope kind supplies two kernels, z -> (f, f') and
+z -> (f, f', f''), sharing one denominator or one exp, which serve V, dV/dt
+and the envelope; F and dF/dz are fused per kind, with the envelope written
+inline, so that a right-hand-side call makes no second call.
 ``force_closure`` and ``force_dz_closure`` are the names under which the
 solvers fetch F and dF/dz.  ``log_drive_bound`` bounds log |F(t, z)| over
 a period in log space; it is -inf exactly where every point is at rest.
@@ -29,6 +31,7 @@ import math
 import sys
 from dataclasses import dataclass, replace
 from functools import lru_cache
+from math import copysign, cos, exp, sin
 from typing import Callable, NamedTuple
 
 ENVELOPE_KINDS = ("plane", "lorentzian", "gaussian")
@@ -133,31 +136,61 @@ def default_params(kind: str = "lorentzian", **overrides) -> ConveyorParams:
 
 
 # ---------------------------------------------------------------------------
-# envelope kernels: z -> (f, f') and z -> (f, f', f'') per kind
+# per envelope kind: kernels z -> (f, f') and z -> (f, f', f''), and F and dF/dz
+# with the envelope inline, in this operation order, which fixes their bits:
+#     F     = -2k f0 f s c + f0 c^2 f',    c, s = cos, sin(kz - bt/2)
+#     dF/dz = -2k f0 f' sin(2kz - bt) - 2k^2 f0 f cos(2kz - bt) + f0 c^2 f''
 
 
-def _plane_kernels(z0: float):
-    return (lambda z: (1.0, 0.0)), (lambda z: (1.0, 0.0, 0.0))
+def _plane_kernels(z0: float, k: float, half_b: float, f0: float, m2kf0: float, tkkf0: float):
+    # the f' and f'' terms stay, times 0.0, for the same signed zeros and inf * 0
+    def force(t: float, z: float) -> float:
+        ph = k * z - half_b * t
+        c = cos(ph)
+        return m2kf0 * sin(ph) * c + f0 * c * c * 0.0
+
+    def force_dz(t: float, z: float) -> float:
+        ph = k * z - half_b * t
+        c, s = cos(ph), sin(ph)
+        return m2kf0 * 0.0 * (2.0 * s * c) - tkkf0 * (c * c - s * s) + f0 * c * c * 0.0
+
+    return (lambda z: (1.0, 0.0)), (lambda z: (1.0, 0.0, 0.0)), force, force_dz
 
 
-def _lorentzian_kernels(z0: float):
+def _lorentzian_kernels(z0: float, k: float, half_b: float, f0: float, m2kf0: float, tkkf0: float):
     z0sq = z0 * z0
+    m2z0sq = -2.0 * z0sq
 
     def fd1(z: float) -> tuple[float, float]:
         den = z0sq + z * z
-        return z0sq / den, -2.0 * z0sq * z / (den * den)
+        return z0sq / den, m2z0sq * z / (den * den)
 
     def fd2(z: float) -> tuple[float, float, float]:
         den = z0sq + z * z
         den3 = den * den * den
         # where den**3 overflows f'' is 0 (not inf/inf past |z| ~ 1.3e154)
         d2 = z0sq * (6.0 * z * z - 2.0 * z0sq) / den3 if den3 < math.inf else 0.0
-        return z0sq / den, -2.0 * z0sq * z / (den * den), d2
+        return z0sq / den, m2z0sq * z / (den * den), d2
 
-    return fd1, fd2
+    def force(t: float, z: float) -> float:
+        ph = k * z - half_b * t
+        c = cos(ph)
+        den = z0sq + z * z
+        return m2kf0 * (z0sq / den) * sin(ph) * c + f0 * c * c * (m2z0sq * z / (den * den))
+
+    def force_dz(t: float, z: float) -> float:
+        ph = k * z - half_b * t
+        c, s = cos(ph), sin(ph)
+        den = z0sq + z * z
+        den3 = den * den * den
+        d2 = z0sq * (6.0 * z * z - 2.0 * z0sq) / den3 if den3 < math.inf else 0.0
+        return (m2kf0 * (m2z0sq * z / (den * den)) * (2.0 * s * c)
+                - tkkf0 * (z0sq / den) * (c * c - s * s) + f0 * c * c * d2)
+
+    return fd1, fd2, force, force_dz
 
 
-def _gaussian_kernels(z0: float):
+def _gaussian_kernels(z0: float, k: float, half_b: float, f0: float, m2kf0: float, tkkf0: float):
     z0sq = z0 * z0
     c1 = -4.0 / z0sq
     c2 = 16.0 / (z0sq * z0sq)
@@ -165,16 +198,30 @@ def _gaussian_kernels(z0: float):
     # where exp underflows f' is the signed 0 of c1 z * 0 and f'' is 0, even
     # where c1 z or c2 z^2 overflows (inf * 0)
     def fd1(z: float) -> tuple[float, float]:
-        g = math.exp(-2.0 * z * z / z0sq)
-        return g, (c1 * z * g if g else math.copysign(0.0, c1 * z))
+        g = exp(-2.0 * z * z / z0sq)
+        return g, (c1 * z * g if g else copysign(0.0, c1 * z))
 
     def fd2(z: float) -> tuple[float, float, float]:
-        g = math.exp(-2.0 * z * z / z0sq)
+        g = exp(-2.0 * z * z / z0sq)
         if not g:
-            return g, math.copysign(0.0, c1 * z), 0.0
+            return g, copysign(0.0, c1 * z), 0.0
         return g, c1 * z * g, (c2 * z * z + c1) * g
 
-    return fd1, fd2
+    def force(t: float, z: float) -> float:
+        ph = k * z - half_b * t
+        c = cos(ph)
+        g = exp(-2.0 * z * z / z0sq)
+        d1 = c1 * z * g if g else copysign(0.0, c1 * z)
+        return m2kf0 * g * sin(ph) * c + f0 * c * c * d1
+
+    def force_dz(t: float, z: float) -> float:
+        ph = k * z - half_b * t
+        c, s = cos(ph), sin(ph)
+        g = exp(-2.0 * z * z / z0sq)
+        d1, d2 = (c1 * z * g, (c2 * z * z + c1) * g) if g else (copysign(0.0, c1 * z), 0.0)
+        return m2kf0 * d1 * (2.0 * s * c) - tkkf0 * g * (c * c - s * s) + f0 * c * c * d2
+
+    return fd1, fd2, force, force_dz
 
 
 _KERNELS = {
@@ -241,36 +288,14 @@ class Field(NamedTuple):
 @lru_cache(maxsize=256)
 def field(p: ConveyorParams) -> Field:
     """The field of ``p``, built once per parameter set."""
-    fd1, fd2 = _KERNELS[p.envelope.kind](p.envelope.z0)
     f0, b, k = p.f0, p.b, p.k
     half_b = 0.5 * b
-    cos, sin = math.cos, math.sin
+    fd1, fd2, force, force_dz = _KERNELS[p.envelope.kind](
+        p.envelope.z0, k, half_b, f0, -2.0 * k * f0, 2.0 * k * k * f0)
 
     def potential(t: float, z: float) -> float:
         c = cos(k * z - half_b * t)
         return f0 * fd1(z)[0] * c * c
-
-    def force(t: float, z: float) -> float:
-        # dV/dz = -k F0 f(z) sin(2kz - bt) + F0 cos^2(kz - bt/2) f'(z),
-        # with sin(2x) = 2 sin x cos x sharing one sin/cos pair.
-        ph = k * z - half_b * t
-        c = cos(ph)
-        s = sin(ph)
-        f, d1 = fd1(z)
-        return -2.0 * k * f0 * f * s * c + f0 * c * c * d1
-
-    def force_dz(t: float, z: float) -> float:
-        ph = k * z - half_b * t
-        c = cos(ph)
-        s = sin(ph)
-        two_sc = 2.0 * s * c          # sin(2kz - bt)
-        cos2 = c * c - s * s          # cos(2kz - bt)
-        f, d1, d2 = fd2(z)
-        return (
-            -2.0 * k * f0 * d1 * two_sc
-            - 2.0 * k * k * f0 * f * cos2
-            + f0 * c * c * d2
-        )
 
     def potential_dt(t: float, z: float) -> float:
         ph = k * z - half_b * t

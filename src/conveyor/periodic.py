@@ -209,8 +209,9 @@ def basin_probe(p: ConveyorParams, initial_conditions: Sequence[float], horizon:
     condition.
     """
     T = p.period
-    if horizon < 10.0 * T:
-        raise ValueError(f"horizon must be >= 10 periods ({10 * T:.6g}), got {horizon!r}")
+    if not 10.0 * T <= horizon < math.inf:
+        raise ValueError(f"horizon must be finite and >= 10 periods ({10 * T:.6g}), "
+                         f"got {horizon!r}")
     n_periods = math.ceil(horizon / T - 1e-9)
 
     if orbits is None:

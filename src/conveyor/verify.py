@@ -8,21 +8,24 @@ integrating, then by eliminating the drive's time derivative:
     force:   int |F(t, z)|^2 dt  =  -(b f0 / 2k) int cos^2(kz - bt/2) f'(z) dt
 
 Both sides are evaluated here by adaptive Gauss-Lobatto quadrature on the
-orbit's dense output; small relative residuals certify that a computed
-orbit behaves like a genuine periodic solution rather than a numerical
-coincidence.  The fixed-point scan certifies the complementary structural
-fact that the flow has no rest points: it flags a grid point where
-``model.log_drive_bound`` is -inf, that is where F(t, z) = 0 for every t,
-which happens exactly when f0 = 0, since no envelope vanishes.
+orbit's dense output, the shared int |F|^2 dt once per orbit and tolerance;
+small relative residuals certify that a computed orbit behaves like a
+genuine periodic solution rather than a numerical coincidence.  The
+fixed-point scan certifies the complementary structural fact that the flow
+has no rest points: it flags a grid point where ``model.log_drive_bound``
+is -inf, that is where F(t, z) = 0 for every t, which happens exactly when
+f0 = 0, since no envelope vanishes.
 """
 
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 from typing import Callable, NamedTuple
 
+from conveyor._newton import check_tol
 from conveyor.errors import ConveyorError
-from conveyor.integrate import IntegratorConfig, flow_T
+from conveyor.integrate import IntegratorConfig, Trajectory, flow_T
 from conveyor.model import ConveyorParams, field, force_closure, log_drive_bound
 from conveyor.periodic import PeriodicOrbit
 
@@ -56,8 +59,9 @@ def gauss_lobatto(fn: Callable[[float], float], a: float, b: float,
     Each interval is accepted when the 7-point Kronrod extension agrees
     with the embedded 4-point rule to the interval's share of ``tol``,
     otherwise it is bisected; the absolute error budget is conserved
-    across splits.
+    across splits.  ``tol`` must be finite and > 0 (ValueError otherwise).
     """
+    check_tol(tol)
     if a == b:
         return 0.0
     fa, fb = fn(a), fn(b)
@@ -85,6 +89,13 @@ def gauss_lobatto(fn: Callable[[float], float], a: float, b: float,
     return recurse(a, b, fa, fb, tol, 0)
 
 
+@lru_cache(maxsize=1)
+def _force_squared_integral(traj: Trajectory, period: float, tol: float) -> float:
+    """int_0^period |F(t, z(t))|^2 dt, the left side both identities share."""
+    rhs = force_closure(traj.params)
+    return gauss_lobatto(lambda t: rhs(t, traj.interp(t)) ** 2, 0.0, period, tol)
+
+
 def _identity(orbit: PeriodicOrbit, factor: float,
               integrand: Callable[[float, float], float], tol: float) -> IdentityResult:
     """int |F|^2 dt against factor * int integrand(t, z(t)) dt over the orbit."""
@@ -94,8 +105,7 @@ def _identity(orbit: PeriodicOrbit, factor: float,
             "identities only hold on periodic solutions"
         )
     traj = orbit.trajectory
-    rhs = force_closure(traj.params)
-    lhs = gauss_lobatto(lambda t: rhs(t, traj.interp(t)) ** 2, 0.0, orbit.period, tol)
+    lhs = _force_squared_integral(traj, orbit.period, tol)
     rhs_val = factor * gauss_lobatto(lambda t: integrand(t, traj.interp(t)),
                                      0.0, orbit.period, tol)
     rel = abs(lhs - rhs_val) / (abs(lhs) + abs(rhs_val) + _RESIDUAL_EPS)
@@ -150,8 +160,10 @@ def multiplier_cross_check(p: ConveyorParams, orbit: PeriodicOrbit,
     """Liouville multiplier vs central finite difference of the period map.
 
     The default ``h`` keeps the integrator's ~1e-10 noise in P, divided by
-    h, well below the difference's own O(h^2) error.
+    h, well below the difference's own O(h^2) error; it must be finite and
+    > 0 (ValueError otherwise).
     """
+    check_tol(h, "h")
     rhs = force_closure(p)
     plus = flow_T(p, orbit.z_star + h, cfg, rhs=rhs)
     minus = flow_T(p, orbit.z_star - h, cfg, rhs=rhs)

@@ -241,6 +241,8 @@ class TestTrajectory:
             traj.interp(0.5001)
         with pytest.raises(ValueError):
             traj.interp(-0.1)
+        with pytest.raises(ValueError, match="outside trajectory span"):
+            traj.interp(math.nan)
 
     def test_sup_norm_sees_interior_peaks(self, plane_params):
         # z(t) = sin(10 t) via rhs = 10 cos(10 t): knots alone could miss the crest

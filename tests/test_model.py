@@ -366,3 +366,83 @@ class TestStructuralProbes:
         p = default_params("plane")
         exact = default_params("plane", b=2.0 * p.f0 * p.k * p.k)
         assert plane_regime(exact) == DEGENERATE
+
+
+def _product_rule(p):
+    """F and dF/dz of ``p`` by the product rule over ``field(p).envelope``,
+    term for term as the unfused field evaluated them."""
+    envelope = field(p).envelope
+    f0, k, half_b = p.f0, p.k, 0.5 * p.b
+
+    def force(t, z):
+        ph = k * z - half_b * t
+        c = math.cos(ph)
+        s = math.sin(ph)
+        fz, d1, _ = envelope(z)
+        return -2.0 * k * f0 * fz * s * c + f0 * c * c * d1
+
+    def force_dz(t, z):
+        ph = k * z - half_b * t
+        c = math.cos(ph)
+        s = math.sin(ph)
+        two_sc = 2.0 * s * c
+        cos2 = c * c - s * s
+        fz, d1, d2 = envelope(z)
+        return -2.0 * k * f0 * d1 * two_sc - 2.0 * k * k * f0 * fz * cos2 + f0 * c * c * d2
+
+    return force, force_dz
+
+
+class TestFusedKernels:
+    """Each kind's F and dF/dz write the envelope inline; they must equal the
+    product rule over the envelope triple bit for bit, signed zeros included
+    (``float.hex`` tells -0.0 from 0.0)."""
+
+    @staticmethod
+    def assert_bitwise(p, points):
+        fld = field(p)
+        ref_force, ref_force_dz = _product_rule(p)
+        for t, z in points:
+            assert fld.force(t, z).hex() == ref_force(t, z).hex(), (p, t, z)
+            assert fld.force_dz(t, z).hex() == ref_force_dz(t, z).hex(), (p, t, z)
+
+    @pytest.mark.parametrize("kind", ["plane", "lorentzian", "gaussian"])
+    def test_seeded_random_points(self, kind):
+        rng = np.random.default_rng(20261018)
+        for _ in range(40):
+            f0 = 0.0 if rng.random() < 0.1 else float(rng.uniform(0.1, 2.0))
+            p = default_params(kind, f0=f0, b=float(rng.uniform(20.0, 200.0)),
+                               k=float(rng.uniform(1.0, 4.0)) * math.pi,
+                               z0=float(rng.uniform(0.2, 0.6)))
+            points = [(float(t), float(z)) for t, z in
+                      zip(rng.uniform(-0.2, 0.2, 50), rng.uniform(-5.0, 5.0, 50))]
+            points += [(t, z) for t in (0.0, -0.0, 0.01) for z in (0.0, -0.0, 0.3, -0.3)]
+            self.assert_bitwise(p, points)
+
+    def test_gaussian_underflow_tail(self):
+        # exp underflows for |z| >~ 1e-49 at z0 = 1e-50, and c1 z overflows
+        # from |z| ~ 1e208: f' is then a signed zero
+        p = default_params("gaussian", z0=1e-50)
+        rng = np.random.default_rng(7)
+        mags = 10.0 ** rng.uniform(-52.0, 250.0, 200)
+        signs = rng.choice([-1.0, 1.0], 200)
+        ts = rng.uniform(-0.2, 0.2, 200)
+        points = [(float(t), float(s * m)) for t, s, m in zip(ts, signs, mags)]
+        points += [(0.3, z) for z in (1e250, -1e250, 1e-40, -1e-40)]
+        self.assert_bitwise(p, points)
+
+    def test_lorentzian_where_den_cubed_overflows(self):
+        # den**3 overflows past |z| ~ 1.3e154, where f'' is 0
+        p = default_params("lorentzian")
+        rng = np.random.default_rng(11)
+        mags = 10.0 ** rng.uniform(math.log10(1.3e154), 300.0, 200)
+        signs = rng.choice([-1.0, 1.0], 200)
+        ts = rng.uniform(-0.2, 0.2, 200)
+        self.assert_bitwise(p, [(float(t), float(s * m)) for t, s, m in zip(ts, signs, mags)])
+
+    @pytest.mark.parametrize("kind", ["plane", "lorentzian", "gaussian"])
+    def test_where_two_k_f0_overflows(self, kind):
+        # -2 k f0 = -inf: every term times a zero is nan, as in the product
+        # rule, which is why the plane kind keeps its f' and f'' terms
+        p = default_params(kind, f0=1e300, k=1e10)
+        self.assert_bitwise(p, [(t, z) for t in (0.0, 0.01) for z in (0.0, -0.0, 0.3, 1e200)])

@@ -298,6 +298,11 @@ class TestBasinProbe:
         with pytest.raises(ValueError):
             basin_probe(lorentzian_params, [0.0], 5.0 * lorentzian_params.period)
 
+    @pytest.mark.parametrize("horizon", [math.inf, math.nan])
+    def test_non_finite_horizon_rejected(self, lorentzian_params, horizon):
+        with pytest.raises(ValueError, match="horizon must be finite"):
+            basin_probe(lorentzian_params, [0.0], horizon)
+
     def test_release_on_orbit_converges(self, lorentzian_params, lorentzian_orbit):
         T = lorentzian_params.period
         pts = basin_probe(lorentzian_params, [lorentzian_orbit.z_star], 10.0 * T,

@@ -9,6 +9,7 @@ from conveyor.integrate import flow_T, flow_T_with_sensitivity, integrate
 from conveyor.model import ConveyorParams, EnvelopeSpec, default_params, field, force_closure
 from conveyor.periodic import PeriodicOrbit, find_periodic
 from conveyor.verify import (
+    _force_squared_integral,
     fixed_point_scan,
     gauss_lobatto,
     identity_energy,
@@ -33,6 +34,15 @@ class TestGaussLobatto:
 
     def test_empty_interval(self):
         assert gauss_lobatto(math.sin, 1.0, 1.0) == 0.0
+
+    @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
+    def test_tolerance_validated(self, tol):
+        # checked before the empty-interval shortcut; nan and -1 used to
+        # bisect every branch to the depth cap
+        with pytest.raises(ValueError, match="tol must be finite and > 0"):
+            gauss_lobatto(math.sin, 1.0, 1.0, tol=tol)
+        with pytest.raises(ValueError, match="tol must be finite and > 0"):
+            gauss_lobatto(math.sin, 0.0, 1.0, tol=tol)
 
 
 class TestIdentities:
@@ -77,6 +87,32 @@ class TestIdentities:
         assert res.lhs == 0.0 and res.rhs == 0.0 and res.rel_residual == 0.0
         res = identity_force(orbit)
         assert res.lhs == 0.0 and res.rhs == 0.0 and res.rel_residual == 0.0
+
+    @pytest.mark.parametrize("orbit", ["lorentzian_orbit", "gaussian_orbit"])
+    def test_both_identities_share_one_left_side(self, orbit, request):
+        o = request.getfixturevalue(orbit)
+        traj = o.trajectory
+        rhs = force_closure(traj.params)
+        direct = gauss_lobatto(lambda t: rhs(t, traj.interp(t)) ** 2, 0.0, o.period)
+        assert identity_energy(o).lhs == identity_force(o).lhs == direct
+        loose = gauss_lobatto(lambda t: rhs(t, traj.interp(t)) ** 2, 0.0, o.period, 1e-6)
+        assert identity_force(o, tol=1e-6).lhs == loose
+
+    def test_interleaved_orbits_give_fresh_values(self, lorentzian_orbit, gaussian_orbit):
+        a, b = lorentzian_orbit, gaussian_orbit
+        calls = [(identity_force, a), (identity_energy, b), (identity_energy, a)]
+        fresh = []
+        for fn, o in calls:
+            _force_squared_integral.cache_clear()
+            fresh.append(fn(o))
+        _force_squared_integral.cache_clear()
+        assert [fn(o) for fn, o in calls] == fresh
+
+    @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
+    def test_tolerance_validated(self, lorentzian_orbit, tol):
+        for fn in (identity_energy, identity_force):
+            with pytest.raises(ValueError, match="tol must be finite and > 0"):
+                fn(lorentzian_orbit, tol=tol)
 
     def test_uncertified_orbit_rejected(self, lorentzian_orbit):
         import dataclasses
@@ -142,6 +178,12 @@ class TestMultiplierCrossCheck:
     def test_gaussian(self, gaussian_params, gaussian_orbit):
         chk = multiplier_cross_check(gaussian_params, gaussian_orbit)
         assert chk.rel_error < 1e-4
+
+    @pytest.mark.parametrize("h", [0.0, -1e-4, math.nan, math.inf])
+    def test_step_validated(self, lorentzian_params, lorentzian_orbit, h):
+        # h = 0 divided by zero, and h = nan reached the stepper's phase check
+        with pytest.raises(ValueError, match="h must be finite and > 0"):
+            multiplier_cross_check(lorentzian_params, lorentzian_orbit, h=h)
 
     def test_default_step_clears_integrator_noise(self):
         # ~1e-10 of noise in P divided by a step of 1e-6 reads 3e-4 on this
