@@ -34,12 +34,6 @@ class FixedPointResult:
     iterations: int          # total map evaluations spent
 
 
-def check_tol(tol: float, name: str = "tol") -> None:
-    """ValueError unless the tolerance is finite and > 0."""
-    if not (tol > 0.0 and math.isfinite(tol)):
-        raise ValueError(f"{name} must be finite and > 0, got {tol!r}")
-
-
 def solve_fixed_point(
     map_with_sens: Callable[[float], tuple[float, float]],
     z_guess: float,
@@ -53,8 +47,6 @@ def solve_fixed_point(
     gives up SPAN from the guess.  A neutral candidate is returned only when
     it finds no sign change; the identity map, for one, returns the guess.
     """
-    check_tol(tol)
-
     evals = 0
     neg = pos = None  # latest (z, P, P', R) with R < 0 / R > 0
     direction = 0.0   # sign of R at the guess, once known

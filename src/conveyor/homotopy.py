@@ -8,8 +8,9 @@ equation of motion:
 for lam in (0, 1].  At lam -> 0 the unique periodic solution is z == 0; the
 branch z0(lam) of periodic initial conditions is followed with adaptive
 steps up to lam = 1, where it must land on a fixed point of the plain
-period map.  This realises constructively the existence argument that the
-shooting solver certifies independently, so the two endpoints agreeing is a
+period map; each branch point is certified to |z(T) - z(0)| < ``BVP_TOL``.
+This realises constructively the existence argument that the shooting
+solver certifies independently, so the two endpoints agreeing is a
 meaningful cross-check, not a tautology.
 
 Also here: the closed-form solver for the linear boundary-value problem
@@ -27,7 +28,7 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, NamedTuple, Sequence
 
-from conveyor._newton import check_tol, solve_fixed_point
+from conveyor._newton import solve_fixed_point
 from conveyor.errors import ContinuationStall, EmptyAudit, NoConvergence
 from conveyor.integrate import (
     IntegratorConfig,
@@ -45,6 +46,9 @@ LAMBDA_STEP_INIT = 0.05
 LAMBDA_STEP_MAX = 0.1
 LAMBDA_STEP_MIN = 1e-6
 BVP_TOL = 1e-9
+# grid of the beta-bound checks and the generator seed of the randomized audit
+_BVP_GRID = 512
+_AUDIT_SEED = 20260810
 
 
 class ContinuationStep(NamedTuple):
@@ -69,19 +73,18 @@ class ContinuationTrace:
 
 
 def solve_at_lambda(p: ConveyorParams, lambda_h: float, z_guess: float,
-                    cfg: IntegratorConfig | None = None,
-                    tol: float = BVP_TOL) -> tuple[float, Trajectory]:
+                    cfg: IntegratorConfig | None = None) -> tuple[float, Trajectory]:
     """Periodic initial condition of the blended problem at one lambda.
 
     Newton shooting on the lambda-flow's period map, certified to
-    |z(T) - z(0)| < tol; returns the fixed point and one dense period of the
-    lambda-flow from it, integrated at a hundredth of the tolerances, whose
-    seam gap |z(T) - z(0)| is the step's residual.  Raises NoConvergence
-    like the plain orbit solver, ValueError for lambda outside [0, 1] or tol.
+    |z(T) - z(0)| < ``BVP_TOL``; returns the fixed point and one dense period
+    of the lambda-flow from it, integrated at a hundredth of the tolerances,
+    whose seam gap |z(T) - z(0)| is the step's residual.  Raises
+    NoConvergence like the plain orbit solver, ValueError for lambda outside
+    [0, 1].
     """
     if not 0.0 <= lambda_h <= 1.0:
         raise ValueError(f"lambda must lie in [0, 1], got {lambda_h!r}")
-    check_tol(tol)
     force, force_dz = force_closure(p), force_dz_closure(p)
     decay = 1.0 - lambda_h
 
@@ -92,18 +95,18 @@ def solve_at_lambda(p: ConveyorParams, lambda_h: float, z_guess: float,
         return -decay + lambda_h * force_dz(t, z)
 
     res = solve_fixed_point(
-        lambda z: flow_T_with_sensitivity(p, z, cfg, rhs=rhs, rhs_dz=rhs_dz), z_guess, tol)
+        lambda z: flow_T_with_sensitivity(p, z, cfg, rhs=rhs, rhs_dz=rhs_dz), z_guess, BVP_TOL)
     return res.z_star, tight_period(p, res.z_star, cfg, rhs)
 
 
-def continue_to_one(p: ConveyorParams, cfg: IntegratorConfig | None = None,
-                    tol: float = BVP_TOL) -> ContinuationTrace:
+def continue_to_one(p: ConveyorParams, cfg: IntegratorConfig | None = None) -> ContinuationTrace:
     """Follow the branch of periodic solutions from lambda ~ 0 to lambda = 1.
 
     Starts at lambda = 0.01 seeded with z = 0 (the analytic solution of the
-    pure-decay endpoint); steps adapt by halving on failure and growing
-    1.5x on success, capped at 0.1.  Raises ContinuationStall, carrying the
-    partial trace, if the step underflows below 1e-6 before reaching 1.
+    pure-decay endpoint); each step solves to ``BVP_TOL`` and steps adapt by
+    halving on failure and growing 1.5x on success, capped at 0.1.  Raises
+    ContinuationStall, carrying the partial trace, if the step underflows
+    below 1e-6 before reaching 1.
     """
     steps: list[ContinuationStep] = []
     lam = LAMBDA_START
@@ -112,7 +115,7 @@ def continue_to_one(p: ConveyorParams, cfg: IntegratorConfig | None = None,
 
     while True:
         try:
-            z0, traj = solve_at_lambda(p, lam, z_prev, cfg, tol)
+            z0, traj = solve_at_lambda(p, lam, z_prev, cfg)
         except NoConvergence:
             if not steps:
                 raise  # could not even start the branch
@@ -141,7 +144,7 @@ def linear_bvp(t: Sequence[float], q: Sequence[float], c0: float) -> np.ndarray:
     interpreted piecewise-linearly; the convolution integral
     int_0^t exp(s - t) q(s) ds is then exact per segment, so the returned
     samples satisfy the boundary condition to roundoff and the ODE to the
-    interpolation error of q.
+    interpolation error of q.  Non-finite t, q or c0 raise ValueError.
     """
     import numpy as np
     t = np.asarray(t, dtype=float)
@@ -153,6 +156,8 @@ def linear_bvp(t: Sequence[float], q: Sequence[float], c0: float) -> np.ndarray:
     dt = np.diff(t)
     if not (dt > 0.0).all():
         raise ValueError("grid must be strictly increasing")
+    if not (np.isfinite(t).all() and np.isfinite(q).all() and math.isfinite(c0)):
+        raise ValueError("t, q and c0 must be finite")
     conv, y_0 = _bvp_recurrence(t.tolist(), q.tolist(), c0)
     return np.exp(-t) * y_0 + np.array(conv)
 
@@ -198,21 +203,21 @@ class BetaBoundReport(NamedTuple):
     passed: bool
 
 
-def beta_bound_audit(period: float, n_cases: int = 100, seed: int = 20260810,
-                     n_grid: int = 512) -> BetaBoundReport:
+def beta_bound_audit(period: float, n_cases: int = 100) -> BetaBoundReport:
     """Randomized audit of ||y||_C <= beta * (|c0| + ||q||_L1).
 
     beta = 1 + 1/(1 - exp(-T)) follows from chaining |y(T)| through the
     boundary condition and the convolution bound; each case draws a smooth
-    random trig polynomial q and a random c0 and checks the solved y.
-    Reports the worst observed ratio.
+    random trig polynomial q and a random c0, from numpy's generator seeded
+    with ``_AUDIT_SEED``, and checks the solved y on a ``_BVP_GRID``-point
+    grid.  Reports the worst observed ratio.
     """
     import numpy as np
-    if not period > 0.0:
-        raise ValueError(f"period must be > 0, got {period!r}")
+    if not 0.0 < period < math.inf:
+        raise ValueError(f"period must be finite and > 0, got {period!r}")
     beta = 1.0 + 1.0 / (-math.expm1(-period))
-    rng = np.random.default_rng(seed)
-    ts = np.linspace(0.0, period, n_grid)
+    rng = np.random.default_rng(_AUDIT_SEED)
+    ts = np.linspace(0.0, period, _BVP_GRID)
     max_ratio = 0.0
     for _ in range(n_cases):
         n_modes = int(rng.integers(1, 6))
@@ -232,9 +237,9 @@ def beta_bound_audit(period: float, n_cases: int = 100, seed: int = 20260810,
 def beta_bound_check(period: float) -> BetaBoundReport:
     """Deterministic, numpy-free check of ||y||_C <= beta * (|c0| + ||q||_L1).
 
-    Runs linear_bvp's recurrence on a 512-point grid over [0, T] for the
-    sharp case q = 0, c0 = 1, whose ratio max|y| / (|c0| + ||q||_L1) is
-    exactly 1/(1 - exp(-T)); for q = cos(2 pi m t/T), m = 0..5, and
+    Runs linear_bvp's recurrence on a ``_BVP_GRID``-point grid over [0, T]
+    for the sharp case q = 0, c0 = 1, whose ratio max|y| / (|c0| + ||q||_L1)
+    is exactly 1/(1 - exp(-T)); for q = cos(2 pi m t/T), m = 0..5, and
     q = sin(2 pi m t/T), m = 1..5, with c0 = 0; and for the ramp q = t with
     c0 = -T, whose solution is y = t - 1.  Passes when every ratio is at
     most beta, the sharp ratio is within 1e-12 relative of 1/(1 - exp(-T)),
@@ -244,11 +249,11 @@ def beta_bound_check(period: float) -> BetaBoundReport:
     cases also carry the interpolation error of q and are bounded by beta
     only.
     """
-    if not period > 0.0:
-        raise ValueError(f"period must be > 0, got {period!r}")
+    if not 0.0 < period < math.inf:
+        raise ValueError(f"period must be finite and > 0, got {period!r}")
     sharp = 1.0 / (-math.expm1(-period))
     beta = 1.0 + sharp
-    n = 512
+    n = _BVP_GRID
     step = period / (n - 1)
     ts = [j * step for j in range(n - 1)] + [period]
     w = 2.0 * math.pi / period

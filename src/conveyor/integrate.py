@@ -70,6 +70,8 @@ _STEP_FLOOR_REL = 1e-14
 # a span costs at least |t1 - t0| / max_step accepted steps, each kept as a
 # knot by a dense run; 10^5 allows 628 s at the reference ceiling of period/20
 MAX_STEPS = 100_000
+# ``Trajectory.sup_norm`` reads each step's interpolant at this many equal parts
+_SUP_REFINE = 8
 
 
 @dataclass(frozen=True)
@@ -189,12 +191,13 @@ class Trajectory:
         import numpy as np
         return np.array([self.interp(float(t)) for t in np.asarray(ts, dtype=float).ravel()])
 
-    def sup_norm(self, refine: int = 8) -> float:
-        """max |z| over the span, sampling each step's interpolant."""
+    def sup_norm(self) -> float:
+        """max |z| over the span, sampling each step's interpolant at its
+        ends and at the points that split it into ``_SUP_REFINE`` equal parts."""
         best = max(map(abs, self._kz))
         for c1, c2, c3, c4, c5 in self._seg_c:
-            for i in range(1, refine):
-                th = i / refine
+            for i in range(1, _SUP_REFINE):
+                th = i / _SUP_REFINE
                 th1 = 1.0 - th
                 v = abs(c1 + th * (c2 + th1 * (c3 + th * (c4 + th1 * c5))))
                 if v > best:

@@ -13,10 +13,11 @@ orbits are sought.
 
 ``field(p)`` serves the whole field of one parameter set as prebound
 callables: V, F, dF/dz, dV/dt and the envelope with its exact
-derivatives.  Each envelope kind supplies two kernels, z -> (f, f') and
-z -> (f, f', f''), sharing one denominator or one exp, which serve V, dV/dt
-and the envelope; F and dF/dz are fused per kind, with the envelope written
-inline, so that a right-hand-side call makes no second call.
+derivatives.  Each envelope kind supplies two kernels, z -> f, which serves
+V and dV/dt, and z -> (f, f', f''), sharing one denominator or one exp,
+which serves the envelope; F and dF/dz are fused per kind, with the
+envelope written inline, so that a right-hand-side call makes no second
+call.
 ``force_closure`` and ``force_dz_closure`` are the names under which the
 solvers fetch F and dF/dz.  ``log_drive_bound`` bounds log |F(t, z)| over
 a period in log space; it is -inf exactly where every point is at rest.
@@ -72,7 +73,8 @@ class ConveyorParams:
     """Physical constants of the conveyor.
 
     f0 : drive strength, wavelength**2 / s (see note in ``default_params``)
-    b  : phase-slip rate of the counter-propagating beams, rad/s
+    b  : phase-slip rate of the counter-propagating beams, rad/s; the drive
+         period 4*pi/b must be a finite double
     k  : wavenumber, rad/wavelength
     envelope      : axial strength profile
     wavelength_nm : reporting only; never enters the dynamics
@@ -90,8 +92,9 @@ class ConveyorParams:
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         if self.f0 < 0.0:
             raise ValueError(f"f0 must be >= 0, got {self.f0!r}")
-        if not self.b > 0.0:
-            raise ValueError(f"b must be > 0, got {self.b!r}")
+        # 4*pi/b overflows for b below about 7e-308
+        if not (self.b > 0.0 and self.period < math.inf):
+            raise ValueError(f"b must be > 0 with a finite drive period 4*pi/b, got {self.b!r}")
         if not self.k > 0.0:
             raise ValueError(f"k must be > 0, got {self.k!r}")
         if not self.wavelength_nm > 0.0:
@@ -136,7 +139,7 @@ def default_params(kind: str = "lorentzian", **overrides) -> ConveyorParams:
 
 
 # ---------------------------------------------------------------------------
-# per envelope kind: kernels z -> (f, f') and z -> (f, f', f''), and F and dF/dz
+# per envelope kind: kernels z -> f and z -> (f, f', f''), and F and dF/dz
 # with the envelope inline, in this operation order, which fixes their bits:
 #     F     = -2k f0 f s c + f0 c^2 f',    c, s = cos, sin(kz - bt/2)
 #     dF/dz = -2k f0 f' sin(2kz - bt) - 2k^2 f0 f cos(2kz - bt) + f0 c^2 f''
@@ -154,16 +157,15 @@ def _plane_kernels(z0: float, k: float, half_b: float, f0: float, m2kf0: float, 
         c, s = cos(ph), sin(ph)
         return m2kf0 * 0.0 * (2.0 * s * c) - tkkf0 * (c * c - s * s) + f0 * c * c * 0.0
 
-    return (lambda z: (1.0, 0.0)), (lambda z: (1.0, 0.0, 0.0)), force, force_dz
+    return (lambda z: 1.0), (lambda z: (1.0, 0.0, 0.0)), force, force_dz
 
 
 def _lorentzian_kernels(z0: float, k: float, half_b: float, f0: float, m2kf0: float, tkkf0: float):
     z0sq = z0 * z0
     m2z0sq = -2.0 * z0sq
 
-    def fd1(z: float) -> tuple[float, float]:
-        den = z0sq + z * z
-        return z0sq / den, m2z0sq * z / (den * den)
+    def f(z: float) -> float:
+        return z0sq / (z0sq + z * z)
 
     def fd2(z: float) -> tuple[float, float, float]:
         den = z0sq + z * z
@@ -187,7 +189,7 @@ def _lorentzian_kernels(z0: float, k: float, half_b: float, f0: float, m2kf0: fl
         return (m2kf0 * (m2z0sq * z / (den * den)) * (2.0 * s * c)
                 - tkkf0 * (z0sq / den) * (c * c - s * s) + f0 * c * c * d2)
 
-    return fd1, fd2, force, force_dz
+    return f, fd2, force, force_dz
 
 
 def _gaussian_kernels(z0: float, k: float, half_b: float, f0: float, m2kf0: float, tkkf0: float):
@@ -195,12 +197,11 @@ def _gaussian_kernels(z0: float, k: float, half_b: float, f0: float, m2kf0: floa
     c1 = -4.0 / z0sq
     c2 = 16.0 / (z0sq * z0sq)
 
+    def f(z: float) -> float:
+        return exp(-2.0 * z * z / z0sq)
+
     # where exp underflows f' is the signed 0 of c1 z * 0 and f'' is 0, even
     # where c1 z or c2 z^2 overflows (inf * 0)
-    def fd1(z: float) -> tuple[float, float]:
-        g = exp(-2.0 * z * z / z0sq)
-        return g, (c1 * z * g if g else copysign(0.0, c1 * z))
-
     def fd2(z: float) -> tuple[float, float, float]:
         g = exp(-2.0 * z * z / z0sq)
         if not g:
@@ -221,7 +222,7 @@ def _gaussian_kernels(z0: float, k: float, half_b: float, f0: float, m2kf0: floa
         d1, d2 = (c1 * z * g, (c2 * z * z + c1) * g) if g else (copysign(0.0, c1 * z), 0.0)
         return m2kf0 * d1 * (2.0 * s * c) - tkkf0 * g * (c * c - s * s) + f0 * c * c * d2
 
-    return fd1, fd2, force, force_dz
+    return f, fd2, force, force_dz
 
 
 _KERNELS = {
@@ -290,16 +291,16 @@ def field(p: ConveyorParams) -> Field:
     """The field of ``p``, built once per parameter set."""
     f0, b, k = p.f0, p.b, p.k
     half_b = 0.5 * b
-    fd1, fd2, force, force_dz = _KERNELS[p.envelope.kind](
+    f, fd2, force, force_dz = _KERNELS[p.envelope.kind](
         p.envelope.z0, k, half_b, f0, -2.0 * k * f0, 2.0 * k * k * f0)
 
     def potential(t: float, z: float) -> float:
         c = cos(k * z - half_b * t)
-        return f0 * fd1(z)[0] * c * c
+        return f0 * f(z) * c * c
 
     def potential_dt(t: float, z: float) -> float:
         ph = k * z - half_b * t
-        return b * f0 * fd1(z)[0] * sin(ph) * cos(ph)
+        return b * f0 * f(z) * sin(ph) * cos(ph)
 
     return Field(potential, force, force_dz, potential_dt, fd2)
 

@@ -11,6 +11,9 @@ repelling orbits included; ``basin_probe`` measures which initial
 conditions have reached an orbit by a given horizon; and
 ``boundedness_audit`` reports the largest amplitude over a set of
 certified orbits, the empirical stand-in for the theoretical bound.
+The thresholds are module constants, not parameters: a solve certifies at
+|P(z) - z| < ``CERTIFICATION_TOL`` and a scan merges orbits closer than
+``DEDUPE_TOL``.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence
 
-from conveyor._newton import NEUTRAL, check_tol, solve_fixed_point
+from conveyor._newton import NEUTRAL, solve_fixed_point
 from conveyor.errors import EmptyAudit, NoConvergence
 from conveyor.integrate import (
     IntegratorConfig,
@@ -85,32 +88,31 @@ def _build_orbit(p: ConveyorParams, z_star: float, multiplier: float,
 
 
 def find_periodic(p: ConveyorParams, z_guess: float,
-                  cfg: IntegratorConfig | None = None,
-                  tol: float = CERTIFICATION_TOL) -> PeriodicOrbit:
+                  cfg: IntegratorConfig | None = None) -> PeriodicOrbit:
     """Certified periodic orbit that captures one guess.
 
     The iterates of P move from the guess to the first fixed point in the
     direction of sign R, R = P(z0) - z0; Newton shooting with the
     variational derivative marches that way to a sign change of R and stays
-    inside it, so a repelling orbit is never captured.  Raises NoConvergence
-    when nothing certifies within ``_newton.SPAN`` of the guess or the only
-    candidate is neutral (|mu - 1| < 1e-6: in the envelope's slow tails
-    |P(z) - z| dips below the tolerance with no zero nearby), and at once
-    for a driven plane envelope, which has no periodic orbit at all (see
-    ``verify.identity_force``).  A bad ``tol`` raises ValueError.
+    inside it, so a repelling orbit is never captured.  The solve stops at
+    |R| < ``CERTIFICATION_TOL``.  Raises NoConvergence when nothing
+    certifies within ``_newton.SPAN`` of the guess or the only candidate is
+    neutral (|mu - 1| < 1e-6: in the envelope's slow tails |P(z) - z| dips
+    below the tolerance with no zero nearby), and at once for a driven
+    plane envelope, which has no periodic orbit at all (see
+    ``verify.identity_force``).
 
     Inspect ``force_free`` on the result before trusting it as a trap: a
     guess where ``model.log_drive_bound`` puts the drive below
     ``FORCE_FREE_SUP`` (every guess when f0 = 0) is not solved but returned
     as it stands, parked, with multiplier 1.
     """
-    return _certify(p, z_guess, cfg, tol)
+    return _certify(p, z_guess, cfg)
 
 
 def _certify(p: ConveyorParams, z_guess: float, cfg: IntegratorConfig | None,
-             tol: float, bracket: Sequence[tuple[float, float]] = ()) -> PeriodicOrbit:
+             bracket: Sequence[tuple[float, float]] = ()) -> PeriodicOrbit:
     """``find_periodic`` with known (z, R) points for ``solve_fixed_point``."""
-    check_tol(tol)
     if log_drive_bound(p, z_guess) < math.log(FORCE_FREE_SUP):
         return _build_orbit(p, z_guess, 1.0, cfg, force_free=True)
     if p.envelope.kind == "plane":
@@ -119,7 +121,7 @@ def _certify(p: ConveyorParams, z_guess: float, cfg: IntegratorConfig | None,
         raise NoConvergence(1, gap, "a plane drive has no periodic orbit")
     rhs, rhs_dz = force_closure(p), force_dz_closure(p)
     res = solve_fixed_point(lambda z: flow_T_with_sensitivity(p, z, cfg, rhs=rhs, rhs_dz=rhs_dz),
-                            z_guess, tol, bracket)
+                            z_guess, CERTIFICATION_TOL, bracket)
     if abs(res.derivative - 1.0) < NEUTRAL:
         raise NoConvergence(res.iterations, res.residual,
                             f"only a neutral-multiplier candidate near z={res.z_star:.6g} "
@@ -146,25 +148,21 @@ def _hidden_pair_seeds(grid: Sequence[float], resid: Sequence[float]) -> list[fl
 
 
 def scan_orbits(p: ConveyorParams, z_lo: float, z_hi: float, n_grid: int,
-                cfg: IntegratorConfig | None = None,
-                tol: float = CERTIFICATION_TOL,
-                dedupe_tol: float = DEDUPE_TOL) -> list[PeriodicOrbit]:
+                cfg: IntegratorConfig | None = None) -> list[PeriodicOrbit]:
     """All certified orbits found in [z_lo, z_hi], sorted by z_star.
 
     R is evaluated on the grid and at ``_hidden_pair_seeds``' probes, which
     split a dip of R through zero into two sign changes.  Every hyperbolic
     orbit, repelling ones too, sits at one, and Newton shooting runs inside
-    each such cell, seeded where its chord crosses zero.  Duplicates within
-    ``dedupe_tol`` collapse to the lowest-residual representative;
-    force-free candidates are dropped.  Returns an empty list when nothing
-    in the window certifies.  Bad tolerances raise ValueError.
+    each such cell, seeded where its chord crosses zero, to
+    ``CERTIFICATION_TOL``.  Duplicates within ``DEDUPE_TOL`` collapse to the
+    lowest-residual representative; force-free candidates are dropped.
+    Returns an empty list when nothing in the window certifies.
     """
     if not z_lo < z_hi:
         raise ValueError(f"need z_lo < z_hi, got [{z_lo!r}, {z_hi!r}]")
     if n_grid < 2:
         raise ValueError(f"n_grid must be >= 2, got {n_grid!r}")
-    check_tol(tol)
-    check_tol(dedupe_tol, "dedupe_tol")
 
     rhs = force_closure(p)
     grid = [z_lo + (z_hi - z_lo) * i / (n_grid - 1) for i in range(n_grid)]
@@ -178,7 +176,7 @@ def scan_orbits(p: ConveyorParams, z_lo: float, z_hi: float, n_grid: int,
         if not (a * b < 0.0 or (a == 0.0) != (b == 0.0)):
             continue
         try:
-            orbit = _certify(p, za + (zb - za) * a / (a - b), cfg, tol, ((za, a), (zb, b)))
+            orbit = _certify(p, za + (zb - za) * a / (a - b), cfg, ((za, a), (zb, b)))
         except NoConvergence:
             continue
         if not orbit.force_free and z_lo - 1e-9 <= orbit.z_star <= z_hi + 1e-9:
@@ -187,7 +185,7 @@ def scan_orbits(p: ConveyorParams, z_lo: float, z_hi: float, n_grid: int,
     found.sort(key=lambda o: o.z_star)
     distinct: list[PeriodicOrbit] = []
     for orbit in found:
-        if distinct and abs(orbit.z_star - distinct[-1].z_star) < dedupe_tol:
+        if distinct and abs(orbit.z_star - distinct[-1].z_star) < DEDUPE_TOL:
             if orbit.residual < distinct[-1].residual:
                 distinct[-1] = orbit
         else:

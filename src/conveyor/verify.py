@@ -7,14 +7,16 @@ integrating, then by eliminating the drive's time derivative:
     energy:  int |F(t, z)|^2 dt  =  - int dV/dt (t, z) dt
     force:   int |F(t, z)|^2 dt  =  -(b f0 / 2k) int cos^2(kz - bt/2) f'(z) dt
 
-Both sides are evaluated here by adaptive Gauss-Lobatto quadrature on the
-orbit's dense output, the shared int |F|^2 dt once per orbit and tolerance;
-small relative residuals certify that a computed orbit behaves like a
-genuine periodic solution rather than a numerical coincidence.  The
-fixed-point scan certifies the complementary structural fact that the flow
-has no rest points: it flags a grid point where ``model.log_drive_bound``
-is -inf, that is where F(t, z) = 0 for every t, which happens exactly when
-f0 = 0, since no envelope vanishes.
+Both sides are evaluated here by adaptive Gauss-Lobatto quadrature to the
+fixed absolute tolerance ``QUAD_TOL`` on the orbit's dense output, the
+shared int |F|^2 dt once per orbit; small relative residuals certify that
+a computed orbit behaves like a genuine periodic solution rather than a
+numerical coincidence.  ``multiplier_cross_check`` compares the Liouville
+multiplier with a central difference of the period map at the fixed step
+1e-4.  The fixed-point scan certifies the complementary structural fact
+that the flow has no rest points: it flags a grid point where
+``model.log_drive_bound`` is -inf, that is where F(t, z) = 0 for every t,
+which happens exactly when f0 = 0, since no envelope vanishes.
 """
 
 from __future__ import annotations
@@ -23,13 +25,13 @@ import math
 from functools import lru_cache
 from typing import Callable, NamedTuple
 
-from conveyor._newton import check_tol
 from conveyor.errors import ConveyorError
 from conveyor.integrate import IntegratorConfig, Trajectory, flow_T
 from conveyor.model import ConveyorParams, field, force_closure, log_drive_bound
 from conveyor.periodic import PeriodicOrbit
 
 QUAD_TOL = 1e-10
+_FD_STEP = 1e-4
 _RESIDUAL_EPS = 1e-30
 # Gauss-Lobatto 4-point nodes/weights on [-1, 1] and their 7-point
 # Kronrod extension (shared end and 1/sqrt(5) nodes)
@@ -52,16 +54,14 @@ class MultiplierCheck(NamedTuple):
     rel_error: float
 
 
-def gauss_lobatto(fn: Callable[[float], float], a: float, b: float,
-                  tol: float = QUAD_TOL) -> float:
+def gauss_lobatto(fn: Callable[[float], float], a: float, b: float) -> float:
     """Adaptive Gauss-Lobatto integral of fn over [a, b].
 
     Each interval is accepted when the 7-point Kronrod extension agrees
-    with the embedded 4-point rule to the interval's share of ``tol``,
+    with the embedded 4-point rule to the interval's share of ``QUAD_TOL``,
     otherwise it is bisected; the absolute error budget is conserved
-    across splits.  ``tol`` must be finite and > 0 (ValueError otherwise).
+    across splits.
     """
-    check_tol(tol)
     if a == b:
         return 0.0
     fa, fb = fn(a), fn(b)
@@ -86,18 +86,18 @@ def gauss_lobatto(fn: Callable[[float], float], a: float, b: float,
             c, hi, f_c, fhi, 0.5 * budget, depth + 1
         )
 
-    return recurse(a, b, fa, fb, tol, 0)
+    return recurse(a, b, fa, fb, QUAD_TOL, 0)
 
 
 @lru_cache(maxsize=1)
-def _force_squared_integral(traj: Trajectory, period: float, tol: float) -> float:
+def _force_squared_integral(traj: Trajectory, period: float) -> float:
     """int_0^period |F(t, z(t))|^2 dt, the left side both identities share."""
     rhs = force_closure(traj.params)
-    return gauss_lobatto(lambda t: rhs(t, traj.interp(t)) ** 2, 0.0, period, tol)
+    return gauss_lobatto(lambda t: rhs(t, traj.interp(t)) ** 2, 0.0, period)
 
 
 def _identity(orbit: PeriodicOrbit, factor: float,
-              integrand: Callable[[float, float], float], tol: float) -> IdentityResult:
+              integrand: Callable[[float, float], float]) -> IdentityResult:
     """int |F|^2 dt against factor * int integrand(t, z(t)) dt over the orbit."""
     if orbit.residual > 1e-6:
         raise ConveyorError(
@@ -105,19 +105,18 @@ def _identity(orbit: PeriodicOrbit, factor: float,
             "identities only hold on periodic solutions"
         )
     traj = orbit.trajectory
-    lhs = _force_squared_integral(traj, orbit.period, tol)
-    rhs_val = factor * gauss_lobatto(lambda t: integrand(t, traj.interp(t)),
-                                     0.0, orbit.period, tol)
+    lhs = _force_squared_integral(traj, orbit.period)
+    rhs_val = factor * gauss_lobatto(lambda t: integrand(t, traj.interp(t)), 0.0, orbit.period)
     rel = abs(lhs - rhs_val) / (abs(lhs) + abs(rhs_val) + _RESIDUAL_EPS)
     return IdentityResult(lhs, rhs_val, rel)
 
 
-def identity_energy(orbit: PeriodicOrbit, tol: float = QUAD_TOL) -> IdentityResult:
+def identity_energy(orbit: PeriodicOrbit) -> IdentityResult:
     """Energy-balance certificate: int |F|^2 dt vs -int dV/dt dt."""
-    return _identity(orbit, -1.0, field(orbit.trajectory.params).potential_dt, tol)
+    return _identity(orbit, -1.0, field(orbit.trajectory.params).potential_dt)
 
 
-def identity_force(orbit: PeriodicOrbit, tol: float = QUAD_TOL) -> IdentityResult:
+def identity_force(orbit: PeriodicOrbit) -> IdentityResult:
     """Drive-elimination certificate:
 
     int |F|^2 dt vs -(b f0 / 2k) int cos^2(kz - bt/2) f'(z) dt.
@@ -135,7 +134,7 @@ def identity_force(orbit: PeriodicOrbit, tol: float = QUAD_TOL) -> IdentityResul
         c = math.cos(k * z - half_b * t)
         return c * c * envelope(z)[1]
 
-    return _identity(orbit, -(p.b * p.f0) / (2.0 * p.k), weighted_slope, tol)
+    return _identity(orbit, -(p.b * p.f0) / (2.0 * p.k), weighted_slope)
 
 
 def fixed_point_scan(p: ConveyorParams, z_lo: float, z_hi: float, n: int) -> list[float]:
@@ -155,15 +154,13 @@ def fixed_point_scan(p: ConveyorParams, z_lo: float, z_hi: float, n: int) -> lis
 
 
 def multiplier_cross_check(p: ConveyorParams, orbit: PeriodicOrbit,
-                           cfg: IntegratorConfig | None = None,
-                           h: float = 1e-4) -> MultiplierCheck:
+                           cfg: IntegratorConfig | None = None) -> MultiplierCheck:
     """Liouville multiplier vs central finite difference of the period map.
 
-    The default ``h`` keeps the integrator's ~1e-10 noise in P, divided by
-    h, well below the difference's own O(h^2) error; it must be finite and
-    > 0 (ValueError otherwise).
+    The fixed step ``_FD_STEP`` = 1e-4 keeps the integrator's ~1e-10 noise
+    in P, divided by the step, well below the difference's own O(h^2) error.
     """
-    check_tol(h, "h")
+    h = _FD_STEP
     rhs = force_closure(p)
     plus = flow_T(p, orbit.z_star + h, cfg, rhs=rhs)
     minus = flow_T(p, orbit.z_star - h, cfg, rhs=rhs)

@@ -165,7 +165,7 @@ class TestContinue:
         assert json.loads((tmp_path / "branch.manifest.json").read_text())["command"] == "continue"
 
     def test_numerical_failure_exit_code(self, tmp_path, monkeypatch):
-        def stall(p, cfg=None, tol=1e-9):
+        def stall(p, cfg=None):
             raise ContinuationStall(ContinuationTrace((), False))
 
         monkeypatch.setattr(homotopy, "continue_to_one", stall)
@@ -408,5 +408,18 @@ class TestParser:
         monkeypatch.chdir(tmp_path)
         with pytest.raises(SystemExit) as info:
             run(argv)
+        assert info.value.code == 2
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("argv", [["simulate", "--zi", "0", "--t-end", "1", "--out", "x.csv"],
+                                      ["find-periodic", "--out", "x.csv"],
+                                      ["continue", "--out", "x.csv"],
+                                      ["verify", "--out", "report.json"]])
+    def test_overflowing_period_exits_2(self, tmp_path, monkeypatch, argv):
+        # 4 pi / b is inf for b = 1e-320; verify and continue used to run
+        # over it and fail with a traceback, simulate to write a file
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as info:
+            run([*argv, "--b", "1e-320"])
         assert info.value.code == 2
         assert list(tmp_path.iterdir()) == []

@@ -186,6 +186,14 @@ class TestParams:
         with pytest.raises(ValueError):
             default_params("lorentzian", **{field: value})
 
+    @pytest.mark.parametrize("b", [1e-320, 5e-324, 7e-309])
+    def test_overflowing_period_rejected(self, b):
+        # 4 pi / b overflows to inf below b ~ 7e-308; every solver would then
+        # run over an infinite period
+        with pytest.raises(ValueError, match="finite drive period"):
+            default_params("lorentzian", b=b)
+        assert math.isfinite(default_params("lorentzian", b=1e-307).period)
+
     def test_default_params_overrides(self):
         p = default_params("gaussian", b=200.0)
         assert p.envelope.kind == "gaussian"
@@ -369,10 +377,18 @@ class TestStructuralProbes:
 
 
 def _product_rule(p):
-    """F and dF/dz of ``p`` by the product rule over ``field(p).envelope``,
-    term for term as the unfused field evaluated them."""
+    """V, F, dF/dz and dV/dt of ``p`` over ``field(p).envelope``, F and dF/dz
+    by the product rule, term for term as the unfused field evaluated them."""
     envelope = field(p).envelope
     f0, k, half_b = p.f0, p.k, 0.5 * p.b
+
+    def potential(t, z):
+        c = math.cos(k * z - half_b * t)
+        return f0 * envelope(z)[0] * c * c
+
+    def potential_dt(t, z):
+        ph = k * z - half_b * t
+        return p.b * f0 * envelope(z)[0] * math.sin(ph) * math.cos(ph)
 
     def force(t, z):
         ph = k * z - half_b * t
@@ -390,21 +406,23 @@ def _product_rule(p):
         fz, d1, d2 = envelope(z)
         return -2.0 * k * f0 * d1 * two_sc - 2.0 * k * k * f0 * fz * cos2 + f0 * c * c * d2
 
-    return force, force_dz
+    return potential, force, force_dz, potential_dt
 
 
 class TestFusedKernels:
-    """Each kind's F and dF/dz write the envelope inline; they must equal the
-    product rule over the envelope triple bit for bit, signed zeros included
-    (``float.hex`` tells -0.0 from 0.0)."""
+    """Each kind's F and dF/dz write the envelope inline, and V and dV/dt read
+    f from their own kernel; all four must equal their forms over the
+    envelope triple bit for bit, signed zeros included (``float.hex`` tells
+    -0.0 from 0.0)."""
 
     @staticmethod
     def assert_bitwise(p, points):
         fld = field(p)
-        ref_force, ref_force_dz = _product_rule(p)
+        pairs = list(zip((fld.potential, fld.force, fld.force_dz, fld.potential_dt),
+                         _product_rule(p)))
         for t, z in points:
-            assert fld.force(t, z).hex() == ref_force(t, z).hex(), (p, t, z)
-            assert fld.force_dz(t, z).hex() == ref_force_dz(t, z).hex(), (p, t, z)
+            for got, ref in pairs:
+                assert got(t, z).hex() == ref(t, z).hex(), (p, got.__name__, t, z)
 
     @pytest.mark.parametrize("kind", ["plane", "lorentzian", "gaussian"])
     def test_seeded_random_points(self, kind):

@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from conveyor._newton import SPAN, check_tol, solve_fixed_point
+from conveyor._newton import SPAN, solve_fixed_point
 from conveyor.errors import NoConvergence
 
 TOL = 1e-9
@@ -96,10 +96,3 @@ class TestSolveFixedPoint:
         assert res.z_star == 0.25
         assert res.residual == 0.0
         assert res.derivative == 1.0
-
-    def test_tolerance_validation(self):
-        for tol in (0.0, -1e-9, math.nan, math.inf):
-            with pytest.raises(ValueError):
-                solve_fixed_point(lambda z: (z, 1.0), 0.0, tol)
-            with pytest.raises(ValueError, match="dedupe_tol"):
-                check_tol(tol, "dedupe_tol")
