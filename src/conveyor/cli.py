@@ -6,7 +6,12 @@ JSON run manifest recording the full parameter set, including the unit
 interpretation of f0, the integrator configuration, tool version, output
 files and wall-clock duration.  ``--dry-run`` prints that manifest without
 computing.  Flags must be spelled in full.  Exit codes: 0 success, 2 flag
-errors, 3 numerical failure.
+errors (an unwritable output path among them), 3 numerical failure.
+
+Every command runs in a fresh process, so importing this module loads only
+``conveyor``, ``errors``, ``model`` and ``integrate``; each command imports
+the solver modules it runs (``periodic``, ``homotopy``, ``verify``,
+``analytic``) when it starts computing.
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ from dataclasses import replace
 from pathlib import Path
 
 import conveyor
-from conveyor import analytic, homotopy, model, periodic, verify
+from conveyor import model
 from conveyor.errors import ConveyorError, NoConvergence
 from conveyor.integrate import MAX_STEPS, IntegratorConfig, integrate
 from conveyor.model import (
@@ -35,10 +40,6 @@ from conveyor.model import (
 FIGURE_IDS = ("fig1", "fig2", "fig3", "fig4", "pot1", "pot2", "plane-limit")
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
-
-
 def _linspace(a: float, b: float, n: int) -> list[float]:
     """n >= 2 evenly spaced floats from a to b, bit for bit ``np.linspace``."""
     step = (b - a) / (n - 1)
@@ -46,10 +47,10 @@ def _linspace(a: float, b: float, n: int) -> list[float]:
 
 
 def _write_csv(path: Path, header: list[str], rows) -> None:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt(v) if isinstance(v, float) else str(v) for v in row))
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="")
+    """Write float tuples, each value as ``format(v, ".17g")`` would."""
+    template = ",".join(["%.17g"] * len(header)) + "\n"
+    text = ",".join(header) + "\n" + "".join([template % row for row in rows])
+    path.write_text(text, encoding="utf-8", newline="")
 
 
 def _json(obj: dict) -> str:
@@ -98,6 +99,21 @@ def _check_horizon(parser: argparse.ArgumentParser, p: ConveyorParams, cfg: Inte
     if not cfg.span_fits(p.period, t0, t_end):
         max_step = cfg.resolved(p.period)[2]
         parser.error(f"{names} span more than {MAX_STEPS} steps of at most {max_step:.6g} s")
+
+
+def _blocked(out: Path) -> bool:
+    """Whether a directory stands where the output or its manifest goes."""
+    return out.is_dir() or out.with_suffix(".manifest.json").is_dir()
+
+
+def _out_path(parser: argparse.ArgumentParser, value: str) -> Path:
+    """--out as a path, rejected unless it names a file in an existing directory."""
+    out = Path(value)
+    if _blocked(out):
+        parser.error(f"--out {value} or its manifest is a directory")
+    if not out.parent.is_dir():
+        parser.error(f"--out {value}: no directory {out.parent}")
+    return out
 
 
 def _manifest(command: str, p: ConveyorParams, cfg: IntegratorConfig, out: Path,
@@ -155,7 +171,7 @@ def cmd_simulate(parser: argparse.ArgumentParser, args) -> int:
     _check_horizon(parser, p, cfg, "--t0 and --t-end", args.t0, args.t_end)
     if args.stride < 1:
         parser.error(f"--stride must be >= 1, got {args.stride}")
-    out = Path(args.out)
+    out = _out_path(parser, args.out)
     manifest = _manifest("simulate", p, cfg, out, {
         "zi_wavelengths": args.zi,
         "t0_s": args.t0,
@@ -190,7 +206,7 @@ def cmd_find_periodic(parser: argparse.ArgumentParser, args) -> int:
     _check_phase(parser, p, "--z-lo and --z-hi", (args.z_lo, args.z_hi), (0.0, p.period))
     if args.n_grid < 2:
         parser.error(f"--n-grid must be >= 2, got {args.n_grid}")
-    out = Path(args.out)
+    out = _out_path(parser, args.out)
     manifest = _manifest("find-periodic", p, cfg, out, {
         "z_lo_wavelengths": args.z_lo,
         "z_hi_wavelengths": args.z_hi,
@@ -198,6 +214,8 @@ def cmd_find_periodic(parser: argparse.ArgumentParser, args) -> int:
     })
 
     def compute():
+        from conveyor import periodic
+
         orbits = periodic.scan_orbits(p, args.z_lo, args.z_hi, args.n_grid, cfg)
         if not orbits:
             print("warning: no certified periodic orbit in the scan window", file=sys.stderr)
@@ -210,9 +228,11 @@ def cmd_find_periodic(parser: argparse.ArgumentParser, args) -> int:
 def cmd_continue(parser: argparse.ArgumentParser, args) -> int:
     p = _params_from_args(parser, args, args.envelope)
     cfg = _config_from_args(parser, args, p.period)
-    out = Path(args.out)
+    out = _out_path(parser, args.out)
 
     def compute():
+        from conveyor import homotopy
+
         trace = homotopy.continue_to_one(p, cfg)
         rows = [(s.lambda_h, s.z0, s.residual, s.sup_norm) for s in trace.steps]
         _write_csv(out, ["lambda", "z0", "residual", "sup_norm"], rows)
@@ -237,6 +257,10 @@ def cmd_reproduce(parser: argparse.ArgumentParser, args) -> int:
     fig = args.figure
     out_dir = Path(args.out_dir)
     out = out_dir / f"{fig.replace('-', '_')}.csv"
+    # mkdir descends from the nearest existing ancestor, which must be a directory
+    nearest = next(d for d in (out_dir, *out_dir.parents) if d.exists())
+    if not nearest.is_dir() or _blocked(out):
+        parser.error(f"--out-dir {args.out_dir} cannot hold {out.name}")
 
     p = default_params("lorentzian" if fig in ("fig1", "fig2", "pot1") else
                        "gaussian" if fig in ("fig3", "fig4", "pot2") else "plane")
@@ -257,6 +281,8 @@ def cmd_reproduce(parser: argparse.ArgumentParser, args) -> int:
             _write_csv(out, ["z_lambda", "V"], [(z, pot(0.0, z)) for z in zs])
             return
         if fig == "plane-limit":
+            from conveyor import analytic
+
             sol = analytic.PlaneSolution(0.0, p)
             t = 1500.0
             _write_csv(out, ["t_s", "z_lambda"], [(t, analytic.plane_solution(sol, t))])
@@ -270,6 +296,8 @@ def cmd_reproduce(parser: argparse.ArgumentParser, args) -> int:
             ics = sorted([-4.0, -3.0, 3.0, 4.0] + _linspace(-1.0, 1.0, 6))
         else:
             # fig2, fig4: settled behavior near the orbit, same frequency and amplitude
+            from conveyor import periodic
+
             orbit = periodic.find_periodic(p, 0.0, cfg)
             spread = 0.1 if fig == "fig2" else 0.05
             ics = [orbit.z_star + x for x in _linspace(-spread, spread, 5)]
@@ -286,9 +314,11 @@ def cmd_verify(parser: argparse.ArgumentParser, args) -> int:
     cfg = _config_from_args(parser, args, lorentzian.period)
     params = {kind: replace(lorentzian, envelope=EnvelopeSpec(kind, lorentzian.envelope.z0))
               for kind in ENVELOPE_KINDS}
-    out = Path(args.out)
+    out = _out_path(parser, args.out)
 
     def compute() -> int:
+        from conveyor import homotopy, periodic, verify
+
         checks: list[dict] = []
 
         def record(name: str, passed: bool, **details):

@@ -2,6 +2,7 @@
 
 import argparse
 import json
+import math
 import os
 import subprocess
 import sys
@@ -12,7 +13,7 @@ import pytest
 
 import conveyor
 from conveyor import homotopy
-from conveyor.cli import _linspace, build_parser, main
+from conveyor.cli import _linspace, _write_csv, build_parser, main
 from conveyor.errors import ContinuationStall
 from conveyor.homotopy import ContinuationTrace
 from conveyor.model import default_params
@@ -277,6 +278,48 @@ class TestVerify:
         assert list(tmp_path.iterdir()) == []
 
 
+class TestUnwritableOutput:
+    """An output path that cannot be written is a flag error, raised before
+    any computing, where it used to end in a traceback after the run."""
+
+    COMMANDS = {"simulate": ["simulate", "--zi", "1", "--t-end", "1"],
+                "find-periodic": ["find-periodic"],
+                "continue": ["continue"],
+                "verify": ["verify"]}
+
+    @staticmethod
+    def assert_flag_error(argv, flag, capsys):
+        with pytest.raises(SystemExit) as info:
+            run(argv)
+        assert info.value.code == 2
+        assert flag in capsys.readouterr().err
+
+    # a missing directory, the output itself a directory, and a directory
+    # where its manifest goes
+    @pytest.mark.parametrize("out, blocker", [("missing/x.csv", None), (".", None),
+                                              ("x.csv", "x.manifest.json")])
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_out(self, tmp_path, capsys, command, out, blocker):
+        if blocker:
+            (tmp_path / blocker).mkdir()
+        self.assert_flag_error([*self.COMMANDS[command], "--out", str(tmp_path / out)],
+                               "--out", capsys)
+        assert [q.name for q in tmp_path.iterdir()] == ([blocker] if blocker else [])
+
+    # a file, a path below a file, and a directory where the CSV or its
+    # manifest goes
+    @pytest.mark.parametrize("out_dir, blocker", [("f", "f"), ("f/sub", "f"), (".", "pot2.csv"),
+                                                  (".", "pot2.manifest.json")])
+    def test_reproduce_out_dir(self, tmp_path, capsys, out_dir, blocker):
+        if blocker == "f":
+            (tmp_path / blocker).write_text("")
+        else:
+            (tmp_path / blocker).mkdir()
+        self.assert_flag_error(["reproduce", "pot2", "--out-dir", str(tmp_path / out_dir)],
+                               "--out-dir", capsys)
+        assert [q.name for q in tmp_path.iterdir()] == [blocker]
+
+
 class TestFreshInterpreters:
     def test_hash_seed_does_not_change_bytes(self, tmp_path):
         # the in-process determinism tests cannot see hash-seed or
@@ -345,6 +388,73 @@ class TestNumpyFreeCommands:
         subprocess.run([sys.executable, "-c", script, str(tmp_path)], env=env, check=True,
                        timeout=60)
         assert len(list(tmp_path.glob("*.csv"))) == 6
+
+
+class TestImportGraph:
+    def test_commands_load_only_their_solvers(self, tmp_path):
+        # each command starts in a fresh process and pays for every module
+        # it imports; a solver module back on the import path fails here
+        script = (
+            "import sys\n"
+            "import conveyor.cli\n"
+            "def loaded():\n"
+            "    return sorted(m for m in sys.modules if m.split('.')[0] == 'conveyor')\n"
+            "base = ['conveyor', 'conveyor.cli', 'conveyor.errors', 'conveyor.integrate',\n"
+            "        'conveyor.model']\n"
+            "assert loaded() == base, loaded()\n"
+            "d = sys.argv[1]\n"
+            "for argv in (['simulate', '--zi', '1', '--t-end', '1', '--out', d + '/s.csv'],\n"
+            "             ['reproduce', 'pot2', '--out-dir', d],\n"
+            "             ['find-periodic', '--out', d + '/o.csv', '--dry-run'],\n"
+            "             ['verify', '--out', d + '/v.json', '--dry-run']):\n"
+            "    assert conveyor.cli.main(argv) == 0, argv\n"
+            "try:\n"
+            "    conveyor.cli.main(['continue', '--rtol', '0', '--out', d + '/c.csv'])\n"
+            "except SystemExit as exc:\n"
+            "    assert exc.code == 2, exc.code\n"
+            "else:\n"
+            "    raise AssertionError('--rtol 0 was accepted')\n"
+            "assert loaded() == base, loaded()\n"
+        )
+        src = str(Path(conveyor.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONPATH": src}
+        subprocess.run([sys.executable, "-c", script, str(tmp_path)], env=env, check=True,
+                       stdout=subprocess.DEVNULL, timeout=60)
+        assert sorted(q.name for q in tmp_path.iterdir()) == [
+            "pot2.csv", "pot2.manifest.json", "s.csv", "s.manifest.json"]
+
+
+class TestWriteCsv:
+    # the extremes of the float format: signed zeros and infinities, nan,
+    # the smallest subnormal and normal, the largest finite float, values
+    # without a short decimal form, and integral floats
+    VALUES = [0.0, math.inf, math.nan, 5e-324, 2.2250738585072014e-308,
+              1.7976931348623157e308, 0.1, 1 / 3, 3.0, 1e22]
+    VALUES += [-v for v in VALUES]
+
+    @staticmethod
+    def per_value(header, rows) -> bytes:
+        """The writer's bytes as formatted one value at a time."""
+        lines = [",".join(header)]
+        lines += [",".join(format(float(v), ".17g") for v in row) for row in rows]
+        return ("\n".join(lines) + "\n").encode("utf-8")
+
+    @pytest.mark.parametrize("width", [1, 2, 4])
+    def test_bytes_match_per_value_format(self, tmp_path, width):
+        header = [f"c{i}" for i in range(width)]
+        vals = self.VALUES
+        rows = [tuple(vals[(i + j) % len(vals)] for j in range(width)) for i in range(len(vals))]
+        out = tmp_path / "x.csv"
+        _write_csv(out, header, rows)
+        data = out.read_bytes()
+        assert data == self.per_value(header, rows)
+        assert data.startswith((",".join(header) + "\n").encode())
+        assert b"\r" not in data and data.count(b"\n") == len(rows) + 1
+
+    def test_header_only(self, tmp_path):
+        out = tmp_path / "x.csv"
+        _write_csv(out, ["z_star", "multiplier"], [])
+        assert out.read_bytes() == b"z_star,multiplier\n"
 
 
 class TestLinspace:
