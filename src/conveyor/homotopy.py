@@ -8,7 +8,8 @@ equation of motion:
 for lam in (0, 1].  At lam -> 0 the unique periodic solution is z == 0; the
 branch z0(lam) of periodic initial conditions is followed with adaptive
 steps up to lam = 1, where it must land on a fixed point of the plain
-period map; each branch point is certified to |z(T) - z(0)| < ``BVP_TOL``.
+period map.  The blend, like F, repeats after T/2 = 2*pi/b, so each branch
+point solves |z(T/2) - z(0)| < ``BVP_TOL`` on the map over that period.
 This realises constructively the existence argument that the shooting
 solver certifies independently, so the two endpoints agreeing is a
 meaningful cross-check, not a tautology.
@@ -30,12 +31,7 @@ from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from conveyor._newton import solve_fixed_point
 from conveyor.errors import ContinuationStall, EmptyAudit, NoConvergence
-from conveyor.integrate import (
-    IntegratorConfig,
-    Trajectory,
-    flow_T_with_sensitivity,
-    tight_period,
-)
+from conveyor.integrate import IntegratorConfig, Trajectory, _half_map, tight_period
 from conveyor.model import ConveyorParams, force_closure, force_dz_closure
 
 if TYPE_CHECKING:
@@ -76,8 +72,8 @@ def solve_at_lambda(p: ConveyorParams, lambda_h: float, z_guess: float,
                     cfg: IntegratorConfig | None = None) -> tuple[float, Trajectory]:
     """Periodic initial condition of the blended problem at one lambda.
 
-    Newton shooting on the lambda-flow's period map, certified to
-    |z(T) - z(0)| < ``BVP_TOL``; returns the fixed point and one dense period
+    Newton shooting on the lambda-flow's map over 2*pi/b, certified to
+    |z(T/2) - z(0)| < ``BVP_TOL``; returns the fixed point and one dense period
     of the lambda-flow from it, integrated at a hundredth of the tolerances,
     whose seam gap |z(T) - z(0)| is the step's residual.  Raises
     NoConvergence like the plain orbit solver, ValueError for lambda outside
@@ -94,8 +90,7 @@ def solve_at_lambda(p: ConveyorParams, lambda_h: float, z_guess: float,
     def rhs_dz(t: float, z: float) -> float:
         return -decay + lambda_h * force_dz(t, z)
 
-    res = solve_fixed_point(
-        lambda z: flow_T_with_sensitivity(p, z, cfg, rhs=rhs, rhs_dz=rhs_dz), z_guess, BVP_TOL)
+    res = solve_fixed_point(lambda z: _half_map(p, z, cfg, rhs, rhs_dz), z_guess, BVP_TOL)
     return res.z_star, tight_period(p, res.z_star, cfg, rhs)
 
 

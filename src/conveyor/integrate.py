@@ -10,9 +10,10 @@ variational equation dw/dt = dF/dz(t, z(t)) * w has the closed-form
 solution w(T) = exp(int_0^T dF/dz(t, z(t)) dt) (Liouville's formula), so
 the derivative of the period map needs no second integrator: the stepper
 sums the integral along its own accepted steps, outside error control.
-The right-hand side is always a caller-supplied (t, z) callable so the
-homotopy solver can reuse the engine with its own blend of force and
-linear decay.
+The solvers build their period maps in ``_half_map``, over the drive's
+minimal period 2*pi/b, half of ``ConveyorParams.period``.  The right-hand
+side is always a caller-supplied (t, z) callable so the homotopy solver
+can reuse the engine with its own blend of force and linear decay.
 """
 
 from __future__ import annotations
@@ -334,9 +335,20 @@ def propagate(p: ConveyorParams, rhs: Callable[[float, float], float], z_i: floa
 
 def flow_T(p: ConveyorParams, z0: float, cfg: IntegratorConfig | None = None,
            rhs: Callable[[float, float], float] | None = None) -> float:
-    """Period map P(z0) = z(T; 0, z0), the map whose fixed points are the
-    drive-periodic solutions.  ``rhs`` defaults to the conveyor force field."""
+    """Period map P(z0) = z(T; 0, z0) over T = ``p.period`` = 4*pi/b, whose
+    fixed points are the drive-periodic solutions; the solvers seek them on
+    ``_half_map``.  ``rhs`` defaults to the conveyor force field."""
     return _dp45_scalar(p, rhs, z0, 0.0, p.period, cfg, collect=False)[0]
+
+
+def _half_map(p: ConveyorParams, z0: float, cfg: IntegratorConfig | None,
+              rhs: Callable[[float, float], float],
+              rhs_dz: Callable[[float, float], float] | None = None) -> tuple[float, float]:
+    """(P_h(z0), dP_h/dz0) over the minimal period 2*pi/b, with ``p.period``'s
+    step bounds; the slope is 1.0 without ``rhs_dz``.  P = P_h o P_h with P_h
+    increasing, so P_h has exactly P's fixed points, and mu = mu_h**2."""
+    z1, log_w, *_ = _dp45_scalar(p, rhs, z0, 0.0, 0.5 * p.period, cfg, False, rhs_dz)
+    return z1, math.exp(log_w)
 
 
 def flow_T_with_sensitivity(p: ConveyorParams, z0: float,
@@ -365,6 +377,10 @@ def tight_period(p: ConveyorParams, z0: float, cfg: IntegratorConfig | None = No
     it; the seam gap |z(T) - z0| of this tighter run shows the solving
     tolerance's own error in P, the honest residual of a computed orbit.
     """
+    return integrate(p, rhs, z0, 0.0, p.period, _tight_config(cfg))
+
+
+def _tight_config(cfg: IntegratorConfig | None) -> IntegratorConfig:
+    """``cfg``, or the default config, at a hundredth of its tolerances."""
     cfg = cfg or IntegratorConfig()
-    tight = replace(cfg, rtol=cfg.rtol / 100.0, atol=cfg.atol / 100.0)
-    return integrate(p, rhs, z0, 0.0, p.period, tight)
+    return replace(cfg, rtol=cfg.rtol / 100.0, atol=cfg.atol / 100.0)

@@ -7,9 +7,9 @@ equation of motion is the overdamped scalar ODE
 
 with z measured in units of the optical wavelength, t in seconds, k in
 rad/wavelength and b in rad/s.  The axial strength profile f(z) is one of
-three envelopes: plane (f == 1), Lorentzian, or Gaussian.  The drive is
-time-periodic with period 4*pi/b, which is the period at which periodic
-orbits are sought.
+three envelopes: plane (f == 1), Lorentzian, or Gaussian.  The drive's
+minimal period is 2*pi/b, half of ``ConveyorParams.period`` = 4*pi/b; the
+solvers seek periodic orbits as fixed points of the map over 2*pi/b.
 
 ``field(p)`` serves the whole field of one parameter set as prebound
 callables: V, F, dF/dz, dV/dt and the envelope with its exact
@@ -102,7 +102,7 @@ class ConveyorParams:
 
     @property
     def period(self) -> float:
-        """Period of the drive: t -> F(t, z) repeats every 4*pi/b seconds."""
+        """4*pi/b, the period orbits report; F(t, z) already repeats after 2*pi/b."""
         return 4.0 * math.pi / self.b
 
     def phase_is_finite(self, z: float, t: float) -> bool:

@@ -2,17 +2,19 @@
 
 A periodic solution is a fixed point of the period map P(z0) = z(T; 0, z0).
 The equation is scalar, so P is strictly increasing and hyperbolic orbits
-sit at sign changes of R = P - z.  ``find_periodic`` certifies the orbit
-that captures a guess by Newton shooting with exact sensitivity, or parks
-a guess where the drive bound ``model.log_drive_bound`` is below
-``FORCE_FREE_SUP`` (flagged ``force_free``: there every point looks
-fixed); ``scan_orbits`` solves in every grid cell where R changes sign,
-repelling orbits included; ``basin_probe`` measures which initial
-conditions have reached an orbit by a given horizon; and
-``boundedness_audit`` reports the largest amplitude over a set of
-certified orbits, the empirical stand-in for the theoretical bound.
+sit at sign changes of R = P - z.  Solves run on P_h, the increasing map
+over the drive's minimal period 2*pi/b: P = P_h o P_h, so P_h - z has the
+sign of R and the fixed points of P, and mu = mu_h**2.  ``find_periodic``
+certifies the orbit that captures a guess by Newton shooting with exact
+sensitivity, or parks a guess where the drive bound
+``model.log_drive_bound`` is below ``FORCE_FREE_SUP`` (flagged
+``force_free``: every point looks fixed); ``scan_orbits`` solves in every
+grid cell where R changes sign, repelling orbits included; ``basin_probe``
+measures which initial conditions have reached an orbit by a given
+horizon; and ``boundedness_audit`` reports the largest amplitude over a
+set of certified orbits, the empirical stand-in for the theoretical bound.
 The thresholds are module constants, not parameters: a solve certifies at
-|P(z) - z| < ``CERTIFICATION_TOL`` and a scan merges orbits closer than
+|P_h(z) - z| < ``CERTIFICATION_TOL`` and a scan merges orbits closer than
 ``DEDUPE_TOL``.
 """
 
@@ -27,8 +29,8 @@ from conveyor.errors import EmptyAudit, NoConvergence
 from conveyor.integrate import (
     IntegratorConfig,
     Trajectory,
+    _half_map,
     flow_T,
-    flow_T_with_sensitivity,
     propagate,
     tight_period,
 )
@@ -95,7 +97,7 @@ def find_periodic(p: ConveyorParams, z_guess: float,
     direction of sign R, R = P(z0) - z0; Newton shooting with the
     variational derivative marches that way to a sign change of R and stays
     inside it, so a repelling orbit is never captured.  The solve stops at
-    |R| < ``CERTIFICATION_TOL``.  Raises NoConvergence when nothing
+    |P_h(z) - z| < ``CERTIFICATION_TOL``.  Raises NoConvergence when nothing
     certifies within ``_newton.SPAN`` of the guess or the only candidate is
     neutral (|mu - 1| < 1e-6: in the envelope's slow tails |P(z) - z| dips
     below the tolerance with no zero nearby), and at once for a driven
@@ -120,13 +122,14 @@ def _certify(p: ConveyorParams, z_guess: float, cfg: IntegratorConfig | None,
         gap = abs(flow_T(p, z_guess, cfg) - z_guess)
         raise NoConvergence(1, gap, "a plane drive has no periodic orbit")
     rhs, rhs_dz = force_closure(p), force_dz_closure(p)
-    res = solve_fixed_point(lambda z: flow_T_with_sensitivity(p, z, cfg, rhs=rhs, rhs_dz=rhs_dz),
+    res = solve_fixed_point(lambda z: _half_map(p, z, cfg, rhs, rhs_dz),
                             z_guess, CERTIFICATION_TOL, bracket)
-    if abs(res.derivative - 1.0) < NEUTRAL:
+    mu = res.derivative * res.derivative
+    if abs(mu - 1.0) < NEUTRAL:
         raise NoConvergence(res.iterations, res.residual,
                             f"only a neutral-multiplier candidate near z={res.z_star:.6g} "
                             "(period map is locally indistinguishable from the identity)")
-    return _build_orbit(p, res.z_star, res.derivative, cfg)
+    return _build_orbit(p, res.z_star, mu, cfg)
 
 
 def _hidden_pair_seeds(grid: Sequence[float], resid: Sequence[float]) -> list[float]:
@@ -166,8 +169,8 @@ def scan_orbits(p: ConveyorParams, z_lo: float, z_hi: float, n_grid: int,
 
     rhs = force_closure(p)
     grid = [z_lo + (z_hi - z_lo) * i / (n_grid - 1) for i in range(n_grid)]
-    resid = [flow_T(p, g, cfg, rhs=rhs) - g for g in grid]
-    probes = [(v, flow_T(p, v, cfg, rhs=rhs) - v) for v in _hidden_pair_seeds(grid, resid)]
+    resid = [_half_map(p, g, cfg, rhs)[0] - g for g in grid]
+    probes = [(v, _half_map(p, v, cfg, rhs)[0] - v) for v in _hidden_pair_seeds(grid, resid)]
     cells = sorted([*zip(grid, resid), *probes])
 
     found: list[PeriodicOrbit] = []

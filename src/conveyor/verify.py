@@ -12,9 +12,9 @@ fixed absolute tolerance ``QUAD_TOL`` on the orbit's dense output, the
 shared int |F|^2 dt once per orbit; small relative residuals certify that
 a computed orbit behaves like a genuine periodic solution rather than a
 numerical coincidence.  ``multiplier_cross_check`` compares the Liouville
-multiplier with a central difference of the period map at the fixed step
-1e-4.  The fixed-point scan certifies the complementary structural fact
-that the flow has no rest points: it flags a grid point where
+multiplier with a central difference of the full-period map, run at
+``tight_period``'s tolerances, at the fixed step 1e-4.  The fixed-point
+scan certifies that the flow has no rest points: it flags a grid point where
 ``model.log_drive_bound`` is -inf, that is where F(t, z) = 0 for every t,
 which happens exactly when f0 = 0, since no envelope vanishes.
 """
@@ -26,7 +26,7 @@ from functools import lru_cache
 from typing import Callable, NamedTuple
 
 from conveyor.errors import ConveyorError
-from conveyor.integrate import IntegratorConfig, Trajectory, flow_T
+from conveyor.integrate import IntegratorConfig, Trajectory, _tight_config, flow_T
 from conveyor.model import ConveyorParams, field, force_closure, log_drive_bound
 from conveyor.periodic import PeriodicOrbit
 
@@ -157,13 +157,15 @@ def multiplier_cross_check(p: ConveyorParams, orbit: PeriodicOrbit,
                            cfg: IntegratorConfig | None = None) -> MultiplierCheck:
     """Liouville multiplier vs central finite difference of the period map.
 
-    The fixed step ``_FD_STEP`` = 1e-4 keeps the integrator's ~1e-10 noise
-    in P, divided by the step, well below the difference's own O(h^2) error.
+    P runs over the full period at a hundredth of ``cfg``'s tolerances, as
+    ``tight_period`` does, so its noise over the fixed step ``_FD_STEP`` =
+    1e-4 stays below 1e-4 of a multiplier as small as the 8e-6 of f0 = 10.
     """
     h = _FD_STEP
     rhs = force_closure(p)
-    plus = flow_T(p, orbit.z_star + h, cfg, rhs=rhs)
-    minus = flow_T(p, orbit.z_star - h, cfg, rhs=rhs)
+    tight = _tight_config(cfg)
+    plus = flow_T(p, orbit.z_star + h, tight, rhs=rhs)
+    minus = flow_T(p, orbit.z_star - h, tight, rhs=rhs)
     fd = (plus - minus) / (2.0 * h)
     rel = abs(orbit.multiplier - fd) / max(abs(fd), 1e-300)
     return MultiplierCheck(orbit.multiplier, fd, rel)

@@ -264,6 +264,15 @@ class TestVerify:
             for name in ("identity_energy", "identity_force", "multiplier_cross_check"):
                 assert checks[f"{name}[{kind}]"]["passed"] is passed, (name, kind)
 
+    @pytest.mark.parametrize("f0", ["0.04", "0.8", "2", "5", "10"])
+    def test_battery_passes_across_drive_strengths(self, tmp_path, f0):
+        # at f0 = 10 the Gaussian multiplier is about 8e-6, where a central
+        # difference at the solve's own tolerances read 1e-3 relative error
+        out = tmp_path / "report.json"
+        assert run(["verify", "--f0", f0, "--out", str(out)]) == 0
+        failed = [c["name"] for c in json.loads(out.read_text())["checks"] if not c["passed"]]
+        assert failed == []
+
     def test_nan_drive_is_a_flag_error(self, tmp_path):
         with pytest.raises(SystemExit) as info:
             run(["verify", "--f0", "nan", "--out", str(tmp_path / "report.json")])

@@ -15,13 +15,14 @@ from conveyor.errors import StepSizeUnderflow
 from conveyor.integrate import (
     MAX_STEPS,
     IntegratorConfig,
+    _half_map,
     flow_T,
     flow_T_with_sensitivity,
     integrate,
     propagate,
     tight_period,
 )
-from conveyor.model import default_params, force_closure
+from conveyor.model import default_params, force_closure, force_dz_closure
 from tests.conftest import Z_STAR_LORENTZIAN
 
 
@@ -293,6 +294,27 @@ class TestPeriodMap:
         _, w = flow_T_with_sensitivity(p, z0)
         fd = (flow_T(p, z0 + h) - flow_T(p, z0 - h)) / (2.0 * h)
         assert w == pytest.approx(fd, rel=1e-4)
+
+    @pytest.mark.parametrize("kind,zs", [("lorentzian", np.linspace(-4.5, 4.5, 19)),
+                                         ("gaussian", np.linspace(-1.0, 1.0, 21))])
+    def test_two_half_maps_make_the_period_map(self, kind, zs):
+        # F has period 2 pi / b, so P = P_h o P_h with both half maps run
+        # from t = 0; the two sides differ by the integrator's error only
+        p = default_params(kind)
+        rhs = force_closure(p)
+        for z0 in map(float, zs):
+            twice = _half_map(p, _half_map(p, z0, None, rhs)[0], None, rhs)[0]
+            assert twice == pytest.approx(flow_T(p, z0), abs=1e-9)
+
+    def test_half_map_derivative_rides_along(self, lorentzian_params):
+        # the derivative is summed on the same steps, so P_h is bitwise the
+        # same with or without it; without it the slope reads 1.0
+        p = lorentzian_params
+        z1, w = _half_map(p, 0.3, None, force_closure(p))
+        z1_sens, w_sens = _half_map(p, 0.3, None, force_closure(p), force_dz_closure(p))
+        assert w == 1.0
+        assert z1_sens == z1
+        assert w_sens > 0.0 and w_sens != 1.0
 
     def test_weak_drive_sensitivity_near_unity(self):
         p = default_params("plane", f0=1e-3)

@@ -309,6 +309,19 @@ class TestPotentialAndForce:
             assert abs(b - a) < 1e-12 * (1.0 + abs(a))
 
     @pytest.mark.parametrize("kind", ["plane", "lorentzian", "gaussian"])
+    def test_minimal_drive_period(self, kind):
+        # F depends on t through cos^2(kz - bt/2) and its derivative only, so
+        # it repeats after 2 pi / b, half the period; the solvers' maps rest on it
+        p = default_params(kind)
+        half = 2.0 * math.pi / p.b
+        assert half == 0.5 * p.period
+        rng = np.random.default_rng(20261019)
+        for t, z in zip(rng.uniform(-5, 5, 1000), rng.uniform(-10, 10, 1000)):
+            a = field(p).force(float(t), float(z))
+            b = field(p).force(float(t) + half, float(z))
+            assert abs(b - a) < 1e-12 * (1.0 + abs(a))
+
+    @pytest.mark.parametrize("kind", ["plane", "lorentzian", "gaussian"])
     def test_potential_range(self, kind):
         p = default_params(kind)
         rng = np.random.default_rng(19)

@@ -9,7 +9,14 @@ from conveyor import integrate as integrator
 from conveyor import periodic
 from conveyor.errors import EmptyAudit, NoConvergence
 from conveyor.integrate import flow_T, integrate
-from conveyor.model import ConveyorParams, EnvelopeSpec, default_params, field, force_closure
+from conveyor.model import (
+    ConveyorParams,
+    EnvelopeSpec,
+    default_params,
+    field,
+    force_closure,
+    force_dz_closure,
+)
 from conveyor.periodic import (
     BasinPoint,
     _hidden_pair_seeds,
@@ -27,12 +34,23 @@ from tests.conftest import (
 
 
 def count_map_evaluations(monkeypatch) -> list:
-    """A list that grows by one per period-map evaluation made in ``periodic``."""
+    """A list that grows by one entry per period-map evaluation made in
+    ``periodic``: "sensitivity" for a map that also sums its derivative,
+    "map" for one that does not.  The solves build every map in
+    ``integrate._half_map``; the plane drive's gap runs the public ``flow_T``."""
     calls = []
-    for name in ("flow_T", "flow_T_with_sensitivity"):
-        fn = getattr(periodic, name)
-        monkeypatch.setattr(periodic, name,
-                            lambda *a, fn=fn, **k: calls.append(1) or fn(*a, **k))
+    half_map, full_map = periodic._half_map, periodic.flow_T
+
+    def counted_half_map(p, z, cfg, rhs, rhs_dz=None):
+        calls.append("map" if rhs_dz is None else "sensitivity")
+        return half_map(p, z, cfg, rhs, rhs_dz)
+
+    def counted_full_map(*args, **kwargs):
+        calls.append("map")
+        return full_map(*args, **kwargs)
+
+    monkeypatch.setattr(periodic, "_half_map", counted_half_map)
+    monkeypatch.setattr(periodic, "flow_T", counted_full_map)
     return calls
 
 
@@ -191,11 +209,14 @@ class TestScanOrbits:
     ])
     def test_reference_scan_work(self, monkeypatch, kind, window, limit):
         # the grid costs one map evaluation per point; the single orbit's
-        # solve, seeded from its sign-change cell, only a few more
+        # solve, seeded from its sign-change cell, only a few more.  Newton
+        # takes mu_h, the slope of the half-period map, as its derivative:
+        # handed mu_h**2 it would spend 18 and 15 sensitivity maps here
         calls = count_map_evaluations(monkeypatch)
         orbits = scan_orbits(default_params(kind), *window)
         assert len(orbits) == 1
         assert len(calls) <= limit
+        assert calls.count("sensitivity") <= 6, calls
 
     @pytest.mark.parametrize("kind,window", [("lorentzian", (-4.5, 4.5, 64)),
                                              ("gaussian", (-1.0, 1.0, 21))])
@@ -242,6 +263,26 @@ class TestHiddenPairSeeds:
         # a sign change is the cells' business, and a monotone run has no dip
         assert _hidden_pair_seeds([0.0, 1.0, 2.0], [1.0, 0.01, -1.0]) == []
         assert _hidden_pair_seeds([0.0, 1.0, 2.0, 3.0], [3.0, 2.0, 1.0, 0.5]) == []
+
+
+class TestHalfPeriodMap:
+    """The solves run on P_h over 2 pi / b; P = P_h o P_h, so a certified
+    orbit is a fixed point of both maps and its multiplier is mu_h**2."""
+
+    @pytest.mark.parametrize("kind,window", [("lorentzian", (-4.5, 4.5, 64)),
+                                             ("gaussian", (-1.0, 1.0, 21))])
+    def test_certified_orbit_fixes_both_maps(self, kind, window):
+        p = default_params(kind)
+        rhs, rhs_dz = force_closure(p), force_dz_closure(p)
+        for o in [find_periodic(p, 0.0), *scan_orbits(p, *window)]:
+            z_half, mu_half = integrator._half_map(p, o.z_star, None, rhs, rhs_dz)
+            z_full, mu_full = integrator.flow_T_with_sensitivity(p, o.z_star)
+            assert abs(z_half - o.z_star) < periodic.CERTIFICATION_TOL
+            assert abs(z_full - o.z_star) < periodic.CERTIFICATION_TOL
+            # the reported multiplier is mu_h**2; the full-period Liouville
+            # sum runs on other steps and agrees within 1e-9 relative
+            assert o.multiplier == mu_half * mu_half
+            assert o.multiplier == pytest.approx(mu_full, rel=1e-9)
 
 
 class TestScanFindsEveryOrbit:
