@@ -69,13 +69,13 @@ class ContinuationTrace:
 
 
 def solve_at_lambda(p: ConveyorParams, lambda_h: float, z_guess: float,
-                    cfg: IntegratorConfig | None = None) -> tuple[float, Trajectory]:
+                    cfg: IntegratorConfig | None = None) -> tuple[float, float, Trajectory]:
     """Periodic initial condition of the blended problem at one lambda.
 
-    Newton shooting on the lambda-flow's map over 2*pi/b, certified to
-    |z(T/2) - z(0)| < ``BVP_TOL``; returns the fixed point and one dense period
-    of the lambda-flow from it, integrated at a hundredth of the tolerances,
-    whose seam gap |z(T) - z(0)| is the step's residual.  Raises
+    Newton shooting on the lambda-flow's map P_h over 2*pi/b, certified to
+    |z(T/2) - z(0)| < ``BVP_TOL``; returns the fixed point, P_h's slope mu_h
+    there and the lambda-flow from it over [0, 2*pi/b] at a hundredth of the
+    tolerances, whose seam gap e makes the step's residual (1 + mu_h) * e.  Raises
     NoConvergence like the plain orbit solver, ValueError for lambda outside
     [0, 1].
     """
@@ -91,7 +91,7 @@ def solve_at_lambda(p: ConveyorParams, lambda_h: float, z_guess: float,
         return -decay + lambda_h * force_dz(t, z)
 
     res = solve_fixed_point(lambda z: _half_map(p, z, cfg, rhs, rhs_dz), z_guess, BVP_TOL)
-    return res.z_star, tight_period(p, res.z_star, cfg, rhs)
+    return res.z_star, res.derivative, tight_period(p, res.z_star, cfg, rhs)
 
 
 def continue_to_one(p: ConveyorParams, cfg: IntegratorConfig | None = None) -> ContinuationTrace:
@@ -99,7 +99,8 @@ def continue_to_one(p: ConveyorParams, cfg: IntegratorConfig | None = None) -> C
 
     Starts at lambda = 0.01 seeded with z = 0 (the analytic solution of the
     pure-decay endpoint); each step solves to ``BVP_TOL`` and steps adapt by
-    halving on failure and growing 1.5x on success, capped at 0.1.  Raises
+    halving on failure and growing 1.5x on success, capped at 0.1; residual
+    and sup-norm come from ``solve_at_lambda``'s run over 2*pi/b.  Raises
     ContinuationStall, carrying the partial trace, if the step underflows
     below 1e-6 before reaching 1.
     """
@@ -110,7 +111,7 @@ def continue_to_one(p: ConveyorParams, cfg: IntegratorConfig | None = None) -> C
 
     while True:
         try:
-            z0, traj = solve_at_lambda(p, lam, z_prev, cfg)
+            z0, mu_h, traj = solve_at_lambda(p, lam, z_prev, cfg)
         except NoConvergence:
             if not steps:
                 raise  # could not even start the branch
@@ -119,7 +120,7 @@ def continue_to_one(p: ConveyorParams, cfg: IntegratorConfig | None = None) -> C
                 raise ContinuationStall(ContinuationTrace(tuple(steps), False))
             lam = min(steps[-1].lambda_h + dlam, 1.0)
             continue
-        residual = abs(traj.interp(p.period) - z0)
+        residual = (1.0 + mu_h) * abs(traj.interp(traj.t1) - z0)
         steps.append(ContinuationStep(lam, z0, residual, traj.sup_norm()))
         z_prev = z0
         if lam >= 1.0:

@@ -193,16 +193,27 @@ class Trajectory:
         return np.array([self.interp(float(t)) for t in np.asarray(ts, dtype=float).ravel()])
 
     def sup_norm(self) -> float:
-        """max |z| over the span, sampling each step's interpolant at its
-        ends and at the points that split it into ``_SUP_REFINE`` equal parts."""
-        best = max(map(abs, self._kz))
-        for c1, c2, c3, c4, c5 in self._seg_c:
+        """max |z| over the span: the largest of the knots and of each step's
+        interpolant at the points splitting it into ``_SUP_REFINE`` equal parts,
+        polished by Newton's method on dz/dtheta = 0 in its step (both, at a knot)."""
+        seg_c, kz, back = self._seg_c, self._kz, float(self._back)
+        k = max(range(len(kz)), key=lambda i: abs(kz[i]))
+        best, starts = abs(kz[k]), [(k, back), (k - 1, 1.0 - back)]
+        for j, (c1, c2, c3, c4, c5) in enumerate(seg_c):
             for i in range(1, _SUP_REFINE):
                 th = i / _SUP_REFINE
                 th1 = 1.0 - th
                 v = abs(c1 + th * (c2 + th1 * (c3 + th * (c4 + th1 * c5))))
                 if v > best:
-                    best = v
+                    best, starts = v, [(j, th)]
+        for j, th in (s for s in starts if 0 <= s[0] < len(seg_c)):
+            c1, c2, c3, c4, c5 = seg_c[j]
+            a1, a2, a3 = c2 + c3, c4 + c5 - c3, -c4 - 2.0 * c5  # c1 + a1 th + ... + c5 th^4
+            for _ in range(3):
+                curv = 2.0 * a2 + th * (6.0 * a3 + 12.0 * c5 * th)
+                slope = a1 + th * (2.0 * a2 + th * (3.0 * a3 + 4.0 * c5 * th))
+                th = min(1.0, max(0.0, th - slope / curv)) if curv else th
+            best = max(best, abs(c1 + th * (a1 + th * (a2 + th * (a3 + c5 * th)))))
         return best
 
 
@@ -371,13 +382,14 @@ def flow_T_with_sensitivity(p: ConveyorParams, z0: float,
 
 def tight_period(p: ConveyorParams, z0: float, cfg: IntegratorConfig | None = None,
                  rhs: Callable[[float, float], float] | None = None) -> Trajectory:
-    """One dense period from z0 at a hundredth of the tolerances.
+    """z from z0 over the minimal drive period [0, 2*pi/b] = [0, p.period/2],
+    dense, at a hundredth of the tolerances, with ``p.period``'s step bounds.
 
-    A fixed point reads |P(z*) - z*| at roundoff on the stepper that solved
-    it; the seam gap |z(T) - z0| of this tighter run shows the solving
-    tolerance's own error in P, the honest residual of a computed orbit.
+    A fixed point reads |P_h(z*) - z*| at roundoff on the stepper that solved
+    it; this tighter run's seam gap e shows the solving tolerance's own error,
+    and (1 + mu_h) * e is the full-period gap |P(z*) - z*| to first order.
     """
-    return integrate(p, rhs, z0, 0.0, p.period, _tight_config(cfg))
+    return integrate(p, rhs, z0, 0.0, 0.5 * p.period, _tight_config(cfg))
 
 
 def _tight_config(cfg: IntegratorConfig | None) -> IntegratorConfig:

@@ -46,7 +46,8 @@ FORCE_FREE_SUP = 1e-9
 
 @dataclass(frozen=True)
 class PeriodicOrbit:
-    """A certified fixed point of the period map with one period of samples."""
+    """A certified fixed point of the period map, stored over 2*pi/b = period/2;
+    ``residual`` is (1 + mu_h) times that run's seam gap, ~ |P(z*) - z*|."""
 
     z_star: float
     period: float
@@ -58,7 +59,7 @@ class PeriodicOrbit:
 
     @property
     def samples(self):
-        """One period of (t, z) samples, endpoints matching within residual."""
+        """(t, z) samples over [0, 2*pi/b], endpoints matching within residual."""
         return self.trajectory.samples
 
     @property
@@ -72,17 +73,17 @@ class BasinPoint(NamedTuple):
     converged: bool
 
 
-def _build_orbit(p: ConveyorParams, z_star: float, multiplier: float,
+def _build_orbit(p: ConveyorParams, z_star: float, mu_h: float,
                  cfg: IntegratorConfig | None, force_free: bool = False) -> PeriodicOrbit:
     traj = tight_period(p, z_star, cfg)
-    # the certificate is the stored period's own seam gap; that period runs at
-    # a hundredth of the solve's tolerances, so the gap shows the integration
-    # error that the solve, which reads its own stepper, cannot see
+    # the run over 2*pi/b at a hundredth of the solve's tolerances shows, in its
+    # seam gap e, the error that the solve, reading its own stepper, cannot see;
+    # the certificate is P(z*) - z* = P_h(z* + e) - z* = (1 + mu_h) e + O(e^2)
     return PeriodicOrbit(
         z_star=z_star,
         period=p.period,
-        multiplier=multiplier,
-        residual=abs(traj.interp(p.period) - z_star),
+        multiplier=mu_h * mu_h,
+        residual=(1.0 + mu_h) * abs(traj.interp(traj.t1) - z_star),
         sup_norm=traj.sup_norm(),
         trajectory=traj,
         force_free=force_free,
@@ -124,12 +125,11 @@ def _certify(p: ConveyorParams, z_guess: float, cfg: IntegratorConfig | None,
     rhs, rhs_dz = force_closure(p), force_dz_closure(p)
     res = solve_fixed_point(lambda z: _half_map(p, z, cfg, rhs, rhs_dz),
                             z_guess, CERTIFICATION_TOL, bracket)
-    mu = res.derivative * res.derivative
-    if abs(mu - 1.0) < NEUTRAL:
+    if abs(res.derivative * res.derivative - 1.0) < NEUTRAL:
         raise NoConvergence(res.iterations, res.residual,
                             f"only a neutral-multiplier candidate near z={res.z_star:.6g} "
                             "(period map is locally indistinguishable from the identity)")
-    return _build_orbit(p, res.z_star, mu, cfg)
+    return _build_orbit(p, res.z_star, res.derivative, cfg)
 
 
 def _hidden_pair_seeds(grid: Sequence[float], resid: Sequence[float]) -> list[float]:
@@ -162,8 +162,8 @@ def scan_orbits(p: ConveyorParams, z_lo: float, z_hi: float, n_grid: int,
     lowest-residual representative; force-free candidates are dropped.
     Returns an empty list when nothing in the window certifies.
     """
-    if not z_lo < z_hi:
-        raise ValueError(f"need z_lo < z_hi, got [{z_lo!r}, {z_hi!r}]")
+    if not -math.inf < z_lo < z_hi < math.inf:
+        raise ValueError(f"need a finite window z_lo < z_hi, got [{z_lo!r}, {z_hi!r}]")
     if n_grid < 2:
         raise ValueError(f"n_grid must be >= 2, got {n_grid!r}")
 

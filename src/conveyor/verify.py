@@ -1,22 +1,23 @@
 """Numerical certificates for computed orbits.
 
 Any true drive-periodic solution z(t) satisfies two integral identities
-over one period, obtained by multiplying the equation of motion by z' and
-integrating, then by eliminating the drive's time derivative:
+over any of its periods, obtained by multiplying the equation of motion by
+z' and integrating, then by eliminating the drive's time derivative:
 
     energy:  int |F(t, z)|^2 dt  =  - int dV/dt (t, z) dt
     force:   int |F(t, z)|^2 dt  =  -(b f0 / 2k) int cos^2(kz - bt/2) f'(z) dt
 
-Both sides are evaluated here by adaptive Gauss-Lobatto quadrature to the
-fixed absolute tolerance ``QUAD_TOL`` on the orbit's dense output, the
-shared int |F|^2 dt once per orbit; small relative residuals certify that
-a computed orbit behaves like a genuine periodic solution rather than a
-numerical coincidence.  ``multiplier_cross_check`` compares the Liouville
-multiplier with a central difference of the full-period map, run at
-``tight_period``'s tolerances, at the fixed step 1e-4.  The fixed-point
-scan certifies that the flow has no rest points: it flags a grid point where
-``model.log_drive_bound`` is -inf, that is where F(t, z) = 0 for every t,
-which happens exactly when f0 = 0, since no envelope vanishes.
+Both sides are integrals over the orbit's stored run, 2*pi/b for a solved
+orbit, by adaptive Gauss-Lobatto quadrature to the absolute tolerance
+``QUAD_TOL``, the shared int |F|^2 dt once per orbit; small relative
+residuals certify that a computed orbit behaves like a genuine periodic
+solution rather than a numerical coincidence.  ``multiplier_cross_check``
+compares the Liouville multiplier with a central difference of the
+full-period map, run at ``tight_period``'s tolerances, at the fixed step
+1e-4.  The fixed-point scan certifies that the flow has no rest points: it
+flags a grid point where ``model.log_drive_bound`` is -inf, that is where
+F(t, z) = 0 for every t, which happens exactly when f0 = 0, since no
+envelope vanishes.
 """
 
 from __future__ import annotations
@@ -90,23 +91,24 @@ def gauss_lobatto(fn: Callable[[float], float], a: float, b: float) -> float:
 
 
 @lru_cache(maxsize=1)
-def _force_squared_integral(traj: Trajectory, period: float) -> float:
-    """int_0^period |F(t, z(t))|^2 dt, the left side both identities share."""
+def _force_squared_integral(traj: Trajectory) -> float:
+    """int |F(t, z(t))|^2 dt over the run's span, the left side both identities share."""
     rhs = force_closure(traj.params)
-    return gauss_lobatto(lambda t: rhs(t, traj.interp(t)) ** 2, 0.0, period)
+    return gauss_lobatto(lambda t: rhs(t, traj.interp(t)) ** 2, traj.t0, traj.t1)
 
 
 def _identity(orbit: PeriodicOrbit, factor: float,
               integrand: Callable[[float, float], float]) -> IdentityResult:
-    """int |F|^2 dt against factor * int integrand(t, z(t)) dt over the orbit."""
+    """int |F|^2 dt against factor * int integrand(t, z(t)) dt over the stored
+    run: over 2*pi/b for a solved orbit, half of each full-period integral."""
     if orbit.residual > 1e-6:
         raise ConveyorError(
             f"orbit is not certified (residual {orbit.residual:.3e}); "
             "identities only hold on periodic solutions"
         )
     traj = orbit.trajectory
-    lhs = _force_squared_integral(traj, orbit.period)
-    rhs_val = factor * gauss_lobatto(lambda t: integrand(t, traj.interp(t)), 0.0, orbit.period)
+    lhs = _force_squared_integral(traj)
+    rhs_val = factor * gauss_lobatto(lambda t: integrand(t, traj.interp(t)), traj.t0, traj.t1)
     rel = abs(lhs - rhs_val) / (abs(lhs) + abs(rhs_val) + _RESIDUAL_EPS)
     return IdentityResult(lhs, rhs_val, rel)
 
@@ -145,8 +147,8 @@ def fixed_point_scan(p: ConveyorParams, z_lo: float, z_hi: float, n: int) -> lis
     precision is not flagged; for f0 > 0 the list is empty, and for f0 = 0
     it holds every grid point.
     """
-    if not z_lo < z_hi:
-        raise ValueError(f"need z_lo < z_hi, got [{z_lo!r}, {z_hi!r}]")
+    if not -math.inf < z_lo < z_hi < math.inf:
+        raise ValueError(f"need a finite window z_lo < z_hi, got [{z_lo!r}, {z_hi!r}]")
     if n < 2:
         raise ValueError(f"need n >= 2 grid points, got {n!r}")
     grid = (z_lo + (z_hi - z_lo) * i / (n - 1) for i in range(n))

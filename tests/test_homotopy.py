@@ -24,18 +24,18 @@ class TestSolveAtLambda:
     def test_pure_decay_has_origin(self, lorentzian_params):
         # at lam = 0 the problem is z' = -z: unique periodic solution z == 0
         for guess in (-2.0, 0.0, 3.0):
-            z0, traj = solve_at_lambda(lorentzian_params, 0.0, guess)
+            z0, _, traj = solve_at_lambda(lorentzian_params, 0.0, guess)
             assert abs(z0) < 1e-12
             assert traj.sup_norm() < 1e-12
 
     def test_endpoint_matches_shooting(self, lorentzian_params, lorentzian_orbit):
-        z0, _ = solve_at_lambda(lorentzian_params, 1.0, 0.5)
+        z0, _, _ = solve_at_lambda(lorentzian_params, 1.0, 0.5)
         assert abs(z0 - lorentzian_orbit.z_star) < 1e-8
 
     def test_midpoint_certified_and_continuous(self, lorentzian_params):
-        z_half, traj = solve_at_lambda(lorentzian_params, 0.5, 0.2)
+        z_half, _, traj = solve_at_lambda(lorentzian_params, 0.5, 0.2)
         assert abs(float(traj.states[-1]) - z_half) < 1e-9
-        z_next, _ = solve_at_lambda(lorentzian_params, 0.501, z_half)
+        z_next, _, _ = solve_at_lambda(lorentzian_params, 0.501, z_half)
         assert abs(z_next - z_half) < 1e-2
 
     def test_lambda_range_checked(self, lorentzian_params):
@@ -60,21 +60,23 @@ class TestContinueToOne:
 
     @pytest.mark.parametrize("kind", ["lorentzian", "gaussian"])
     def test_residual_is_the_returned_seam_gap(self, kind, monkeypatch):
-        # each step's residual and sup-norm are read off the one tight period
-        # that solve_at_lambda returns, with no second integration
-        solve, periods = homotopy.solve_at_lambda, []
+        # each step's residual and sup-norm are read off the one tight run
+        # over 2*pi/b that solve_at_lambda returns, with no second
+        # integration: the residual is (1 + mu_h) times its seam gap
+        solve, runs = homotopy.solve_at_lambda, []
 
         def spy(*args, **kwargs):
-            z0, traj = solve(*args, **kwargs)
-            periods.append(traj)
-            return z0, traj
+            z0, mu_h, traj = solve(*args, **kwargs)
+            runs.append((mu_h, traj))
+            return z0, mu_h, traj
 
         monkeypatch.setattr(homotopy, "solve_at_lambda", spy)
         p = default_params(kind)
         trace = continue_to_one(p)
-        assert len(periods) == len(trace.steps)
-        for s, traj in zip(trace.steps, periods):
-            assert s.residual == abs(traj.interp(p.period) - s.z0)
+        assert len(runs) == len(trace.steps)
+        for s, (mu_h, traj) in zip(trace.steps, runs):
+            assert traj.t1 == pytest.approx(0.5 * p.period, rel=1e-15)
+            assert s.residual == (1.0 + mu_h) * abs(traj.interp(traj.t1) - s.z0)
             assert s.sup_norm == traj.sup_norm()
 
     def test_endpoint_equivalence(self, lorentzian_params, lorentzian_orbit,

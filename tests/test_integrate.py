@@ -15,6 +15,7 @@ from conveyor.errors import StepSizeUnderflow
 from conveyor.integrate import (
     MAX_STEPS,
     IntegratorConfig,
+    Trajectory,
     _half_map,
     flow_T,
     flow_T_with_sensitivity,
@@ -249,6 +250,32 @@ class TestTrajectory:
         # z(t) = sin(10 t) via rhs = 10 cos(10 t): knots alone could miss the crest
         traj = integrate(plane_params, lambda t, z: 10.0 * math.cos(10.0 * t), 0.0, 0.0, 1.0)
         assert traj.sup_norm() == pytest.approx(1.0, abs=1e-4)
+
+    @pytest.mark.parametrize("t0,t1", [(0.0, 1.0), (1.0, 0.0)])
+    def test_sup_norm_is_polished_to_the_crest(self, plane_params, t0, t1):
+        # Newton on the crest's step leaves only the interpolation error, where
+        # the equal-part samples alone sit up to ~1e-3 below it
+        traj = integrate(plane_params, lambda t, z: 10.0 * math.cos(10.0 * t),
+                         math.sin(10.0 * t0), t0, t1)
+        assert traj.sup_norm() == pytest.approx(1.0, abs=1e-9)
+
+    @pytest.mark.parametrize("backward", [False, True])
+    @pytest.mark.parametrize("crest", [0.97, 1.03])
+    def test_sup_norm_finds_a_crest_beside_the_largest_knot(self, plane_params, backward, crest):
+        # z = 1 - (t - crest)^2 on two steps with knots at 0, 1, 2: the knot at
+        # t = 1 beats every equal-part sample, while the crest lies in one of
+        # the two steps that knot bounds, whichever way the run went
+        knots = [2.0, 1.0, 0.0] if backward else [0.0, 1.0, 2.0]
+        seg_h, seg_c = [], []
+        for ta, tb in zip(knots, knots[1:]):
+            h, d = tb - ta, ta - crest
+            # c1 + th * (c2 + (1 - th) * c3) = 1 - (d + h th)^2
+            seg_h.append(h)
+            seg_c.append((1.0 - d * d, -2.0 * d * h - h * h, h * h, 0.0, 0.0))
+        traj = Trajectory(plane_params, knots, [1.0 - (t - crest) ** 2 for t in knots],
+                          seg_h, seg_c)
+        assert traj.interp(crest) == pytest.approx(1.0, abs=1e-15)
+        assert traj.sup_norm() == pytest.approx(1.0, abs=1e-15)
 
 
 class TestPeriodMap:

@@ -1,5 +1,6 @@
 """Periodic-orbit shooting, scanning, basin probing and audits."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -74,9 +75,10 @@ class TestFindPeriodic:
         assert o.attracting
 
     def test_orbit_samples_close_up(self, lorentzian_orbit):
+        # the stored run spans the drive's minimal period 2*pi/b = period/2
         s = lorentzian_orbit.samples
         assert s[0, 0] == 0.0
-        assert s[-1, 0] == pytest.approx(lorentzian_orbit.period, rel=1e-15)
+        assert s[-1, 0] == pytest.approx(0.5 * lorentzian_orbit.period, rel=1e-15)
         assert abs(s[-1, 1] - s[0, 1]) <= lorentzian_orbit.residual * (1.0 + 1e-9)
 
     def test_periodic_extension_seam(self, lorentzian_params, lorentzian_orbit):
@@ -88,13 +90,16 @@ class TestFindPeriodic:
         assert abs(f_end - f_start) < 1e-6
 
     def test_periodic_extension_resample(self, lorentzian_params, lorentzian_orbit):
-        # fresh integration over [T, 2T] reproduces the stored period
+        # fresh integration over the next minimal period [T/2, T] reproduces
+        # the stored run over [0, T/2]
         o = lorentzian_orbit
-        T = o.period
+        half = o.trajectory.t1
+        assert half == pytest.approx(0.5 * o.period, rel=1e-15)
         shifted = integrate(lorentzian_params, force_closure(lorentzian_params),
-                            o.z_star, T, 2.0 * T)
-        ts = np.linspace(0.0, T, 200)
-        gap = max(abs(shifted.interp(float(t) + T) - o.trajectory.interp(float(t))) for t in ts)
+                            o.z_star, half, 2.0 * half)
+        ts = np.linspace(0.0, half, 200)
+        gap = max(abs(shifted.interp(float(t) + half) - o.trajectory.interp(float(t)))
+                  for t in ts)
         # budget: restated periodicity error plus two integrations' tolerance
         assert gap < 10.0 * o.residual + 100.0 * (1e-10 * abs(o.z_star) + 1e-12)
 
@@ -203,6 +208,13 @@ class TestScanOrbits:
         with pytest.raises(ValueError):
             scan_orbits(gaussian_params, -1.0, 1.0, 1)
 
+    @pytest.mark.parametrize("z_lo,z_hi", [(-1.0, math.inf), (-math.inf, 1.0),
+                                           (math.nan, 1.0), (-1.0, math.nan)])
+    def test_non_finite_window_rejected(self, gaussian_params, z_lo, z_hi):
+        # named as the window, not as the stepper's "initial state z=nan"
+        with pytest.raises(ValueError, match=r"finite window.*\[" + f"{z_lo!r}, {z_hi!r}"):
+            scan_orbits(gaussian_params, z_lo, z_hi, 5)
+
     @pytest.mark.parametrize("kind,window,limit", [
         ("lorentzian", (-4.5, 4.5, 64), 80),
         ("gaussian", (-1.0, 1.0, 21), 30),
@@ -220,13 +232,24 @@ class TestScanOrbits:
 
     @pytest.mark.parametrize("kind,window", [("lorentzian", (-4.5, 4.5, 64)),
                                              ("gaussian", (-1.0, 1.0, 21))])
-    def test_residual_is_the_stored_seam_gap(self, kind, window):
-        # the one period each orbit stores is the tight-tolerance run itself,
-        # so its own seam gap is the certificate, bit for bit
+    def test_residual_is_the_stored_seam_gap(self, monkeypatch, kind, window):
+        # the minimal period each orbit stores is the tight-tolerance run
+        # itself; (1 + mu_h) times its own seam gap, mu_h the solve's slope of
+        # the half-period map, is the certificate, bit for bit
+        build, slopes = periodic._build_orbit, {}
+
+        def spy(p, z_star, mu_h, cfg, force_free=False):
+            slopes[z_star] = mu_h
+            return build(p, z_star, mu_h, cfg, force_free)
+
+        monkeypatch.setattr(periodic, "_build_orbit", spy)
         p = default_params(kind)
         orbits = [find_periodic(p, 0.0), *scan_orbits(p, *window)]
         for o in orbits:
-            assert o.residual == abs(o.trajectory.interp(o.period) - o.z_star)
+            mu_h = slopes[o.z_star]
+            assert o.multiplier == mu_h * mu_h
+            traj = o.trajectory
+            assert o.residual == (1.0 + mu_h) * abs(traj.interp(traj.t1) - o.z_star)
             assert 0.0 < o.residual < periodic.CERTIFICATION_TOL
 
     @pytest.mark.parametrize("n_grid", [9, 33])
@@ -283,6 +306,57 @@ class TestHalfPeriodMap:
             # sum runs on other steps and agrees within 1e-9 relative
             assert o.multiplier == mu_half * mu_half
             assert o.multiplier == pytest.approx(mu_full, rel=1e-9)
+
+
+# near-neutral Lorentzian set (mu ~ 0.9975) whose orbit's residual exceeds
+# CERTIFICATION_TOL: the solving tolerance's own error in P shows there
+NEAR_NEUTRAL = ConveyorParams(0.9728814597310971, 72.01116691909888, 2.66 * math.pi,
+                              EnvelopeSpec("lorentzian", 0.4991817149262152))
+
+
+@pytest.fixture(scope="module")
+def near_neutral_orbit():
+    return find_periodic(NEAR_NEUTRAL, 1.96)
+
+
+class TestStoredMinimalPeriod:
+    """Each orbit stores one tight run over the drive's minimal period 2 pi / b.
+    What is read off it must say what a tight run over 4 pi / b says."""
+
+    @pytest.fixture(params=["lorentzian_orbit", "gaussian_orbit", "near_neutral_orbit"])
+    def orbit(self, request):
+        return request.getfixturevalue(request.param)
+
+    @staticmethod
+    def full_run(o):
+        p = o.trajectory.params
+        return integrate(p, force_closure(p), o.z_star, 0.0, p.period,
+                         integrator._tight_config(None))
+
+    def test_residual_is_the_full_period_gap(self, orbit):
+        full = self.full_run(orbit)
+        gap = abs(full.interp(full.t1) - orbit.z_star)
+        assert abs(orbit.residual - gap) <= 0.1 * gap
+
+    def test_near_neutral_residual_still_exceeds_the_tolerance(self, near_neutral_orbit):
+        # the half-period gap alone (~1.2e-9 here) would read close to the
+        # tolerance; (1 + mu_h) times it keeps the full-period size
+        assert near_neutral_orbit.residual > periodic.CERTIFICATION_TOL
+
+    def test_identities_are_half_the_full_period_ones(self, orbit):
+        # a pseudo-orbit carrying the 4 pi / b run works in the identities too,
+        # which integrate over each trajectory's own span
+        from conveyor.verify import identity_energy, identity_force
+
+        whole = dataclasses.replace(orbit, trajectory=self.full_run(orbit))
+        for identity in (identity_energy, identity_force):
+            half, full = identity(orbit), identity(whole)
+            assert half.lhs == pytest.approx(0.5 * full.lhs, rel=1e-8)
+            assert half.rhs == pytest.approx(0.5 * full.rhs, rel=1e-8)
+            assert full.rel_residual < 1e-6
+
+    def test_sup_norm_matches_the_full_period(self, orbit):
+        assert orbit.sup_norm == pytest.approx(self.full_run(orbit).sup_norm(), rel=1e-6)
 
 
 class TestScanFindsEveryOrbit:
@@ -425,14 +499,12 @@ class TestResidualAgainstScipy:
         o = gaussian_orbit
         assert self.reference_gap(gaussian_params, o.z_star) <= 2.0 * o.residual
 
-    def test_near_neutral_multiplier(self):
+    def test_near_neutral_multiplier(self, near_neutral_orbit):
         # mu ~ 0.9975: the integration error in P is ~1.8e-9, so a residual
         # read off the solving stepper alone (~1e-16) would hide it
-        p = ConveyorParams(0.9728814597310971, 72.01116691909888, 2.66 * math.pi,
-                           EnvelopeSpec("lorentzian", 0.4991817149262152))
-        o = find_periodic(p, 1.96)
+        o = near_neutral_orbit
         assert o.multiplier == pytest.approx(0.99749, abs=1e-5)
-        assert self.reference_gap(p, o.z_star) <= 2.0 * o.residual
+        assert self.reference_gap(NEAR_NEUTRAL, o.z_star) <= 2.0 * o.residual
 
 
 class TestBoundednessAudit:

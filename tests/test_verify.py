@@ -59,15 +59,15 @@ class TestIdentities:
 
     def test_orbit_average_slope_is_negative(self, lorentzian_params, lorentzian_orbit):
         # the positive right side of the force identity means the weighted
-        # envelope slope integral is negative along the orbit
+        # envelope slope integral is negative along the orbit's stored run
         envelope = field(lorentzian_params).envelope
         traj = lorentzian_orbit.trajectory
         k, b = lorentzian_params.k, lorentzian_params.b
         val = gauss_lobatto(
             lambda t: math.cos(k * traj.interp(t) - 0.5 * b * t) ** 2
             * envelope(traj.interp(t))[1],
-            0.0,
-            lorentzian_orbit.period,
+            traj.t0,
+            traj.t1,
         )
         assert val < 0.0
 
@@ -84,7 +84,7 @@ class TestIdentities:
         o = request.getfixturevalue(orbit)
         traj = o.trajectory
         rhs = force_closure(traj.params)
-        direct = gauss_lobatto(lambda t: rhs(t, traj.interp(t)) ** 2, 0.0, o.period)
+        direct = gauss_lobatto(lambda t: rhs(t, traj.interp(t)) ** 2, traj.t0, traj.t1)
         assert identity_energy(o).lhs == identity_force(o).lhs == direct
 
     def test_interleaved_orbits_give_fresh_values(self, lorentzian_orbit, gaussian_orbit):
@@ -150,6 +150,13 @@ class TestFixedPointScan:
             fixed_point_scan(gaussian_params, 1.0, -1.0, 11)
         with pytest.raises(ValueError):
             fixed_point_scan(gaussian_params, -1.0, 1.0, 1)
+
+    @pytest.mark.parametrize("z_lo,z_hi", [(-1.0, math.inf), (-math.inf, 1.0),
+                                           (math.nan, 1.0), (-1.0, math.nan)])
+    def test_non_finite_window_rejected(self, gaussian_params, z_lo, z_hi):
+        # an infinite end would put "rest points" at infinity on the grid
+        with pytest.raises(ValueError, match=r"finite window.*\[" + f"{z_lo!r}, {z_hi!r}"):
+            fixed_point_scan(gaussian_params, z_lo, z_hi, 5)
 
 
 class TestMultiplierCrossCheck:
