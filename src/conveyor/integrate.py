@@ -5,15 +5,16 @@ twentieth of the drive period and the ceiling is never allowed past a
 quarter period: a controller that skated over the fast phase factor while
 the solution is nearly constant would silently lose the forcing.
 
-One scalar stepper serves every caller.  For a scalar ODE the
-variational equation dw/dt = dF/dz(t, z(t)) * w has the closed-form
-solution w(T) = exp(int_0^T dF/dz(t, z(t)) dt) (Liouville's formula), so
-the derivative of the period map needs no second integrator: the stepper
-sums the integral along its own accepted steps, outside error control.
-The solvers build their period maps in ``_half_map``, over the drive's
-minimal period 2*pi/b, half of ``ConveyorParams.period``.  The right-hand
-side is always a caller-supplied (t, z) callable so the homotopy solver
-can reuse the engine with its own blend of force and linear decay.
+One scalar stepper, run forward in time only, serves every caller.  For
+a scalar ODE the variational equation dw/dt = dF/dz(t, z(t)) * w has the
+closed-form solution w(T) = exp(int_0^T dF/dz(t, z(t)) dt) (Liouville's
+formula), so the derivative of the period map needs no second
+integrator: the stepper sums the integral along its own accepted steps,
+outside error control.  The solvers build their period maps in
+``_half_map``, over the drive's minimal period 2*pi/b, half of
+``ConveyorParams.period``.  The right-hand side is always a
+caller-supplied (t, z) callable so the homotopy solver can reuse the
+engine with its own blend of force and linear decay.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Callable
 
 from conveyor.errors import StepSizeUnderflow
-from conveyor.model import ConveyorParams, force_closure, force_dz_closure
+from conveyor.model import ConveyorParams, force_closure
 
 if TYPE_CHECKING:
     import numpy as np
@@ -118,18 +119,14 @@ class Trajectory:
     Knot times are the integrator's accepted steps; interpolation at a knot
     returns the stored knot value exactly, and queries anywhere between the
     endpoints evaluate the per-step dense polynomial.  Knots are lists of
-    floats (``knots``), so interpolation needs no numpy; only the array
-    getters ``times``, ``states``, ``samples`` and ``sample`` import it.
+    floats (``knots``), ascending in t, so interpolation needs no numpy;
+    only the array getters ``times`` and ``sample`` import it.
     """
 
-    __slots__ = ("params", "_kt", "_kz", "_back", "_seg_h", "_seg_c", "_lo", "_hi")
+    __slots__ = ("params", "_kt", "_kz", "_seg_h", "_seg_c", "_lo", "_hi")
 
     def __init__(self, params: ConveyorParams, knot_t: list[float], knot_z: list[float],
                  seg_h: list[float], seg_c: list[tuple]):
-        # a backward run is stored ascending; its steps start at the later knot
-        self._back = knot_t[-1] < knot_t[0]
-        if self._back:
-            knot_t, knot_z, seg_h, seg_c = knot_t[::-1], knot_z[::-1], seg_h[::-1], seg_c[::-1]
         self.params = params
         self._kt = knot_t
         self._kz = knot_z
@@ -156,17 +153,6 @@ class Trajectory:
         import numpy as np
         return np.array(self.knots[0])
 
-    @property
-    def states(self) -> np.ndarray:
-        import numpy as np
-        return np.array(self.knots[1])
-
-    @property
-    def samples(self) -> np.ndarray:
-        """Accepted (t, z) pairs as an (n, 2) array, ascending in t."""
-        import numpy as np
-        return np.column_stack(self.knots)
-
     def interp(self, t: float) -> float:
         """z(t) for t between the trajectory endpoints."""
         slack = 1e-12 * (self._hi - self._lo)
@@ -183,7 +169,7 @@ class Trajectory:
         if t == kt[j + 1]:
             return self._kz[j + 1]
         c1, c2, c3, c4, c5 = self._seg_c[j]
-        th = (t - kt[j + self._back]) / self._seg_h[j]
+        th = (t - kt[j]) / self._seg_h[j]
         th1 = 1.0 - th
         return c1 + th * (c2 + th1 * (c3 + th * (c4 + th1 * c5)))
 
@@ -196,9 +182,9 @@ class Trajectory:
         """max |z| over the span: the largest of the knots and of each step's
         interpolant at the points splitting it into ``_SUP_REFINE`` equal parts,
         polished by Newton's method on dz/dtheta = 0 in its step (both, at a knot)."""
-        seg_c, kz, back = self._seg_c, self._kz, float(self._back)
+        seg_c, kz = self._seg_c, self._kz
         k = max(range(len(kz)), key=lambda i: abs(kz[i]))
-        best, starts = abs(kz[k]), [(k, back), (k - 1, 1.0 - back)]
+        best, starts = abs(kz[k]), [(k, 0.0), (k - 1, 1.0)]
         for j, (c1, c2, c3, c4, c5) in enumerate(seg_c):
             for i in range(1, _SUP_REFINE):
                 th = i / _SUP_REFINE
@@ -224,8 +210,8 @@ def _dp45_scalar(p: ConveyorParams, rhs: Callable[[float, float], float] | None,
 
     ``rhs`` defaults to the force field of ``p`` and ``cfg`` to
     ``IntegratorConfig()``, resolved against the period of ``p``.  The drive
-    phase at z0 must be finite at t0 and at t1, and the span must fit in
-    MAX_STEPS steps of the step ceiling.
+    phase at z0 must be finite at t0 and at t1, the span must fit in
+    MAX_STEPS steps of the step ceiling, and time runs forward: t1 > t0.
 
     With ``rhs_dz`` given, log_w is the integral of rhs_dz(t, z(t)) over the
     span (0.0 otherwise): each accepted step adds h * sum(b_i * g_i), with
@@ -244,10 +230,11 @@ def _dp45_scalar(p: ConveyorParams, rhs: Callable[[float, float], float] | None,
     if not cfg.span_fits(p.period, t0, t1):
         raise ValueError(f"span t={t0!r} to t={t1!r} needs more than {MAX_STEPS} steps "
                          f"of at most {max_step:.6g} s")
+    if not t1 > t0:
+        raise ValueError(f"integration runs forward only: need t1 > t0, got t0={t0!r}, t1={t1!r}")
     span = t1 - t0
-    direction = 1.0 if span > 0.0 else -1.0
-    h_floor = _STEP_FLOOR_REL * abs(span)
-    h = direction * min(h0, max_step, abs(span))
+    h_floor = _STEP_FLOOR_REL * span
+    h = min(h0, max_step, span)
 
     t, y = t0, z0
     k1 = rhs(t, y)
@@ -261,10 +248,10 @@ def _dp45_scalar(p: ConveyorParams, rhs: Callable[[float, float], float] | None,
     seg_h: list[float] = []
     seg_c: list[tuple] = []
 
-    while (t1 - t) * direction > 0.0:
-        if abs(h) < h_floor:
+    while t < t1:
+        if h < h_floor:
             raise StepSizeUnderflow(t, h)
-        if (t + h - t1) * direction > 0.0:
+        if t + h > t1:
             h = t1 - t
 
         k2 = rhs(t + _C2 * h, y + h * (_A21 * k1))
@@ -313,8 +300,8 @@ def _dp45_scalar(p: ConveyorParams, rhs: Callable[[float, float], float] | None,
             facold = 1e-4 if 1e-4 > err_norm else err_norm
             rejected = False
             h *= factor
-            if abs(h) > max_step:
-                h = direction * max_step
+            if h > max_step:
+                h = max_step
         else:
             rejected = True
             shrink = _SAFETY / (err_norm ** _EXPO1)
@@ -325,15 +312,11 @@ def _dp45_scalar(p: ConveyorParams, rhs: Callable[[float, float], float] | None,
 
 def integrate(p: ConveyorParams, rhs: Callable[[float, float], float], z_i: float,
               t0: float, t1: float, cfg: IntegratorConfig | None = None) -> Trajectory:
-    """Integrate dz/dt = rhs(t, z) from (t0, z_i) to t1 with dense output.
-
-    Backward spans (t1 < t0) are supported so that runs can be retraced;
-    the returned trajectory is always ordered by ascending time.
+    """Integrate dz/dt = rhs(t, z) from (t0, z_i) forward to t1 > t0 with
+    dense output.
 
     Raises StepSizeUnderflow when the controller cannot make progress.
     """
-    if t1 == t0:
-        raise ValueError("integration span is empty (t1 == t0)")
     _, _, *path = _dp45_scalar(p, rhs, z_i, t0, t1, cfg, collect=True)
     return Trajectory(p, *path)
 
@@ -344,12 +327,11 @@ def propagate(p: ConveyorParams, rhs: Callable[[float, float], float], z_i: floa
     return _dp45_scalar(p, rhs, z_i, t0, t1, cfg, collect=False)[0]
 
 
-def flow_T(p: ConveyorParams, z0: float, cfg: IntegratorConfig | None = None,
-           rhs: Callable[[float, float], float] | None = None) -> float:
-    """Period map P(z0) = z(T; 0, z0) over T = ``p.period`` = 4*pi/b, whose
-    fixed points are the drive-periodic solutions; the solvers seek them on
-    ``_half_map``.  ``rhs`` defaults to the conveyor force field."""
-    return _dp45_scalar(p, rhs, z0, 0.0, p.period, cfg, collect=False)[0]
+def flow_T(p: ConveyorParams, z0: float, cfg: IntegratorConfig | None = None) -> float:
+    """Period map P(z0) = z(T; 0, z0) of the conveyor force field over
+    T = ``p.period`` = 4*pi/b, whose fixed points are the drive-periodic
+    solutions; the solvers seek them on ``_half_map``."""
+    return _dp45_scalar(p, None, z0, 0.0, p.period, cfg, collect=False)[0]
 
 
 def _half_map(p: ConveyorParams, z0: float, cfg: IntegratorConfig | None,
@@ -359,24 +341,6 @@ def _half_map(p: ConveyorParams, z0: float, cfg: IntegratorConfig | None,
     step bounds; the slope is 1.0 without ``rhs_dz``.  P = P_h o P_h with P_h
     increasing, so P_h has exactly P's fixed points, and mu = mu_h**2."""
     z1, log_w, *_ = _dp45_scalar(p, rhs, z0, 0.0, 0.5 * p.period, cfg, False, rhs_dz)
-    return z1, math.exp(log_w)
-
-
-def flow_T_with_sensitivity(p: ConveyorParams, z0: float,
-                            cfg: IntegratorConfig | None = None,
-                            rhs: Callable[[float, float], float] | None = None,
-                            rhs_dz: Callable[[float, float], float] | None = None,
-                            ) -> tuple[float, float]:
-    """(P(z0), dP/dz0) in one pass of the scalar stepper.
-
-    By Liouville's formula dP/dz0 = exp(int_0^T rhs_dz(t, z(t)) dt); the
-    integral is summed along the same steps that give P(z0), so P(z0) is
-    bitwise ``flow_T``'s value and the derivative is positive.  At a fixed
-    point it is the orbit's stability multiplier.
-    """
-    if rhs_dz is None:
-        rhs_dz = force_dz_closure(p)
-    z1, log_w, *_ = _dp45_scalar(p, rhs, z0, 0.0, p.period, cfg, collect=False, rhs_dz=rhs_dz)
     return z1, math.exp(log_w)
 
 

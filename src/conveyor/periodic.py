@@ -10,9 +10,10 @@ sensitivity, or parks a guess where the drive bound
 ``model.log_drive_bound`` is below ``FORCE_FREE_SUP`` (flagged
 ``force_free``: every point looks fixed); ``scan_orbits`` solves in every
 grid cell where R changes sign, repelling orbits included; ``basin_probe``
-measures which initial conditions have reached an orbit by a given
-horizon; and ``boundedness_audit`` reports the largest amplitude over a
-set of certified orbits, the empirical stand-in for the theoretical bound.
+measures which initial conditions have reached one of a given list of
+orbits by a given horizon; and ``boundedness_audit`` reports the largest
+amplitude over a set of certified orbits, the empirical stand-in for the
+theoretical bound.
 The thresholds are module constants, not parameters: a solve certifies at
 |P_h(z) - z| < ``CERTIFICATION_TOL`` and a scan merges orbits closer than
 ``DEDUPE_TOL``.
@@ -56,11 +57,6 @@ class PeriodicOrbit:
     sup_norm: float
     trajectory: Trajectory
     force_free: bool = False
-
-    @property
-    def samples(self):
-        """(t, z) samples over [0, 2*pi/b], endpoints matching within residual."""
-        return self.trajectory.samples
 
     @property
     def attracting(self) -> bool:
@@ -197,35 +193,22 @@ def scan_orbits(p: ConveyorParams, z_lo: float, z_hi: float, n_grid: int,
 
 
 def basin_probe(p: ConveyorParams, initial_conditions: Sequence[float], horizon: float,
-                cfg: IntegratorConfig | None = None,
-                orbits: Sequence[PeriodicOrbit] | None = None) -> list[BasinPoint]:
+                orbits: Sequence[PeriodicOrbit],
+                cfg: IntegratorConfig | None = None) -> list[BasinPoint]:
     """Where each initial condition ends up after ~horizon, and whether that
-    is within 1e-3 of a certified orbit.
+    is within ``BASIN_TOL`` of one of ``orbits`` (force-free ones ignored),
+    e.g. the list ``scan_orbits`` returns.
 
     The horizon is snapped up to a whole number of drive periods so the
     final state is phase-aligned with the orbits' z_star (comparing
     mid-phase values against a fixed point would fold the orbit's own
-    oscillation amplitude into the distance).  When no orbit list is
-    supplied, one is sought from z = 0 and then from each initial
-    condition.
+    oscillation amplitude into the distance).
     """
     T = p.period
     if not 10.0 * T <= horizon < math.inf:
         raise ValueError(f"horizon must be finite and >= 10 periods ({10 * T:.6g}), "
                          f"got {horizon!r}")
     n_periods = math.ceil(horizon / T - 1e-9)
-
-    if orbits is None:
-        orbits = []
-        for guess in [0.0, *initial_conditions]:
-            try:
-                orbit = find_periodic(p, guess, cfg)
-            except NoConvergence:
-                continue
-            if not orbit.force_free:
-                orbits.append(orbit)
-                break  # one certified orbit is enough for the default probe
-
     targets = [o.z_star for o in orbits if not o.force_free]
     rhs = force_closure(p)
     out: list[BasinPoint] = []

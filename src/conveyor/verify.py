@@ -164,10 +164,9 @@ def multiplier_cross_check(p: ConveyorParams, orbit: PeriodicOrbit,
     1e-4 stays below 1e-4 of a multiplier as small as the 8e-6 of f0 = 10.
     """
     h = _FD_STEP
-    rhs = force_closure(p)
     tight = _tight_config(cfg)
-    plus = flow_T(p, orbit.z_star + h, tight, rhs=rhs)
-    minus = flow_T(p, orbit.z_star - h, tight, rhs=rhs)
+    plus = flow_T(p, orbit.z_star + h, tight)
+    minus = flow_T(p, orbit.z_star - h, tight)
     fd = (plus - minus) / (2.0 * h)
     rel = abs(orbit.multiplier - fd) / max(abs(fd), 1e-300)
     return MultiplierCheck(orbit.multiplier, fd, rel)

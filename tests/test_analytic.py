@@ -164,3 +164,19 @@ class TestTaylorSmallF0:
         p = default_params("plane", f0=1e-3)
         zs = [taylor_small_f0(p, 0.2, float(t)) for t in np.linspace(0, p.period, 1000)]
         assert max(zs) - min(zs) <= 2.0 * p.f0 * p.k / p.b + 1e-15
+
+
+# each entry point names the argument that is not finite, instead of failing
+# later as "cannot convert float NaN to integer", OverflowError or "math
+# domain error", or returning inf or nan
+@pytest.mark.parametrize("regime", [RECTILINEAR, OSCILLATORY, DEGENERATE])
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan], ids=["inf", "-inf", "nan"])
+@pytest.mark.parametrize("arg,call", [
+    ("z_i", lambda p, v: PlaneSolution(v, p)),
+    ("t", lambda p, v: plane_solution(PlaneSolution(0.2, p), v)),
+    ("z_i", lambda p, v: taylor_small_f0(p, v, 1.0)),
+    ("t", lambda p, v: taylor_small_f0(p, 0.2, v)),
+], ids=["PlaneSolution-z_i", "plane_solution-t", "taylor_small_f0-z_i", "taylor_small_f0-t"])
+def test_non_finite_input_rejected(regime, bad, arg, call):
+    with pytest.raises(ValueError, match=f"^{arg} must be finite"):
+        call(params_for(regime), bad)

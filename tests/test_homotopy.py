@@ -34,7 +34,7 @@ class TestSolveAtLambda:
 
     def test_midpoint_certified_and_continuous(self, lorentzian_params):
         z_half, _, traj = solve_at_lambda(lorentzian_params, 0.5, 0.2)
-        assert abs(float(traj.states[-1]) - z_half) < 1e-9
+        assert abs(traj.knots[1][-1] - z_half) < 1e-9
         z_next, _, _ = solve_at_lambda(lorentzian_params, 0.501, z_half)
         assert abs(z_next - z_half) < 1e-2
 

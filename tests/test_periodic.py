@@ -76,17 +76,18 @@ class TestFindPeriodic:
 
     def test_orbit_samples_close_up(self, lorentzian_orbit):
         # the stored run spans the drive's minimal period 2*pi/b = period/2
-        s = lorentzian_orbit.samples
-        assert s[0, 0] == 0.0
-        assert s[-1, 0] == pytest.approx(0.5 * lorentzian_orbit.period, rel=1e-15)
-        assert abs(s[-1, 1] - s[0, 1]) <= lorentzian_orbit.residual * (1.0 + 1e-9)
+        kt, kz = lorentzian_orbit.trajectory.knots
+        assert kt[0] == 0.0
+        assert kt[-1] == pytest.approx(0.5 * lorentzian_orbit.period, rel=1e-15)
+        assert abs(kz[-1] - kz[0]) <= lorentzian_orbit.residual * (1.0 + 1e-9)
 
     def test_periodic_extension_seam(self, lorentzian_params, lorentzian_orbit):
         # the right-hand side is continuous across t = T when z(T) ~ z(0)
         o = lorentzian_orbit
         force = field(lorentzian_params).force
-        f_end = force(o.period, float(o.samples[-1, 1]))
-        f_start = force(0.0, float(o.samples[0, 1]))
+        kz = o.trajectory.knots[1]
+        f_end = force(o.period, kz[-1])
+        f_start = force(0.0, kz[0])
         assert abs(f_end - f_start) < 1e-6
 
     def test_periodic_extension_resample(self, lorentzian_params, lorentzian_orbit):
@@ -299,7 +300,9 @@ class TestHalfPeriodMap:
         rhs, rhs_dz = force_closure(p), force_dz_closure(p)
         for o in [find_periodic(p, 0.0), *scan_orbits(p, *window)]:
             z_half, mu_half = integrator._half_map(p, o.z_star, None, rhs, rhs_dz)
-            z_full, mu_full = integrator.flow_T_with_sensitivity(p, o.z_star)
+            z_full, log_w, *_ = integrator._dp45_scalar(p, rhs, o.z_star, 0.0, p.period, None,
+                                                        False, rhs_dz)
+            mu_full = math.exp(log_w)
             assert abs(z_half - o.z_star) < periodic.CERTIFICATION_TOL
             assert abs(z_full - o.z_star) < periodic.CERTIFICATION_TOL
             # the reported multiplier is mu_h**2; the full-period Liouville
@@ -373,9 +376,11 @@ class TestScanFindsEveryOrbit:
             return c * sum(math.prod(z - s for s in roots[:i] + roots[i + 1:])
                            for i in range(len(roots)))
 
+        # periodic builds the solves' right-hand sides; integrate's default
+        # field is the one each orbit's stored run integrates
         for module in (periodic, integrator):
             monkeypatch.setattr(module, "force_closure", lambda p: g)
-            monkeypatch.setattr(module, "force_dz_closure", lambda p: g_dz)
+        monkeypatch.setattr(periodic, "force_dz_closure", lambda p: g_dz)
         return g_dz
 
     @pytest.mark.parametrize("c,roots,n_grid", [
@@ -397,12 +402,12 @@ class TestScanFindsEveryOrbit:
 class TestBasinProbe:
     def test_horizon_validation(self, lorentzian_params):
         with pytest.raises(ValueError):
-            basin_probe(lorentzian_params, [0.0], 5.0 * lorentzian_params.period)
+            basin_probe(lorentzian_params, [0.0], 5.0 * lorentzian_params.period, [])
 
     @pytest.mark.parametrize("horizon", [math.inf, math.nan])
     def test_non_finite_horizon_rejected(self, lorentzian_params, horizon):
         with pytest.raises(ValueError, match="horizon must be finite"):
-            basin_probe(lorentzian_params, [0.0], horizon)
+            basin_probe(lorentzian_params, [0.0], horizon, [])
 
     def test_release_on_orbit_converges(self, lorentzian_params, lorentzian_orbit):
         T = lorentzian_params.period
@@ -429,13 +434,6 @@ class TestBasinProbe:
         assert isinstance(pts[0], BasinPoint)
         assert abs(pts[0].z_final - 3.0) < 1e-3
         assert not pts[0].converged
-
-    def test_default_orbit_discovery(self, gaussian_params):
-        # without an orbit list the probe finds one itself
-        T = gaussian_params.period
-        pts = basin_probe(gaussian_params, [0.1, 3.0], 20.0 * T)
-        assert pts[0].converged
-        assert not pts[1].converged
 
     def test_horizon_snaps_to_whole_periods(self, gaussian_params, gaussian_orbit):
         # 10.5 periods is probed at 11 T so the comparison is phase-aligned

@@ -5,8 +5,15 @@ import math
 import pytest
 
 from conveyor.errors import ConveyorError
-from conveyor.integrate import flow_T, flow_T_with_sensitivity, integrate
-from conveyor.model import ConveyorParams, EnvelopeSpec, default_params, field, force_closure
+from conveyor.integrate import _half_map, flow_T, integrate
+from conveyor.model import (
+    ConveyorParams,
+    EnvelopeSpec,
+    default_params,
+    field,
+    force_closure,
+    force_dz_closure,
+)
 from conveyor.periodic import PeriodicOrbit, find_periodic
 from conveyor.verify import (
     _force_squared_integral,
@@ -113,7 +120,7 @@ class TestIdentities:
         for eps in (2e-5, 2e-6, 2e-7):
             z0 = z_star + eps
             traj = integrate(p, force_closure(p), z0, 0.0, p.period)
-            residual = abs(float(traj.states[-1]) - z0)
+            residual = abs(traj.interp(traj.t1) - z0)
             pseudo = PeriodicOrbit(
                 z_star=z0,
                 period=p.period,
@@ -197,14 +204,15 @@ class TestAgainstIndependentIntegrator:
         assert flow_T(p, 0.3) == pytest.approx(sol.y[0, -1], abs=1e-9)
 
     def test_sensitivity_matches_scipy_fd(self, gaussian_params):
+        # the solvers' map: P_h over the drive's minimal period 2 pi / b
         p = gaussian_params
-        _, w = flow_T_with_sensitivity(p, 0.1)
         rhs = force_closure(p)
+        _, w = _half_map(p, 0.1, None, rhs, force_dz_closure(p))
 
         def final(z0):
             sol = self.scipy_integrate.solve_ivp(
                 lambda t, y: [rhs(t, y[0])],
-                (0.0, p.period),
+                (0.0, p.period / 2),
                 [z0],
                 rtol=1e-12,
                 atol=1e-14,
