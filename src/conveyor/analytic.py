@@ -48,8 +48,9 @@ class PlaneSolution:
                 f"plane-wave solution requires the plane envelope, got "
                 f"{self.params.envelope.kind!r}"
             )
-        if not math.isfinite(self.z_i):
-            raise ValueError(f"z_i must be finite, got {self.z_i!r}")
+        # the phase 2k z_i must be a finite double, or the branch index overflows
+        if not math.isfinite(2.0 * self.params.k * self.z_i):
+            raise ValueError(f"z_i must be finite with a finite phase 2k*z_i, got {self.z_i!r}")
 
     @property
     def regime(self) -> str:
@@ -67,12 +68,13 @@ class PlaneSolution:
 
 def plane_solution(s: PlaneSolution, t: float) -> float:
     """z(t) for the plane-wave conveyor, continuous across all branch seams."""
-    if not math.isfinite(t):
-        raise ValueError(f"t must be finite, got {t!r}")
     p = s.params
     b, k = p.b, p.k
     a = 2.0 * p.f0 * k * k
     u_i = 2.0 * k * s.z_i
+    # u_i is finite (checked by PlaneSolution), so this also makes b t finite
+    if not math.isfinite(u_i - b * t):
+        raise ValueError(f"t must be finite with a finite phase 2k*z_i - b*t, got {t!r}")
     regime = s.regime
 
     if regime == DEGENERATE:
@@ -152,8 +154,9 @@ def taylor_small_f0(p: ConveyorParams, z_i: float, t: float) -> float:
     Exact evaluation of the formula; the neglected terms are O(f0**2), so
     the particle wobbles periodically around its release point.
     """
-    for name, v in (("z_i", z_i), ("t", t)):
-        if not math.isfinite(v):
-            raise ValueError(f"{name} must be finite, got {v!r}")
     two_zik = 2.0 * z_i * p.k
+    if not math.isfinite(two_zik):
+        raise ValueError(f"z_i must be finite with a finite phase 2k*z_i, got {z_i!r}")
+    if not math.isfinite(two_zik - p.b * t):
+        raise ValueError(f"t must be finite with a finite phase 2k*z_i - b*t, got {t!r}")
     return z_i + p.f0 * p.k * (math.cos(two_zik) - math.cos(two_zik - p.b * t)) / p.b

@@ -199,8 +199,10 @@ def cmd_simulate(parser: argparse.ArgumentParser, args) -> int:
 def cmd_find_periodic(parser: argparse.ArgumentParser, args) -> int:
     p = _params_from_args(parser, args, args.envelope)
     cfg = _config_from_args(parser, args, p.period)
-    if not math.isfinite(args.z_hi - args.z_lo):
-        parser.error(f"window [{args.z_lo}, {args.z_hi}] and its width must be finite")
+    # the grid's largest offset (z_hi - z_lo) * (n_grid - 1) must be finite too
+    if not math.isfinite((args.z_hi - args.z_lo) * (args.n_grid - 1)):
+        parser.error(f"window [{args.z_lo}, {args.z_hi}], its width and its grid offsets "
+                     "must be finite")
     if not args.z_lo < args.z_hi:
         parser.error(f"--z-lo must be below --z-hi, got [{args.z_lo}, {args.z_hi}]")
     _check_phase(parser, p, "--z-lo and --z-hi", (args.z_lo, args.z_hi), (0.0, p.period))

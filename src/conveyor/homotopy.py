@@ -206,11 +206,14 @@ def beta_bound_audit(period: float, n_cases: int = 100) -> BetaBoundReport:
     boundary condition and the convolution bound; each case draws a smooth
     random trig polynomial q and a random c0, from numpy's generator seeded
     with ``_AUDIT_SEED``, and checks the solved y on a ``_BVP_GRID``-point
-    grid.  Reports the worst observed ratio.
+    grid.  Reports the worst observed ratio; with no case the audit would
+    pass vacuously, so ``n_cases`` must be >= 1.
     """
     import numpy as np
     if not 0.0 < period < math.inf:
         raise ValueError(f"period must be finite and > 0, got {period!r}")
+    if n_cases < 1:
+        raise ValueError(f"n_cases must be >= 1, got {n_cases!r}")
     beta = 1.0 + 1.0 / (-math.expm1(-period))
     rng = np.random.default_rng(_AUDIT_SEED)
     ts = np.linspace(0.0, period, _BVP_GRID)

@@ -19,8 +19,8 @@ which serves the envelope; F and dF/dz are fused per kind, with the
 envelope written inline, so that a right-hand-side call makes no second
 call.
 ``force_closure`` and ``force_dz_closure`` are the names under which the
-solvers fetch F and dF/dz.  ``log_drive_bound`` bounds log |F(t, z)| over
-a period in log space; it is -inf exactly where every point is at rest.
+solvers fetch F and dF/dz.  ``drive_bound`` bounds |F(t, z)| over all t;
+no envelope vanishes, so F is zero at z for every t only when f0 = 0.
 
 All types are immutable and all operations are pure functions; they are safe
 to call from any number of concurrent workers.
@@ -29,7 +29,6 @@ to call from any number of concurrent workers.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from math import copysign, cos, exp, sin
@@ -232,46 +231,6 @@ _KERNELS = {
 }
 
 
-def _softplus(x: float) -> float:
-    """log(1 + e^x) without overflow."""
-    return x + math.log1p(math.exp(-x)) if x > 0.0 else math.log1p(math.exp(x))
-
-
-def _log_scaled(e: EnvelopeSpec, z: float) -> float:
-    """log(|z| / z0), finite for every finite z != 0 whatever its size."""
-    return math.log(abs(z)) - math.log(e.z0)
-
-
-def envelope_log_value(e: EnvelopeSpec, z: float) -> float:
-    """log f(z), evaluated without underflow or overflow.
-
-    Finite for every finite z and all three kinds, which is how genuine
-    zeros of f (there are none) are told apart from double-precision
-    underflow of f itself.  The Gaussian's exact value leaves the
-    double range beyond |z| ~ 1e154 * z0; there it saturates at
-    -sys.float_info.max.
-    """
-    if e.kind == "plane" or z == 0.0:
-        return 0.0
-    if e.kind == "lorentzian":
-        return -_softplus(2.0 * _log_scaled(e, z))   # -log(1 + (z/z0)^2)
-    u = abs(z) / e.z0
-    return max(-2.0 * u * u, -sys.float_info.max)
-
-
-def envelope_log_abs_d1(e: EnvelopeSpec, z: float) -> float:
-    """log |f'(z)| without underflow or overflow; -inf where f' vanishes
-    exactly, saturating like ``envelope_log_value`` otherwise."""
-    if e.kind == "plane" or z == 0.0:
-        return -math.inf
-    lu = _log_scaled(e, z)
-    if e.kind == "lorentzian":
-        # |f'| = (2/z0) u / (1 + u^2)^2 with u = |z|/z0
-        return math.log(2.0 / e.z0) + lu - 2.0 * _softplus(2.0 * lu)
-    u = abs(z) / e.z0
-    return max(math.log(4.0 / e.z0) + lu - 2.0 * u * u, -sys.float_info.max)
-
-
 # ---------------------------------------------------------------------------
 # potential and force field
 
@@ -315,19 +274,16 @@ def force_dz_closure(p: ConveyorParams) -> Callable[[float, float], float]:
     return field(p).force_dz
 
 
-def log_drive_bound(p: ConveyorParams, z: float) -> float:
-    """log of 2 f0 max(k f(z), |f'(z)|), a bound on |F(t, z)| over all t.
+def drive_bound(p: ConveyorParams, z: float) -> float:
+    """2 f0 max(k f(z), |f'(z)|), a bound on |F(t, z)| over all t.
 
-    Evaluated in log space, so underflow of f cannot pass for a zero: the
-    bound is finite for every finite z when f0 > 0 (f > 0 for every
-    envelope) and -inf when f0 = 0, the one case in which F vanishes at z
-    for every t.
+    Read off ``field(p).envelope`` in plain floats: 0.0 where f0 = 0, and
+    also where f and f' underflow or z*z overflows, where the true bound
+    lies far below any threshold it is compared with; inf where it exceeds
+    the double range.
     """
-    if p.f0 == 0.0:
-        return -math.inf
-    e = p.envelope
-    log_f = max(math.log(p.k) + envelope_log_value(e, z), envelope_log_abs_d1(e, z))
-    return math.log(2.0 * p.f0) + log_f
+    f, d1, _ = field(p).envelope(z)
+    return 2.0 * p.f0 * max(p.k * f, abs(d1))
 
 
 def plane_regime(p: ConveyorParams) -> str:

@@ -6,14 +6,13 @@ sit at sign changes of R = P - z.  Solves run on P_h, the increasing map
 over the drive's minimal period 2*pi/b: P = P_h o P_h, so P_h - z has the
 sign of R and the fixed points of P, and mu = mu_h**2.  ``find_periodic``
 certifies the orbit that captures a guess by Newton shooting with exact
-sensitivity, or parks a guess where the drive bound
-``model.log_drive_bound`` is below ``FORCE_FREE_SUP`` (flagged
-``force_free``: every point looks fixed); ``scan_orbits`` solves in every
-grid cell where R changes sign, repelling orbits included; ``basin_probe``
-measures which initial conditions have reached one of a given list of
-orbits by a given horizon; and ``boundedness_audit`` reports the largest
-amplitude over a set of certified orbits, the empirical stand-in for the
-theoretical bound.
+sensitivity, or parks a guess where the drive bound ``model.drive_bound``
+is below ``FORCE_FREE_SUP`` (flagged ``force_free``: every point looks
+fixed); ``scan_orbits`` solves in every grid cell where R changes sign,
+repelling orbits included; ``basin_probe`` measures which initial
+conditions have reached one of a given list of orbits by a given horizon;
+and ``boundedness_audit`` reports the largest amplitude over a set of
+certified orbits, the empirical stand-in for the theoretical bound.
 The thresholds are module constants, not parameters: a solve certifies at
 |P_h(z) - z| < ``CERTIFICATION_TOL`` and a scan merges orbits closer than
 ``DEDUPE_TOL``.
@@ -35,13 +34,13 @@ from conveyor.integrate import (
     propagate,
     tight_period,
 )
-from conveyor.model import ConveyorParams, force_closure, force_dz_closure, log_drive_bound
+from conveyor.model import ConveyorParams, drive_bound, force_closure, force_dz_closure
 
 CERTIFICATION_TOL = 1e-9
 DEDUPE_TOL = 1e-6
 BASIN_TOL = 1e-3
-# a guess is force-free when ``log_drive_bound`` there is below
-# log(FORCE_FREE_SUP)
+# a guess is force-free when ``drive_bound`` there, a bound on |F| over all
+# t, is below this; 1e-9 lies some 300 decades inside the double range
 FORCE_FREE_SUP = 1e-9
 
 
@@ -102,7 +101,7 @@ def find_periodic(p: ConveyorParams, z_guess: float,
     ``verify.identity_force``).
 
     Inspect ``force_free`` on the result before trusting it as a trap: a
-    guess where ``model.log_drive_bound`` puts the drive below
+    guess where ``model.drive_bound`` puts the drive below
     ``FORCE_FREE_SUP`` (every guess when f0 = 0) is not solved but returned
     as it stands, parked, with multiplier 1.
     """
@@ -112,7 +111,7 @@ def find_periodic(p: ConveyorParams, z_guess: float,
 def _certify(p: ConveyorParams, z_guess: float, cfg: IntegratorConfig | None,
              bracket: Sequence[tuple[float, float]] = ()) -> PeriodicOrbit:
     """``find_periodic`` with known (z, R) points for ``solve_fixed_point``."""
-    if log_drive_bound(p, z_guess) < math.log(FORCE_FREE_SUP):
+    if drive_bound(p, z_guess) < FORCE_FREE_SUP:
         return _build_orbit(p, z_guess, 1.0, cfg, force_free=True)
     if p.envelope.kind == "plane":
         # f' == 0 turns the force identity into int F^2 dt = 0 over a period
@@ -146,6 +145,22 @@ def _hidden_pair_seeds(grid: Sequence[float], resid: Sequence[float]) -> list[fl
     return seeds
 
 
+def _grid(z_lo: float, z_hi: float, n: int) -> list[float]:
+    """The n evenly spaced points from z_lo to z_hi that both window scans,
+    this module's and ``verify.fixed_point_scan``, evaluate.
+
+    The window must be finite and so must every offset (z_hi - z_lo) * i,
+    or the grid would hold inf or nan; that covers a finite window whose
+    width overflows.
+    """
+    if not (z_lo < z_hi and (z_hi - z_lo) * (n - 1) < math.inf):
+        raise ValueError(f"need a finite window z_lo < z_hi with finite grid offsets "
+                         f"(z_hi - z_lo) * i, got [{z_lo!r}, {z_hi!r}]")
+    if n < 2:
+        raise ValueError(f"need n >= 2 grid points, got {n!r}")
+    return [z_lo + (z_hi - z_lo) * i / (n - 1) for i in range(n)]
+
+
 def scan_orbits(p: ConveyorParams, z_lo: float, z_hi: float, n_grid: int,
                 cfg: IntegratorConfig | None = None) -> list[PeriodicOrbit]:
     """All certified orbits found in [z_lo, z_hi], sorted by z_star.
@@ -158,13 +173,8 @@ def scan_orbits(p: ConveyorParams, z_lo: float, z_hi: float, n_grid: int,
     lowest-residual representative; force-free candidates are dropped.
     Returns an empty list when nothing in the window certifies.
     """
-    if not -math.inf < z_lo < z_hi < math.inf:
-        raise ValueError(f"need a finite window z_lo < z_hi, got [{z_lo!r}, {z_hi!r}]")
-    if n_grid < 2:
-        raise ValueError(f"n_grid must be >= 2, got {n_grid!r}")
-
+    grid = _grid(z_lo, z_hi, n_grid)
     rhs = force_closure(p)
-    grid = [z_lo + (z_hi - z_lo) * i / (n_grid - 1) for i in range(n_grid)]
     resid = [_half_map(p, g, cfg, rhs)[0] - g for g in grid]
     probes = [(v, _half_map(p, v, cfg, rhs)[0] - v) for v in _hidden_pair_seeds(grid, resid)]
     cells = sorted([*zip(grid, resid), *probes])

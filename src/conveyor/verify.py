@@ -14,10 +14,9 @@ residuals certify that a computed orbit behaves like a genuine periodic
 solution rather than a numerical coincidence.  ``multiplier_cross_check``
 compares the Liouville multiplier with a central difference of the
 full-period map, run at ``tight_period``'s tolerances, at the fixed step
-1e-4.  The fixed-point scan certifies that the flow has no rest points: it
-flags a grid point where ``model.log_drive_bound`` is -inf, that is where
-F(t, z) = 0 for every t, which happens exactly when f0 = 0, since no
-envelope vanishes.
+1e-4.  The fixed-point scan certifies that the flow has no rest points,
+points where F(t, z) = 0 for every t: since no envelope vanishes, it flags
+every grid point when f0 = 0 and none otherwise.
 """
 
 from __future__ import annotations
@@ -28,8 +27,8 @@ from typing import Callable, NamedTuple
 
 from conveyor.errors import ConveyorError
 from conveyor.integrate import IntegratorConfig, Trajectory, _tight_config, flow_T
-from conveyor.model import ConveyorParams, field, force_closure, log_drive_bound
-from conveyor.periodic import PeriodicOrbit
+from conveyor.model import ConveyorParams, field, force_closure
+from conveyor.periodic import PeriodicOrbit, _grid
 
 QUAD_TOL = 1e-10
 _FD_STEP = 1e-4
@@ -61,8 +60,12 @@ def gauss_lobatto(fn: Callable[[float], float], a: float, b: float) -> float:
     Each interval is accepted when the 7-point Kronrod extension agrees
     with the embedded 4-point rule to the interval's share of ``QUAD_TOL``,
     otherwise it is bisected; the absolute error budget is conserved
-    across splits.
+    across splits.  An interval whose estimate is not finite is returned
+    as it stands, not bisected, so a nan or inf integrand ends the run at
+    once; the bounds and their difference must be finite.
     """
+    if not math.isfinite(b - a):
+        raise ValueError(f"need finite bounds with a finite b - a, got [{a!r}, {b!r}]")
     if a == b:
         return 0.0
     fa, fb = fn(a), fn(b)
@@ -81,7 +84,7 @@ def gauss_lobatto(fn: Callable[[float], float], a: float, b: float) -> float:
             + _GK7_W[2] * (f_m3 + f_p3)
             + _GK7_W[3] * f_c
         )
-        if abs(i7 - i4) <= budget or depth >= _MAX_DEPTH:
+        if abs(i7 - i4) <= budget or depth >= _MAX_DEPTH or not math.isfinite(i7):
             return i7
         return recurse(lo, c, flo, f_c, 0.5 * budget, depth + 1) + recurse(
             c, hi, f_c, fhi, 0.5 * budget, depth + 1
@@ -142,17 +145,13 @@ def identity_force(orbit: PeriodicOrbit) -> IdentityResult:
 def fixed_point_scan(p: ConveyorParams, z_lo: float, z_hi: float, n: int) -> list[float]:
     """Grid points where the flow is at rest: F(t, z) = 0 for every t.
 
-    A point is flagged where ``log_drive_bound`` is -inf.  The bound works
-    in log space, so a point where the envelope merely underflows double
-    precision is not flagged; for f0 > 0 the list is empty, and for f0 = 0
-    it holds every grid point.
+    F = f0 (f cos^2)' and no envelope vanishes, so that happens exactly when
+    f0 = 0: the list holds every grid point then and is empty otherwise,
+    however far the envelope has underflowed.  The window is checked first,
+    as ``periodic.scan_orbits`` checks it.
     """
-    if not -math.inf < z_lo < z_hi < math.inf:
-        raise ValueError(f"need a finite window z_lo < z_hi, got [{z_lo!r}, {z_hi!r}]")
-    if n < 2:
-        raise ValueError(f"need n >= 2 grid points, got {n!r}")
-    grid = (z_lo + (z_hi - z_lo) * i / (n - 1) for i in range(n))
-    return [z for z in grid if log_drive_bound(p, z) == -math.inf]
+    grid = _grid(z_lo, z_hi, n)
+    return grid if p.f0 == 0.0 else []
 
 
 def multiplier_cross_check(p: ConveyorParams, orbit: PeriodicOrbit,

@@ -166,11 +166,13 @@ class TestTaylorSmallF0:
         assert max(zs) - min(zs) <= 2.0 * p.f0 * p.k / p.b + 1e-15
 
 
-# each entry point names the argument that is not finite, instead of failing
-# later as "cannot convert float NaN to integer", OverflowError or "math
-# domain error", or returning inf or nan
+# each entry point names the argument that is not finite, or whose phase
+# 2k*z_i, b*t or 2k*z_i - b*t overflows (the +-1e308 cases), instead of
+# failing later as "cannot convert float NaN to integer", OverflowError or
+# "math domain error", or returning inf or nan
 @pytest.mark.parametrize("regime", [RECTILINEAR, OSCILLATORY, DEGENERATE])
-@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan], ids=["inf", "-inf", "nan"])
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan, 1e308, -1e308],
+                         ids=["inf", "-inf", "nan", "1e308", "-1e308"])
 @pytest.mark.parametrize("arg,call", [
     ("z_i", lambda p, v: PlaneSolution(v, p)),
     ("t", lambda p, v: plane_solution(PlaneSolution(0.2, p), v)),

@@ -136,9 +136,13 @@ class TestFindPeriodic:
 
     @pytest.mark.parametrize("flags", [["--n-grid", "1"], ["--n-grid", "-3"],
                                        ["--z-hi", "inf"], ["--z-lo", "nan"],
-                                       ["--z-lo", "-1e308", "--z-hi", "1e308"],
+                                       ["--z-lo=-1e308", "--z-hi=1e308"],
                                        # finite width, but k*z overflows at z-lo
-                                       ["--z-lo=-1e308", "--z-hi=1e307"]])
+                                       ["--z-lo=-1e308", "--z-hi=1e307"],
+                                       # finite width and phases, but the grid
+                                       # offset (z_hi - z_lo) * 2 overflows
+                                       ["--k-pi", "1e-10", "--z-lo=-5e307", "--z-hi=5e307",
+                                        "--n-grid", "3"]])
     def test_bad_window_exits_2(self, tmp_path, flags):
         with pytest.raises(SystemExit) as info:
             run(["find-periodic", *flags, "--out", str(tmp_path / "o.csv")])

@@ -220,6 +220,12 @@ class TestBetaBound:
             with pytest.raises(ValueError, match="period"):
                 beta_bound_check(period)
 
+    @pytest.mark.parametrize("n_cases", [0, -1])
+    def test_audit_needs_a_case(self, lorentzian_params, n_cases):
+        # with no case the audit passed with max_ratio 0.0, having checked nothing
+        with pytest.raises(ValueError, match="n_cases"):
+            beta_bound_audit(lorentzian_params.period, n_cases)
+
     def test_check_attains_the_sharp_constant(self, lorentzian_params):
         T = lorentzian_params.period
         report = beta_bound_check(T)

@@ -2,11 +2,10 @@
 
 Derivative formulas are certified against central finite differences;
 the one nontrivial potential value is cross-checked against a 40-digit
-mpmath evaluation.
+mpmath evaluation, and the drive bound against 50-digit ones.
 """
 
 import math
-import sys
 
 import numpy as np
 import pytest
@@ -18,12 +17,12 @@ from conveyor.model import (
     ConveyorParams,
     EnvelopeSpec,
     default_params,
-    envelope_log_abs_d1,
-    envelope_log_value,
+    drive_bound,
     field,
-    log_drive_bound,
     plane_regime,
 )
+from conveyor.periodic import FORCE_FREE_SUP
+from conveyor.verify import fixed_point_scan
 
 LOR = EnvelopeSpec("lorentzian", 0.37)
 GAU = EnvelopeSpec("gaussian", 0.37)
@@ -104,33 +103,6 @@ class TestEnvelope:
         assert all(a >= b for a, b in zip(fs, fs[1:]))
         assert all(a >= b for a, b in zip(dfs, dfs[1:]))
         assert fs[-1] < 1e-7 and dfs[-1] < 1e-7
-
-    def test_log_forms_match_plain_values(self):
-        for e in (LOR, GAU):
-            for z in (0.2, 1.0, 3.0):
-                assert envelope_log_value(e, z) == pytest.approx(
-                    math.log(f(e, z)), rel=1e-12
-                )
-                assert envelope_log_abs_d1(e, z) == pytest.approx(
-                    math.log(abs(d1(e, z))), rel=1e-12
-                )
-
-    def test_log_forms_stay_finite_past_underflow(self):
-        assert f(GAU, 50.0) == 0.0  # double precision gives up
-        assert math.isfinite(envelope_log_value(GAU, 50.0))
-
-    def test_lorentzian_log_forms_finite_where_z_squared_overflows(self):
-        # there f = (z0/z)^2 and |f'| = 2 z0^2 / |z|^3 to all digits
-        for z in (1e200, -1e200, 1e308):
-            log_u = math.log(abs(z)) - math.log(LOR.z0)
-            assert envelope_log_value(LOR, z) == pytest.approx(-2.0 * log_u, rel=1e-15)
-            assert envelope_log_abs_d1(LOR, z) == pytest.approx(
-                math.log(2.0 / LOR.z0) - 3.0 * log_u, rel=1e-15)
-
-    def test_gaussian_log_forms_saturate_instead_of_overflowing(self):
-        # the exact log f = -2 (z/z0)^2 is below -1.8e308 here
-        assert envelope_log_value(GAU, 1e200) == -sys.float_info.max
-        assert envelope_log_abs_d1(GAU, 1e200) == -sys.float_info.max
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -333,42 +305,43 @@ class TestPotentialAndForce:
 
 
 class TestStructuralProbes:
-    # log_drive_bound is -inf exactly where F(t, z) = 0 for every t, the
-    # flow's rest points; with f0 > 0 there are none
+    # drive_bound = 2 f0 max(k f, |f'|) bounds |F(t, z)| over all t; it reads
+    # 0.0 where f0 = 0, and also where f underflows or z*z overflows, never nan
 
     def test_fixed_point_plane_never(self, plane_params):
         for z in (-10.0, 0.0, 3.3):
-            assert log_drive_bound(plane_params, z) == pytest.approx(
-                math.log(2.0 * plane_params.f0 * plane_params.k), rel=1e-15)
+            assert drive_bound(plane_params, z) == 2.0 * plane_params.f0 * plane_params.k
 
     def test_fixed_point_lorentzian_never(self, lorentzian_params):
-        # f > 0 everywhere, so the rest-point criterion can never hold
+        # f > 0 everywhere, and over this window far above any underflow
         for z in np.linspace(-50, 50, 101):
-            assert math.isfinite(log_drive_bound(lorentzian_params, float(z)))
+            assert drive_bound(lorentzian_params, float(z)) > FORCE_FREE_SUP
 
     def test_fixed_point_gaussian_underflow_artifact(self, gaussian_params):
-        # f(50) underflows to 0.0 in double precision; its log does not
+        # f(50) underflows to 0.0 in double precision, and so does the bound;
+        # its true value lies some 15,800 decades below FORCE_FREE_SUP
         f, d1, _ = field(gaussian_params).envelope(50.0)
         assert f == 0.0 and d1 == 0.0
-        bound = log_drive_bound(gaussian_params, 50.0)
-        assert math.isfinite(bound)
+        assert drive_bound(gaussian_params, 50.0) == 0.0
         # |f'| = (4/z0) u f with u = 50/z0 dominates k f
         u = 50.0 / 0.37
-        expected = math.log(2.0 * gaussian_params.f0 * 4.0 / 0.37 * u) - 2.0 * u * u
-        assert bound == pytest.approx(expected, rel=1e-12)
+        log_true = math.log(2.0 * gaussian_params.f0 * 4.0 / 0.37 * u) - 2.0 * u * u
+        assert (log_true - math.log(FORCE_FREE_SUP)) / math.log(10.0) < -15000.0
 
     @pytest.mark.parametrize("kind", ["lorentzian", "gaussian"])
     def test_fixed_point_overflow_is_not_a_rest_point(self, kind):
-        # z*z overflows at |z| = 1e200; that must not read as f == 0
+        # z*z overflows at |z| = 1e200; the bound reads 0.0 there, not nan,
+        # and only f0 = 0 makes a rest point
         p = default_params(kind)
         for z in (1e200, -1e200):
-            assert math.isfinite(log_drive_bound(p, z))
+            assert drive_bound(p, z) == 0.0
+        assert fixed_point_scan(p, 1e200, 2e200, 3) == []
 
     @pytest.mark.parametrize("kind", ["plane", "lorentzian", "gaussian"])
     def test_drive_free_is_a_rest_point(self, kind):
         p = default_params(kind, f0=0.0)
         for z in (-1e200, -50.0, 0.0, 0.5, 1e200):
-            assert log_drive_bound(p, z) == -math.inf
+            assert drive_bound(p, z) == 0.0
 
     @pytest.mark.parametrize("kind", ["plane", "lorentzian", "gaussian"])
     def test_drive_bound_bounds_the_force(self, kind):
@@ -378,8 +351,33 @@ class TestStructuralProbes:
         ts = np.linspace(0.0, p.period, 401)
         for z in np.linspace(-3.0, 3.0, 61):
             sup = max(abs(force(float(t), float(z))) for t in ts)
-            bound = math.exp(log_drive_bound(p, float(z)))
+            bound = drive_bound(p, float(z))
             assert bound / 2.0 * 0.999 <= sup <= bound * (1.0 + 1e-12)
+
+    @pytest.mark.parametrize("kind", ["lorentzian", "gaussian"])
+    def test_drive_bound_matches_mpmath(self, kind):
+        # 2 f0 max(k f, |f'|) at 50 digits for |z| from 1e-3 to 1e300, four
+        # points a decade: the plain-float bound matches it wherever it is
+        # above 1e-290, and reads below FORCE_FREE_SUP wherever it does
+        mp = pytest.importorskip("mpmath")
+        p = default_params(kind)
+        with mp.workdps(50):
+            f0, k, z0 = mp.mpf(p.f0), mp.mpf(p.k), mp.mpf(p.envelope.z0)
+            for e in range(-12, 1201):
+                for z in (10.0 ** (e / 4), -10.0 ** (e / 4)):
+                    u = mp.mpf(z) / z0
+                    if kind == "lorentzian":
+                        f = 1 / (1 + u * u)
+                        d1 = -2 * u / (z0 * (1 + u * u) ** 2)
+                    else:
+                        f = mp.exp(-2 * u * u)
+                        d1 = -4 * u / z0 * f
+                    true = 2 * f0 * max(k * f, abs(d1))
+                    got = drive_bound(p, z)
+                    if true > mp.mpf("1e-290"):
+                        assert abs(got - true) <= 1e-13 * true, z
+                    if true < FORCE_FREE_SUP:
+                        assert got < FORCE_FREE_SUP, z
 
     def test_plane_regime_reference(self):
         assert plane_regime(default_params("plane")) == RECTILINEAR  # 100 < 111.73

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from conveyor.model import (
     ConveyorParams,
     EnvelopeSpec,
     default_params,
+    drive_bound,
     field,
     force_closure,
     force_dz_closure,
@@ -137,9 +139,17 @@ class TestFindPeriodic:
         assert o.force_free
         assert o.z_star == 20.0
 
+    def test_far_lorentzian_guess_does_not_park(self, lorentzian_params):
+        # the Lorentzian only decays like (z0/z)^2: 20 wavelengths out the
+        # drive bound is 4.57e-3, far above FORCE_FREE_SUP, so the guess is
+        # solved, and no orbit captures it
+        assert drive_bound(lorentzian_params, 20.0) == pytest.approx(4.5745e-3, rel=1e-4)
+        with pytest.raises(NoConvergence):
+            find_periodic(lorentzian_params, 20.0)
+
     @pytest.mark.parametrize("kind", ["lorentzian", "gaussian"])
     def test_overflowing_guess_parks(self, kind):
-        # z*z overflows at 1e200; the log-space drive bound still reads ~0
+        # z*z overflows at 1e200; the drive bound reads 0.0 there, not nan
         o = find_periodic(default_params(kind), 1e200)
         assert o.force_free
         assert o.z_star == 1e200
@@ -210,10 +220,13 @@ class TestScanOrbits:
             scan_orbits(gaussian_params, -1.0, 1.0, 1)
 
     @pytest.mark.parametrize("z_lo,z_hi", [(-1.0, math.inf), (-math.inf, 1.0),
-                                           (math.nan, 1.0), (-1.0, math.nan)])
+                                           (math.nan, 1.0), (-1.0, math.nan),
+                                           (-1e308, 1e308), (-5e307, 5e307)])
     def test_non_finite_window_rejected(self, gaussian_params, z_lo, z_hi):
-        # named as the window, not as the stepper's "initial state z=nan"
-        with pytest.raises(ValueError, match=r"finite window.*\[" + f"{z_lo!r}, {z_hi!r}"):
+        # named as the window, not as the stepper's "initial state z=nan";
+        # the last two are finite, but their width, or its grid offsets
+        # (z_hi - z_lo) * i, overflow
+        with pytest.raises(ValueError, match=r"finite window.*\[" + re.escape(f"{z_lo!r}, {z_hi!r}")):
             scan_orbits(gaussian_params, z_lo, z_hi, 5)
 
     @pytest.mark.parametrize("kind,window,limit", [

@@ -1,6 +1,7 @@
 """Quadrature unit tests and integral-identity certificates on orbits."""
 
 import math
+import re
 
 import pytest
 
@@ -41,6 +42,33 @@ class TestGaussLobatto:
 
     def test_empty_interval(self):
         assert gauss_lobatto(math.sin, 1.0, 1.0) == 0.0
+
+    @pytest.mark.parametrize("a,b", [(0.0, math.inf), (-math.inf, 0.0), (0.0, math.nan),
+                                     (math.nan, 1.0), (math.inf, math.inf), (-1e308, 1e308)])
+    def test_non_finite_bounds_rejected(self, a, b):
+        with pytest.raises(ValueError, match="finite bounds"):
+            gauss_lobatto(_capped(math.sin), a, b)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_integrand_returns_at_once(self, value):
+        # an estimate that is not finite used to be bisected to depth 48
+        # everywhere, about 2**48 intervals
+        fn = _capped(lambda t: value)
+        assert not math.isfinite(gauss_lobatto(fn, 0.0, 1.0))
+        assert fn.calls == 7
+
+
+def _capped(fn):
+    """fn, raising after 1,000 calls, so that a quadrature that keeps
+    bisecting fails instead of hanging."""
+    def capped(t):
+        capped.calls += 1
+        if capped.calls > 1000:
+            raise RuntimeError("gauss_lobatto kept bisecting a non-finite estimate")
+        return fn(t)
+
+    capped.calls = 0
+    return capped
 
 
 class TestIdentities:
@@ -159,11 +187,22 @@ class TestFixedPointScan:
             fixed_point_scan(gaussian_params, -1.0, 1.0, 1)
 
     @pytest.mark.parametrize("z_lo,z_hi", [(-1.0, math.inf), (-math.inf, 1.0),
-                                           (math.nan, 1.0), (-1.0, math.nan)])
+                                           (math.nan, 1.0), (-1.0, math.nan),
+                                           (-1e308, 1e308), (-5e307, 5e307)])
     def test_non_finite_window_rejected(self, gaussian_params, z_lo, z_hi):
-        # an infinite end would put "rest points" at infinity on the grid
-        with pytest.raises(ValueError, match=r"finite window.*\[" + f"{z_lo!r}, {z_hi!r}"):
+        # an infinite end, or a width whose grid offsets (z_hi - z_lo) * i
+        # overflow, would put "rest points" at inf or nan on the grid
+        with pytest.raises(ValueError, match=r"finite window.*\[" + re.escape(f"{z_lo!r}, {z_hi!r}")):
             fixed_point_scan(gaussian_params, z_lo, z_hi, 5)
+
+    def test_window_checked_before_f0(self):
+        # with f0 = 0 the scan returns its grid, which must not hold inf or nan
+        p = default_params("gaussian", f0=0.0)
+        for z_lo, z_hi, n in ((-1e308, 1e308, 3), (-5e307, 5e307, 3), (-1.0, math.inf, 5)):
+            with pytest.raises(ValueError, match="finite window"):
+                fixed_point_scan(p, z_lo, z_hi, n)
+        with pytest.raises(ValueError, match="grid points"):
+            fixed_point_scan(p, -1.0, 1.0, 1)
 
 
 class TestMultiplierCrossCheck:
