@@ -74,6 +74,13 @@ _STEP_FLOOR_REL = 1e-14
 MAX_STEPS = 100_000
 # ``Trajectory.sup_norm`` reads each step's interpolant at this many equal parts
 _SUP_REFINE = 8
+# ``Trajectory.integral``'s 4-point Gauss-Legendre rule on [0, 1], exact to degree 7,
+# as (theta, 1 - theta, weight): theta = (1 +- x) / 2 at x = sqrt(3/7 -+ (2/7) sqrt(6/5)),
+# weighted (18 +- sqrt(30)) / 72
+_GL4 = tuple((0.5 + 0.5 * sx, 0.5 - 0.5 * sx, w) for x, w in (
+    (math.sqrt(3.0 / 7.0 - 2.0 / 7.0 * math.sqrt(1.2)), (18.0 + math.sqrt(30.0)) / 72.0),
+    (math.sqrt(3.0 / 7.0 + 2.0 / 7.0 * math.sqrt(1.2)), (18.0 - math.sqrt(30.0)) / 72.0),
+) for sx in (-x, x))
 
 
 @dataclass(frozen=True)
@@ -201,6 +208,18 @@ class Trajectory:
                 th = min(1.0, max(0.0, th - slope / curv)) if curv else th
             best = max(best, abs(c1 + th * (a1 + th * (a2 + th * (a3 + c5 * th)))))
         return best
+
+    def integral(self, fn: Callable[[float, float], float]) -> float:
+        """int fn(t, z(t)) dt over the span by the 4-point Gauss-Legendre rule
+        on each accepted step, z read off that step's quartic.  The sums start
+        at -0.0, so an integrand of negative zeros integrates to -0.0."""
+        total = -0.0
+        for t, h, (c1, c2, c3, c4, c5) in zip(self._kt, self._seg_h, self._seg_c):
+            s = -0.0
+            for th, th1, w in _GL4:
+                s += w * fn(t + th * h, c1 + th * (c2 + th1 * (c3 + th * (c4 + th1 * c5))))
+            total += h * s
+        return total
 
 
 def _dp45_scalar(p: ConveyorParams, rhs: Callable[[float, float], float] | None, z0: float,

@@ -71,7 +71,9 @@ class EnvelopeSpec:
 class ConveyorParams:
     """Physical constants of the conveyor.
 
-    f0 : drive strength, wavelength**2 / s (see note in ``default_params``)
+    f0 : drive strength, wavelength**2 / s (see note in ``default_params``);
+         with k and the envelope it must keep the bounds on |F| and |dF/dz|
+         finite
     b  : phase-slip rate of the counter-propagating beams, rad/s; the drive
          period 4*pi/b must be a finite double
     k  : wavenumber, rad/wavelength
@@ -98,6 +100,16 @@ class ConveyorParams:
             raise ValueError(f"k must be > 0, got {self.k!r}")
         if not self.wavelength_nm > 0.0:
             raise ValueError(f"wavelength_nm must be > 0, got {self.wavelength_nm!r}")
+        # |f| <= 1, |f'| <= 2/z0 and |f''| <= 4/z0^2 for every envelope (the
+        # plane has no z0 terms), so these bound |F| and |dF/dz| over all
+        # (t, z); the first takes 2k, not k, to bound the kernels' factor -2k f0
+        r = 0.0 if self.envelope.kind == "plane" else 2.0 / self.envelope.z0
+        k = self.k
+        if not (math.isfinite(self.f0 * (2.0 * k + r))
+                and math.isfinite(self.f0 * (2.0 * k * k + 2.0 * k * r + r * r))):
+            raise ValueError(f"f0 * (2k + 2/z0) and f0 * (2k^2 + 4k/z0 + 4/z0^2), which "
+                             f"bound |F| and |dF/dz|, must be finite, got f0={self.f0!r}, "
+                             f"k={k!r}, envelope {self.envelope}")
 
     @property
     def period(self) -> float:
@@ -145,7 +157,7 @@ def default_params(kind: str = "lorentzian", **overrides) -> ConveyorParams:
 
 
 def _plane_kernels(z0: float, k: float, half_b: float, f0: float, m2kf0: float, tkkf0: float):
-    # the f' and f'' terms stay, times 0.0, for the same signed zeros and inf * 0
+    # the f' and f'' terms stay, times 0.0, for the same signed zeros
     def force(t: float, z: float) -> float:
         ph = k * z - half_b * t
         c = cos(ph)

@@ -8,9 +8,10 @@ z' and integrating, then by eliminating the drive's time derivative:
     force:   int |F(t, z)|^2 dt  =  -(b f0 / 2k) int cos^2(kz - bt/2) f'(z) dt
 
 Both sides are integrals over the orbit's stored run, 2*pi/b for a solved
-orbit, by adaptive Gauss-Lobatto quadrature to the absolute tolerance
-``QUAD_TOL``, the shared int |F|^2 dt once per orbit; small relative
-residuals certify that a computed orbit behaves like a genuine periodic
+orbit, each by ``Trajectory.integral``: a 4-point Gauss-Legendre rule on
+every accepted step of the run, with z read off that step's quartic, so
+the rule sees a smooth integrand on each step; small relative residuals
+certify that a computed orbit behaves like a genuine periodic
 solution rather than a numerical coincidence.  ``multiplier_cross_check``
 compares the Liouville multiplier with a central difference of the
 full-period map, run at ``tight_period``'s tolerances, at the fixed step
@@ -22,24 +23,15 @@ every grid point when f0 = 0 and none otherwise.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 from typing import Callable, NamedTuple
 
 from conveyor.errors import ConveyorError
-from conveyor.integrate import IntegratorConfig, Trajectory, _tight_config, flow_T
+from conveyor.integrate import IntegratorConfig, _tight_config, flow_T
 from conveyor.model import ConveyorParams, field, force_closure
 from conveyor.periodic import PeriodicOrbit, _grid
 
-QUAD_TOL = 1e-10
 _FD_STEP = 1e-4
 _RESIDUAL_EPS = 1e-30
-# Gauss-Lobatto 4-point nodes/weights on [-1, 1] and their 7-point
-# Kronrod extension (shared end and 1/sqrt(5) nodes)
-_X2 = math.sqrt(2.0 / 3.0)
-_X3 = 1.0 / math.sqrt(5.0)
-_GL4_W = (1.0 / 6.0, 5.0 / 6.0)
-_GK7_W = (11.0 / 210.0, 72.0 / 245.0, 125.0 / 294.0, 16.0 / 35.0)
-_MAX_DEPTH = 48
 
 
 class IdentityResult(NamedTuple):
@@ -54,52 +46,6 @@ class MultiplierCheck(NamedTuple):
     rel_error: float
 
 
-def gauss_lobatto(fn: Callable[[float], float], a: float, b: float) -> float:
-    """Adaptive Gauss-Lobatto integral of fn over [a, b].
-
-    Each interval is accepted when the 7-point Kronrod extension agrees
-    with the embedded 4-point rule to the interval's share of ``QUAD_TOL``,
-    otherwise it is bisected; the absolute error budget is conserved
-    across splits.  An interval whose estimate is not finite is returned
-    as it stands, not bisected, so a nan or inf integrand ends the run at
-    once; the bounds and their difference must be finite.
-    """
-    if not math.isfinite(b - a):
-        raise ValueError(f"need finite bounds with a finite b - a, got [{a!r}, {b!r}]")
-    if a == b:
-        return 0.0
-    fa, fb = fn(a), fn(b)
-
-    def recurse(lo: float, hi: float, flo: float, fhi: float,
-                budget: float, depth: int) -> float:
-        c = 0.5 * (lo + hi)
-        hw = 0.5 * (hi - lo)
-        f_m2, f_p2 = fn(c - _X2 * hw), fn(c + _X2 * hw)
-        f_m3, f_p3 = fn(c - _X3 * hw), fn(c + _X3 * hw)
-        f_c = fn(c)
-        i4 = hw * (_GL4_W[0] * (flo + fhi) + _GL4_W[1] * (f_m3 + f_p3))
-        i7 = hw * (
-            _GK7_W[0] * (flo + fhi)
-            + _GK7_W[1] * (f_m2 + f_p2)
-            + _GK7_W[2] * (f_m3 + f_p3)
-            + _GK7_W[3] * f_c
-        )
-        if abs(i7 - i4) <= budget or depth >= _MAX_DEPTH or not math.isfinite(i7):
-            return i7
-        return recurse(lo, c, flo, f_c, 0.5 * budget, depth + 1) + recurse(
-            c, hi, f_c, fhi, 0.5 * budget, depth + 1
-        )
-
-    return recurse(a, b, fa, fb, QUAD_TOL, 0)
-
-
-@lru_cache(maxsize=1)
-def _force_squared_integral(traj: Trajectory) -> float:
-    """int |F(t, z(t))|^2 dt over the run's span, the left side both identities share."""
-    rhs = force_closure(traj.params)
-    return gauss_lobatto(lambda t: rhs(t, traj.interp(t)) ** 2, traj.t0, traj.t1)
-
-
 def _identity(orbit: PeriodicOrbit, factor: float,
               integrand: Callable[[float, float], float]) -> IdentityResult:
     """int |F|^2 dt against factor * int integrand(t, z(t)) dt over the stored
@@ -110,8 +56,9 @@ def _identity(orbit: PeriodicOrbit, factor: float,
             "identities only hold on periodic solutions"
         )
     traj = orbit.trajectory
-    lhs = _force_squared_integral(traj)
-    rhs_val = factor * gauss_lobatto(lambda t: integrand(t, traj.interp(t)), traj.t0, traj.t1)
+    force = force_closure(traj.params)
+    lhs = traj.integral(lambda t, z: force(t, z) ** 2)
+    rhs_val = factor * traj.integral(integrand)
     rel = abs(lhs - rhs_val) / (abs(lhs) + abs(rhs_val) + _RESIDUAL_EPS)
     return IdentityResult(lhs, rhs_val, rel)
 

@@ -581,3 +581,18 @@ class TestParser:
             run([*argv, "--b", "1e-320"])
         assert info.value.code == 2
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("argv", [["simulate", "--zi", "1e-40", "--t-end", "1",
+                                       "--out", "x.csv"],
+                                      ["find-periodic", "--out", "x.csv"],
+                                      ["continue", "--out", "x.csv"],
+                                      ["verify", "--out", "report.json"]])
+    @pytest.mark.parametrize("flags", [["--f0", "1.1e307"], ["--f0", "1e300", "--z0", "1e-40"]])
+    def test_unbounded_force_exits_2(self, tmp_path, monkeypatch, argv, flags):
+        # F overflows somewhere: each command used to exit 1 with a math
+        # domain error or 3 with a step-size underflow at t = 0
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as info:
+            run([*argv, *flags])
+        assert info.value.code == 2
+        assert list(tmp_path.iterdir()) == []

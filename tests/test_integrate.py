@@ -266,6 +266,28 @@ class TestTrajectory:
         assert traj.interp(crest) == pytest.approx(1.0, abs=1e-15)
         assert traj.sup_norm() == pytest.approx(1.0, abs=1e-15)
 
+    def test_integral_exact_for_polynomials_in_t(self, lorentzian_params):
+        # the 4-point Gauss-Legendre rule on each step has degree 7
+        traj = integrate(lorentzian_params, force_closure(lorentzian_params), 0.2, 0.1, 0.6)
+        for n in range(8):
+            exact = (0.6 ** (n + 1) - 0.1 ** (n + 1)) / (n + 1)
+            assert traj.integral(lambda t, z, n=n: t ** n) == pytest.approx(exact, rel=1e-13)
+
+    def test_integral_keeps_the_sign_of_zero(self, lorentzian_params):
+        # verify's f0 = 0 report prints the sign of its zero identity sides
+        traj = integrate(lorentzian_params, force_closure(lorentzian_params), 0.2, 0.0, 0.5)
+        assert math.copysign(1.0, traj.integral(lambda t, z: -0.0)) == -1.0
+        assert math.copysign(1.0, traj.integral(lambda t, z: 0.0)) == 1.0
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_integral_of_non_finite_integrand(self, lorentzian_params, value):
+        # a fixed rule: four calls on each step, whatever the integrand returns
+        traj = integrate(lorentzian_params, force_closure(lorentzian_params), 0.2, 0.0, 0.5)
+        calls = []
+        got = traj.integral(lambda t, z: calls.append(t) or value)
+        assert math.isnan(got) if math.isnan(value) else got == value
+        assert len(calls) == 4 * (len(traj.knots[0]) - 1)
+
 
 class TestPeriodMap:
     def test_zero_drive_identity(self):

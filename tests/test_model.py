@@ -166,6 +166,22 @@ class TestParams:
             default_params("lorentzian", b=b)
         assert math.isfinite(default_params("lorentzian", b=1e-307).period)
 
+    @pytest.mark.parametrize("kind,overrides", [("lorentzian", dict(f0=1.1e307)),
+                                                ("plane", dict(f0=1.1e307)),
+                                                ("lorentzian", dict(f0=1e300, z0=1e-40)),
+                                                ("gaussian", dict(f0=1e300, k=1e10)),
+                                                ("plane", dict(f0=1.7e308, k=0.6))])
+    def test_unbounded_force_rejected(self, kind, overrides):
+        # F or dF/dz would overflow somewhere and surface later as a math
+        # domain error or a step-size underflow; for the plane at f0 = 1.7e308,
+        # k = 0.6 the bound f0 k on |F| is finite, but the kernels' factor
+        # -2k f0 is not
+        with pytest.raises(ValueError, match=r"bound \|F\| and \|dF/dz\|"):
+            default_params(kind, **overrides)
+        p = default_params("plane", f0=1e308, k=0.6)
+        assert all(math.isfinite(g(t, 0.3)) for g in (field(p).force, field(p).force_dz)
+                   for t in (0.0, 0.001, 0.01))
+
     def test_default_params_overrides(self):
         p = default_params("gaussian", b=200.0)
         assert p.envelope.kind == "gaussian"
@@ -468,10 +484,3 @@ class TestFusedKernels:
         signs = rng.choice([-1.0, 1.0], 200)
         ts = rng.uniform(-0.2, 0.2, 200)
         self.assert_bitwise(p, [(float(t), float(s * m)) for t, s, m in zip(ts, signs, mags)])
-
-    @pytest.mark.parametrize("kind", ["plane", "lorentzian", "gaussian"])
-    def test_where_two_k_f0_overflows(self, kind):
-        # -2 k f0 = -inf: every term times a zero is nan, as in the product
-        # rule, which is why the plane kind keeps its f' and f'' terms
-        p = default_params(kind, f0=1e300, k=1e10)
-        self.assert_bitwise(p, [(t, z) for t in (0.0, 0.01) for z in (0.0, -0.0, 0.3, 1e200)])

@@ -1,12 +1,13 @@
-"""Quadrature unit tests and integral-identity certificates on orbits."""
+"""Integral-identity, rest-point and multiplier certificates on orbits."""
 
+import dataclasses
 import math
 import re
 
 import pytest
 
 from conveyor.errors import ConveyorError
-from conveyor.integrate import _half_map, flow_T, integrate
+from conveyor.integrate import _half_map, flow_T, integrate, tight_period
 from conveyor.model import (
     ConveyorParams,
     EnvelopeSpec,
@@ -17,58 +18,11 @@ from conveyor.model import (
 )
 from conveyor.periodic import PeriodicOrbit, find_periodic
 from conveyor.verify import (
-    _force_squared_integral,
     fixed_point_scan,
-    gauss_lobatto,
     identity_energy,
     identity_force,
     multiplier_cross_check,
 )
-
-
-class TestGaussLobatto:
-    def test_polynomials_exact(self):
-        # the 7-point extension has degree 9
-        for n in range(10):
-            got = gauss_lobatto(lambda x, n=n: x ** n, 0.0, 1.0)
-            assert got == pytest.approx(1.0 / (n + 1), rel=1e-13)
-
-    def test_sine_reference(self):
-        assert gauss_lobatto(math.sin, 0.0, math.pi) == pytest.approx(2.0, rel=1e-12)
-
-    def test_oscillatory_with_tolerance(self):
-        got = gauss_lobatto(lambda t: math.cos(100.0 * t), 0.0, 1.0)
-        assert got == pytest.approx(math.sin(100.0) / 100.0, abs=1e-10)
-
-    def test_empty_interval(self):
-        assert gauss_lobatto(math.sin, 1.0, 1.0) == 0.0
-
-    @pytest.mark.parametrize("a,b", [(0.0, math.inf), (-math.inf, 0.0), (0.0, math.nan),
-                                     (math.nan, 1.0), (math.inf, math.inf), (-1e308, 1e308)])
-    def test_non_finite_bounds_rejected(self, a, b):
-        with pytest.raises(ValueError, match="finite bounds"):
-            gauss_lobatto(_capped(math.sin), a, b)
-
-    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
-    def test_non_finite_integrand_returns_at_once(self, value):
-        # an estimate that is not finite used to be bisected to depth 48
-        # everywhere, about 2**48 intervals
-        fn = _capped(lambda t: value)
-        assert not math.isfinite(gauss_lobatto(fn, 0.0, 1.0))
-        assert fn.calls == 7
-
-
-def _capped(fn):
-    """fn, raising after 1,000 calls, so that a quadrature that keeps
-    bisecting fails instead of hanging."""
-    def capped(t):
-        capped.calls += 1
-        if capped.calls > 1000:
-            raise RuntimeError("gauss_lobatto kept bisecting a non-finite estimate")
-        return fn(t)
-
-    capped.calls = 0
-    return capped
 
 
 class TestIdentities:
@@ -96,14 +50,9 @@ class TestIdentities:
         # the positive right side of the force identity means the weighted
         # envelope slope integral is negative along the orbit's stored run
         envelope = field(lorentzian_params).envelope
-        traj = lorentzian_orbit.trajectory
         k, b = lorentzian_params.k, lorentzian_params.b
-        val = gauss_lobatto(
-            lambda t: math.cos(k * traj.interp(t) - 0.5 * b * t) ** 2
-            * envelope(traj.interp(t))[1],
-            traj.t0,
-            traj.t1,
-        )
+        val = lorentzian_orbit.trajectory.integral(
+            lambda t, z: math.cos(k * z - 0.5 * b * t) ** 2 * envelope(z)[1])
         assert val < 0.0
 
     def test_zero_drive_orbit_is_degenerate(self):
@@ -117,24 +66,22 @@ class TestIdentities:
     @pytest.mark.parametrize("orbit", ["lorentzian_orbit", "gaussian_orbit"])
     def test_both_identities_share_one_left_side(self, orbit, request):
         o = request.getfixturevalue(orbit)
-        traj = o.trajectory
-        rhs = force_closure(traj.params)
-        direct = gauss_lobatto(lambda t: rhs(t, traj.interp(t)) ** 2, traj.t0, traj.t1)
+        rhs = force_closure(o.trajectory.params)
+        direct = o.trajectory.integral(lambda t, z: rhs(t, z) ** 2)
         assert identity_energy(o).lhs == identity_force(o).lhs == direct
 
-    def test_interleaved_orbits_give_fresh_values(self, lorentzian_orbit, gaussian_orbit):
-        a, b = lorentzian_orbit, gaussian_orbit
-        calls = [(identity_force, a), (identity_energy, b), (identity_energy, a)]
-        fresh = []
-        for fn, o in calls:
-            _force_squared_integral.cache_clear()
-            fresh.append(fn(o))
-        _force_squared_integral.cache_clear()
-        assert [fn(o) for fn, o in calls] == fresh
+    @pytest.mark.parametrize("orbit", ["lorentzian_orbit", "gaussian_orbit"])
+    def test_shifted_start_fails_both_identities(self, orbit, request):
+        # the orbit's tight run restarted 1e-5 off z* is no periodic solution;
+        # its certified residual is kept, so only the identities can tell
+        o = request.getfixturevalue(orbit)
+        z0 = o.z_star + 1e-5
+        traj = tight_period(o.trajectory.params, z0)
+        shifted = dataclasses.replace(o, z_star=z0, trajectory=traj)
+        assert identity_energy(shifted).rel_residual > 1e-6
+        assert identity_force(shifted).rel_residual > 1e-6
 
     def test_uncertified_orbit_rejected(self, lorentzian_orbit):
-        import dataclasses
-
         bad = dataclasses.replace(lorentzian_orbit, residual=1e-3)
         with pytest.raises(ConveyorError):
             identity_energy(bad)
@@ -261,3 +208,26 @@ class TestAgainstIndependentIntegrator:
 
         fd = (final(0.1 + 1e-6) - final(0.1 - 1e-6)) / 2e-6
         assert w == pytest.approx(fd, rel=1e-5)
+
+    @pytest.mark.parametrize("orbit", ["lorentzian_orbit", "gaussian_orbit"])
+    def test_identities_match_quadpack(self, orbit, request):
+        # both sides of each identity against adaptive QUADPACK over the same
+        # interpolant, with the interior knots as breakpoints
+        o = request.getfixturevalue(orbit)
+        traj = o.trajectory
+        p = traj.params
+        fld = field(p)
+        kt = traj.knots[0]
+
+        def quad(fn):
+            return self.scipy_integrate.quad(lambda t: fn(t, traj.interp(t)), traj.t0, traj.t1,
+                                             points=kt[1:-1], limit=4 * len(kt),
+                                             epsabs=0.0, epsrel=1e-13)[0]
+
+        lhs = quad(lambda t, z: fld.force(t, z) ** 2)
+        energy = -quad(fld.potential_dt)
+        force = -(p.b * p.f0) / (2.0 * p.k) * quad(
+            lambda t, z: math.cos(p.k * z - 0.5 * p.b * t) ** 2 * fld.envelope(z)[1])
+        e, f = identity_energy(o), identity_force(o)
+        for got, want in ((e.lhs, lhs), (f.lhs, lhs), (e.rhs, energy), (f.rhs, force)):
+            assert got == pytest.approx(want, rel=1e-10)
