@@ -225,7 +225,8 @@ class Trajectory:
 def _dp45_scalar(p: ConveyorParams, rhs: Callable[[float, float], float] | None, z0: float,
                  t0: float, t1: float, cfg: IntegratorConfig | None, collect: bool,
                  rhs_dz: Callable[[float, float], float] | None = None):
-    """The one entry into the stepper.  Returns (z1, log_w, knots_t, knots_z, seg_h, seg_c).
+    """The one entry into the stepper.
+    Returns (z1, log_w, err_sum, knots_t, knots_z, seg_h, seg_c).
 
     ``rhs`` defaults to the force field of ``p`` and ``cfg`` to
     ``IntegratorConfig()``, resolved against the period of ``p``.  The drive
@@ -237,6 +238,10 @@ def _dp45_scalar(p: ConveyorParams, rhs: Callable[[float, float], float] | None,
     g_i = rhs_dz at the stage points the step already formed and g_1 carried
     over from the previous endpoint.  That is the step's own solution of
     d(log w)/dt = rhs_dz(t, z); it takes no part in error control.
+
+    err_sum, beside it, adds up |err|, the step's own DP5(4) error estimate
+    y5 - y4, over the accepted steps: a gauge of the run's error in z1 that
+    ``periodic.scan_orbits`` reads its loose grid's signs against.
     """
     if rhs is None:
         rhs = force_closure(p)
@@ -258,7 +263,7 @@ def _dp45_scalar(p: ConveyorParams, rhs: Callable[[float, float], float] | None,
     t, y = t0, z0
     k1 = rhs(t, y)
     g1 = rhs_dz(t, y) if rhs_dz is not None else 0.0
-    log_w = 0.0
+    log_w = err_sum = 0.0
     facold = 1e-4
     rejected = False
 
@@ -285,11 +290,12 @@ def _dp45_scalar(p: ConveyorParams, rhs: Callable[[float, float], float] | None,
         y1 = y + h * (_B1 * k1 + _B3 * k3 + _B4 * k4 + _B5 * k5 + _B6 * k6)
         k7 = rhs(t + h, y1)
 
-        err = h * (_E1 * k1 + _E3 * k3 + _E4 * k4 + _E5 * k5 + _E6 * k6 + _E7 * k7)
+        err = abs(h * (_E1 * k1 + _E3 * k3 + _E4 * k4 + _E5 * k5 + _E6 * k6 + _E7 * k7))
         ay, ay1 = abs(y), abs(y1)   # comparisons, not max/min calls, with the same picks
-        err_norm = abs(err) / (atol + rtol * (ay1 if ay1 > ay else ay))
+        err_norm = err / (atol + rtol * (ay1 if ay1 > ay else ay))
 
         if err_norm <= 1.0:
+            err_sum += err
             if rhs_dz is not None:
                 g7 = rhs_dz(t + h, y1)
                 log_w += h * (_B1 * g1 + _B3 * rhs_dz(t + _C3 * h, y3)
@@ -326,7 +332,7 @@ def _dp45_scalar(p: ConveyorParams, rhs: Callable[[float, float], float] | None,
             shrink = _SAFETY / (err_norm ** _EXPO1)
             h *= shrink if shrink > _MIN_FACTOR else _MIN_FACTOR
 
-    return y, log_w, knots_t, knots_z, seg_h, seg_c
+    return y, log_w, err_sum, knots_t, knots_z, seg_h, seg_c
 
 
 def integrate(p: ConveyorParams, rhs: Callable[[float, float], float], z_i: float,
@@ -336,7 +342,7 @@ def integrate(p: ConveyorParams, rhs: Callable[[float, float], float], z_i: floa
 
     Raises StepSizeUnderflow when the controller cannot make progress.
     """
-    _, _, *path = _dp45_scalar(p, rhs, z_i, t0, t1, cfg, collect=True)
+    _, _, _, *path = _dp45_scalar(p, rhs, z_i, t0, t1, cfg, collect=True)
     return Trajectory(p, *path)
 
 

@@ -10,7 +10,7 @@ import pytest
 from conveyor import integrate as integrator
 from conveyor import periodic
 from conveyor.errors import EmptyAudit, NoConvergence
-from conveyor.integrate import flow_T, integrate
+from conveyor.integrate import IntegratorConfig, flow_T, integrate
 from conveyor.model import (
     ConveyorParams,
     EnvelopeSpec,
@@ -39,10 +39,12 @@ from tests.conftest import (
 def count_map_evaluations(monkeypatch) -> list:
     """A list that grows by one entry per period-map evaluation made in
     ``periodic``: "sensitivity" for a map that also sums its derivative,
-    "map" for one that does not.  The solves build every map in
-    ``integrate._half_map``; the plane drive's gap runs the public ``flow_T``."""
+    "map" for one that does not, "loose" for a scan grid's sign-only map.
+    The solves build every map in ``integrate._half_map``, the scan grid
+    runs the stepper itself, and the plane drive's gap runs the public
+    ``flow_T``."""
     calls = []
-    half_map, full_map = periodic._half_map, periodic.flow_T
+    half_map, full_map, stepper = periodic._half_map, periodic.flow_T, periodic._dp45_scalar
 
     def counted_half_map(p, z, cfg, rhs, rhs_dz=None):
         calls.append("map" if rhs_dz is None else "sensitivity")
@@ -52,9 +54,24 @@ def count_map_evaluations(monkeypatch) -> list:
         calls.append("map")
         return full_map(*args, **kwargs)
 
+    def counted_stepper(p, rhs, z0, t0, t1, cfg, collect, rhs_dz=None):
+        calls.append("loose" if cfg.rtol >= periodic.GRID_RTOL else "map")
+        return stepper(p, rhs, z0, t0, t1, cfg, collect, rhs_dz)
+
     monkeypatch.setattr(periodic, "_half_map", counted_half_map)
     monkeypatch.setattr(periodic, "flow_T", counted_full_map)
+    monkeypatch.setattr(periodic, "_dp45_scalar", counted_stepper)
     return calls
+
+
+def solve_tolerance_grid(monkeypatch) -> None:
+    """Make ``scan_orbits`` run its grid at the solve's own config, not the
+    loose one; its orbits must not change by a bit."""
+    monkeypatch.setattr(periodic, "_grid_config", lambda cfg, period: cfg or IntegratorConfig())
+
+
+def certified(orbits) -> list[str]:
+    return [repr((o.z_star, o.multiplier, o.residual)) for o in orbits]
 
 
 class TestFindPeriodic:
@@ -219,6 +236,11 @@ class TestScanOrbits:
         with pytest.raises(ValueError):
             scan_orbits(gaussian_params, -1.0, 1.0, 1)
 
+    @pytest.mark.parametrize("n", [2.5, 21.0, "21", None])
+    def test_non_integer_grid_rejected(self, gaussian_params, n):
+        with pytest.raises(ValueError, match=r"integer number n of grid points, got " + re.escape(repr(n))):
+            scan_orbits(gaussian_params, -1.0, 1.0, n)
+
     @pytest.mark.parametrize("z_lo,z_hi", [(-1.0, math.inf), (-math.inf, 1.0),
                                            (math.nan, 1.0), (-1.0, math.nan),
                                            (-1e308, 1e308), (-5e307, 5e307)])
@@ -234,15 +256,31 @@ class TestScanOrbits:
         ("gaussian", (-1.0, 1.0, 21), 30),
     ])
     def test_reference_scan_work(self, monkeypatch, kind, window, limit):
-        # the grid costs one map evaluation per point; the single orbit's
-        # solve, seeded from its sign-change cell, only a few more.  Newton
-        # takes mu_h, the slope of the half-period map, as its derivative:
-        # handed mu_h**2 it would spend 18 and 15 sensitivity maps here
+        # the grid costs one loose map per point; each sign-change cell two
+        # maps at the solve tolerance for its ends, and each sign read within
+        # the margin one more; the single orbit's solve, seeded from its cell,
+        # only a few more.  Newton takes mu_h, the slope of the half-period
+        # map, as its derivative: handed mu_h**2 it would spend 18 and 15
+        # sensitivity maps here
         calls = count_map_evaluations(monkeypatch)
+        stepper, loose = periodic._dp45_scalar, []
+
+        def spy(p, rhs, z0, t0, t1, cfg, collect, rhs_dz=None):
+            out = stepper(p, rhs, z0, t0, t1, cfg, collect, rhs_dz)
+            loose.append((out[0] - z0, out[2]))
+            return out
+
+        monkeypatch.setattr(periodic, "_dp45_scalar", spy)
         orbits = scan_orbits(default_params(kind), *window)
         assert len(orbits) == 1
-        assert len(calls) <= limit
+        resid = [r for r, _ in loose]
+        margin = sum(abs(r) <= periodic.SIGN_MARGIN * e for r, e in loose)
+        cells = sum(periodic._changes_sign(a, b) for a, b in zip(resid, resid[1:]))
+        assert cells == 1
+        assert calls.count("loose") == window[2]
+        assert calls.count("map") <= 2 * cells + margin
         assert calls.count("sensitivity") <= 6, calls
+        assert len(calls) <= limit
 
     @pytest.mark.parametrize("kind,window", [("lorentzian", (-4.5, 4.5, 64)),
                                              ("gaussian", (-1.0, 1.0, 21))])
@@ -273,10 +311,12 @@ class TestScanOrbits:
         ("lorentzian", 2.0, 140.0, 0.5, (-4.5, 4.5), 2.087431625),
         ("gaussian", 3.0, 60.0, 0.5, (-1.5, 1.5), 0.545885295),
     ])
-    def test_off_reference_windows(self, n_grid, kind, f0, b, z0, window, z_star):
+    def test_off_reference_windows(self, monkeypatch, n_grid, kind, f0, b, z0, window, z_star):
         p = ConveyorParams(f0, b, 2.66 * math.pi, EnvelopeSpec(kind, z0))
         orbits = scan_orbits(p, *window, n_grid)
         assert [round(o.z_star, 6) for o in orbits] == [round(z_star, 6)]
+        solve_tolerance_grid(monkeypatch)
+        assert certified(scan_orbits(p, *window, n_grid)) == certified(orbits)
 
 
 class TestHiddenPairSeeds:
@@ -399,7 +439,7 @@ class TestScanFindsEveryOrbit:
     @pytest.mark.parametrize("c,roots,n_grid", [
         (3.0, (0.2, 0.4), 5),          # a hidden pair: R > 0 at every grid point
         (3.0, (0.25, 0.3), 5),
-        (3.0, (-0.5, 0.1, 0.6), 9),    # -0.5 and 0.6 repel, -0.5 on the grid
+        (3.0, (-0.5, 0.1, 0.6), 9),    # -0.5 and 0.6 repel, -0.5 on the grid, where R = 0
         (-3.0, (-0.5, 0.1, 0.6), 9),   # 0.1 repels
     ], ids=["hidden-pair", "close-hidden-pair", "cubic", "reversed-cubic"])
     def test_roots_and_multipliers(self, monkeypatch, lorentzian_params, c, roots, n_grid):
@@ -410,6 +450,60 @@ class TestScanFindsEveryOrbit:
         for o, r in zip(orbits, roots):
             assert o.multiplier == pytest.approx(math.exp(g_dz(0.0, r) * T), abs=1e-6)
         assert any(o.multiplier > 1.0 for o in orbits)
+        solve_tolerance_grid(monkeypatch)
+        assert certified(scan_orbits(lorentzian_params, -1.0, 1.0, n_grid)) == certified(orbits)
+
+
+class TestLooseGrid:
+    """``scan_orbits`` reads its grid's signs from a loose run and evaluates
+    at the solve tolerance only what the cells, the margin and the
+    hidden-pair probes need: every orbit is bit for bit that of a grid run
+    entirely at the solve tolerance (also checked off the reference, in
+    ``TestScanOrbits``, and on the fields of ``TestScanFindsEveryOrbit``)."""
+
+    @pytest.mark.parametrize("kind,window", [("lorentzian", (-4.5, 4.5, 64)),
+                                             ("gaussian", (-1.0, 1.0, 21))])
+    def test_reference_windows(self, monkeypatch, kind, window):
+        p = default_params(kind)
+        orbits = scan_orbits(p, *window)
+        solve_tolerance_grid(monkeypatch)
+        assert len(orbits) == 1 and certified(scan_orbits(p, *window)) == certified(orbits)
+
+    def test_margin_rereads_a_wrong_sign(self, monkeypatch, lorentzian_params):
+        # a loose run that reports R at grid point 10, far from the orbit,
+        # with the wrong sign but within the margin is read again at the solve
+        # tolerance: the orbit and every other map are as before
+        window = (-4.5, 4.5, 64)
+        z_bad = periodic._grid(*window)[10]
+
+        def rereads():
+            half_map, reread = periodic._half_map, []
+
+            def spy(p, z, cfg, rhs, rhs_dz=None):
+                if rhs_dz is None:
+                    reread.append(z)
+                return half_map(p, z, cfg, rhs, rhs_dz)
+
+            with monkeypatch.context() as m:
+                m.setattr(periodic, "_half_map", spy)
+                orbits = scan_orbits(lorentzian_params, *window)
+            return orbits, reread
+
+        stepper = periodic._dp45_scalar
+
+        def wrong_sign(p, rhs, z0, t0, t1, cfg, collect, rhs_dz=None):
+            z1, log_w, err_sum, *path = stepper(p, rhs, z0, t0, t1, cfg, collect, rhs_dz)
+            if z0 == z_bad:
+                assert 0.0 < err_sum < abs(z1 - z0)
+                z1 = z0 - math.copysign(err_sum, z1 - z0)
+            return z1, log_w, err_sum, *path
+
+        orbits, reread = rereads()
+        monkeypatch.setattr(periodic, "_dp45_scalar", wrong_sign)
+        patched_orbits, patched_reread = rereads()
+        assert z_bad not in reread
+        assert sorted(patched_reread) == sorted([*reread, z_bad])
+        assert len(orbits) == 1 and certified(patched_orbits) == certified(orbits)
 
 
 class TestBasinProbe:

@@ -1,11 +1,15 @@
-"""Property tests: the integrator against the closed-form plane-wave solution.
+"""Property tests: the integrator against the closed-form plane-wave
+solution, and the scan's loose grid against a solve-tolerance one.
 
 Hypothesis draws (f0, b, k, z_i) in each of the three plane regimes, with
 the lock rate a = 2 f0 k^2 set from a drawn ratio b/a; the near-line cases
 put b/a within 1e-10 of the degenerate line b = a without reaching the
-1e-12 band that ``model.plane_regime`` calls degenerate.  One fixed,
-derandomized profile makes every run draw the same examples.
+1e-12 band that ``model.plane_regime`` calls degenerate.  For the scans it
+draws (f0, b, z0) from the benchmark's physical box for both envelopes.
+One fixed, derandomized profile makes every run draw the same examples.
 """
+
+import math
 
 import pytest
 
@@ -13,14 +17,16 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
+from conveyor import periodic  # noqa: E402
 from conveyor.analytic import PlaneSolution  # noqa: E402
-from conveyor.integrate import integrate  # noqa: E402
+from conveyor.integrate import IntegratorConfig, integrate  # noqa: E402
 from conveyor.model import (  # noqa: E402
     DEGENERATE,
     OSCILLATORY,
     RECTILINEAR,
     ConveyorParams,
     EnvelopeSpec,
+    default_params,
     force_closure,
     plane_regime,
 )
@@ -62,3 +68,36 @@ def test_integrator_matches_plane_solution(regime, data, b, k, z_i):
     ts = [t1 * i / 64 for i in range(65)]
     gap = max(abs(traj.interp(t) - sol(t)) for t in ts)
     assert gap <= GAP_TOL * (1.0 + abs(z_i)), (p, z_i, gap)
+
+
+SCAN_WINDOWS = {"lorentzian": (-4.5, 4.5, 64), "gaussian": (-1.0, 1.0, 21)}
+
+
+def scan_with_grid(p: ConveyorParams, monkeypatch, tight: bool):
+    """``scan_orbits`` on the reference window, with the grid values it
+    hands to ``_hidden_pair_seeds``: loose ones unless ``tight``, which
+    runs the grid at the solve's own config."""
+    seeds, grids = periodic._hidden_pair_seeds, []
+
+    def spy(grid, resid):
+        grids.append(list(resid))
+        return seeds(grid, resid)
+
+    with monkeypatch.context() as m:
+        m.setattr(periodic, "_hidden_pair_seeds", spy)
+        if tight:
+            m.setattr(periodic, "_grid_config", lambda cfg, period: cfg or IntegratorConfig())
+        orbits = periodic.scan_orbits(p, *SCAN_WINDOWS[p.envelope.kind])
+    return [repr((o.z_star, o.multiplier, o.residual)) for o in orbits], grids[0]
+
+
+@pytest.mark.parametrize("kind", ["lorentzian", "gaussian"])
+@settings(ORACLE, max_examples=30)
+@given(f0=st.floats(0.5, 1.2), b=st.floats(60.0, 140.0), z0=st.floats(0.3, 0.5))
+def test_loose_grid_keeps_every_sign_and_orbit(kind, f0, b, z0):
+    p = default_params(kind, f0=f0, b=b, z0=z0)
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        orbits, loose = scan_with_grid(p, monkeypatch, tight=False)
+        tight_orbits, tight = scan_with_grid(p, monkeypatch, tight=True)
+    assert orbits == tight_orbits
+    assert [math.copysign(1.0, r) for r in loose] == [math.copysign(1.0, r) for r in tight]

@@ -133,6 +133,11 @@ class TestFixedPointScan:
         with pytest.raises(ValueError):
             fixed_point_scan(gaussian_params, -1.0, 1.0, 1)
 
+    @pytest.mark.parametrize("n", [2.5, 11.0, "11", None])
+    def test_non_integer_grid_rejected(self, gaussian_params, n):
+        with pytest.raises(ValueError, match=r"integer number n of grid points, got " + re.escape(repr(n))):
+            fixed_point_scan(gaussian_params, -1.0, 1.0, n)
+
     @pytest.mark.parametrize("z_lo,z_hi", [(-1.0, math.inf), (-math.inf, 1.0),
                                            (math.nan, 1.0), (-1.0, math.nan),
                                            (-1e308, 1e308), (-5e307, 5e307)])
