@@ -14,10 +14,10 @@ class StepSizeUnderflow(ConveyorError):
     than a tolerance problem.
     """
 
-    def __init__(self, t: float, h: float, message: str | None = None):
+    def __init__(self, t: float, h: float):
         self.t = t
         self.h = h
-        super().__init__(message or f"step size underflow at t={t!r} (h={h!r})")
+        super().__init__(f"step size underflow at t={t!r} (h={h!r})")
 
 
 class NoConvergence(ConveyorError):
@@ -39,9 +39,9 @@ class ContinuationStall(ConveyorError):
     Carries the partial branch in ``trace``.
     """
 
-    def __init__(self, trace, message: str | None = None):
+    def __init__(self, trace):
         self.trace = trace
-        super().__init__(message or "continuation stalled: step underflow before endpoint")
+        super().__init__("continuation stalled: step underflow before endpoint")
 
 
 class WrongEnvelope(ConveyorError):

@@ -16,11 +16,11 @@ meaningful cross-check, not a tautology.
 
 Also here: the closed-form solver for the linear boundary-value problem
 dy/dt = -y + q(t), y(0) - y(T) = c0 that anchors the homotopy argument,
-and two checks of its stability bound
-||y||_C <= (1 + 1/(1 - exp(-T))) * (|c0| + ||q||_L1): a randomized audit
-that draws its cases from numpy's seeded generator, and the deterministic
-check that ``conveyor verify`` runs, which needs no numpy.  Both rest on
-one list-based recurrence.
+and the one check of its stability bound
+||y||_C <= (1 + 1/(1 - exp(-T))) * (|c0| + ||q||_L1), a deterministic
+check on fixed cases that ``conveyor verify`` runs.  Both rest on one
+list-based recurrence on plain floats; only ``linear_bvp``, which takes
+and returns arrays, loads numpy.
 """
 
 from __future__ import annotations
@@ -42,9 +42,8 @@ LAMBDA_STEP_INIT = 0.05
 LAMBDA_STEP_MAX = 0.1
 LAMBDA_STEP_MIN = 1e-6
 BVP_TOL = 1e-9
-# grid of the beta-bound checks and the generator seed of the randomized audit
+# grid of the beta-bound check
 _BVP_GRID = 512
-_AUDIT_SEED = 20260810
 
 
 class ContinuationStep(NamedTuple):
@@ -102,8 +101,12 @@ def continue_to_one(p: ConveyorParams, cfg: IntegratorConfig | None = None) -> C
     halving on failure and growing 1.5x on success, capped at 0.1; residual
     and sup-norm come from ``solve_at_lambda``'s run over 2*pi/b.  Raises
     ContinuationStall, carrying the partial trace, if the step underflows
-    below 1e-6 before reaching 1.
+    below 1e-6 before reaching 1, and NoConvergence before any solve for a
+    driven plane envelope, which has no periodic orbit at lambda = 1 (see
+    ``periodic.find_periodic``).
     """
+    if p.envelope.kind == "plane" and p.f0 > 0.0:
+        raise NoConvergence(0, math.nan, "a plane drive has no periodic orbit")
     steps: list[ContinuationStep] = []
     lam = LAMBDA_START
     dlam = LAMBDA_STEP_INIT
@@ -197,40 +200,6 @@ class BetaBoundReport(NamedTuple):
     max_ratio: float
     n_cases: int
     passed: bool
-
-
-def beta_bound_audit(period: float, n_cases: int = 100) -> BetaBoundReport:
-    """Randomized audit of ||y||_C <= beta * (|c0| + ||q||_L1).
-
-    beta = 1 + 1/(1 - exp(-T)) follows from chaining |y(T)| through the
-    boundary condition and the convolution bound; each case draws a smooth
-    random trig polynomial q and a random c0, from numpy's generator seeded
-    with ``_AUDIT_SEED``, and checks the solved y on a ``_BVP_GRID``-point
-    grid.  Reports the worst observed ratio; with no case the audit would
-    pass vacuously, so ``n_cases`` must be >= 1.
-    """
-    import numpy as np
-    if not 0.0 < period < math.inf:
-        raise ValueError(f"period must be finite and > 0, got {period!r}")
-    if n_cases < 1:
-        raise ValueError(f"n_cases must be >= 1, got {n_cases!r}")
-    beta = 1.0 + 1.0 / (-math.expm1(-period))
-    rng = np.random.default_rng(_AUDIT_SEED)
-    ts = np.linspace(0.0, period, _BVP_GRID)
-    max_ratio = 0.0
-    for _ in range(n_cases):
-        n_modes = int(rng.integers(1, 6))
-        q = np.zeros_like(ts)
-        for m in range(n_modes + 1):
-            w = 2.0 * math.pi * m / period
-            q += rng.normal() / (m + 1.0) * np.cos(w * ts)
-            q += rng.normal() / (m + 1.0) * np.sin(w * ts)
-        c0 = float(rng.normal()) * 2.0
-        y = linear_bvp(ts, q, c0)
-        ratio = float(np.abs(y).max()) / (abs(c0) + piecewise_linear_l1(ts, q) + 1e-300)
-        if ratio > max_ratio:
-            max_ratio = ratio
-    return BetaBoundReport(beta, max_ratio, n_cases, max_ratio <= beta)
 
 
 def beta_bound_check(period: float) -> BetaBoundReport:

@@ -108,7 +108,10 @@ def multiplier_cross_check(p: ConveyorParams, orbit: PeriodicOrbit,
     P runs over the full period at a hundredth of ``cfg``'s tolerances, as
     ``tight_period`` does, so its noise over the fixed step ``_FD_STEP`` =
     1e-4 stays below 1e-4 of a multiplier as small as the 8e-6 of f0 = 10.
+    ``p`` must be the orbit's own parameter set, else ValueError.
     """
+    if p != orbit.trajectory.params:
+        raise ValueError("p is not the parameter set of the orbit")
     h = _FD_STEP
     tight = _tight_config(cfg)
     plus = flow_T(p, orbit.z_star + h, tight)

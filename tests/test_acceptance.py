@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from conveyor.analytic import PlaneSolution, drift_velocity, plane_solution, taylor_small_f0
-from conveyor.homotopy import beta_bound_audit, continue_to_one, linear_bvp
+from conveyor.homotopy import beta_bound_check, continue_to_one, linear_bvp, piecewise_linear_l1
 from conveyor.integrate import IntegratorConfig, integrate, propagate
 from conveyor.model import default_params, force_closure
 from conveyor.periodic import basin_probe, find_periodic, scan_orbits
@@ -194,20 +194,24 @@ def test_criterion_07_integral_identities(lorentzian_scan, gaussian_scan):
 
 def test_criterion_08_linear_bvp_bound():
     p = default_params("lorentzian")
-    audit = beta_bound_audit(p.period, n_cases=100)
-    assert audit.passed, f"beta bound violated: max ratio {audit.max_ratio} > {audit.beta}"
+    check = beta_bound_check(p.period)
+    assert check.passed, f"beta bound check failed: max ratio {check.max_ratio} > {check.beta}"
+    beta = check.beta
     rng = np.random.default_rng(42)
     ts = np.linspace(0.0, p.period, 400)
-    worst_bc = 0.0
+    worst_ratio = worst_bc = 0.0
     for _ in range(100):
         q = rng.normal(size=ts.size)
         c0 = float(rng.normal())
         y = linear_bvp(ts, q, c0)
+        ratio = float(np.abs(y).max()) / (abs(c0) + piecewise_linear_l1(ts, q))
+        assert ratio <= beta, f"beta bound violated: ratio {ratio} > {beta}"
+        worst_ratio = max(worst_ratio, ratio)
         worst_bc = max(worst_bc, abs((y[0] - y[-1]) - c0))
     assert worst_bc < 1e-12, f"boundary condition off by {worst_bc:.2e}"
     report("8", True,
-           f"100 cases: max ||y||/(|c0|+||q||_L1) = {audit.max_ratio:.4f} <= "
-           f"beta = {audit.beta:.4f}; worst |y(0)-y(T)-c0| = {worst_bc:.1e}")
+           f"100 cases: max ||y||/(|c0|+||q||_L1) = {worst_ratio:.4f} <= "
+           f"beta = {beta:.4f}; worst |y(0)-y(T)-c0| = {worst_bc:.1e}")
 
 
 def test_criterion_09_weak_drive_taylor_order():

@@ -177,6 +177,12 @@ class TestContinue:
         code = run(["continue", "--out", str(tmp_path / "x.csv")])
         assert code == 3
 
+    def test_driven_plane_exits_3_at_once(self, tmp_path, capsys):
+        out = tmp_path / "plane.csv"
+        assert run(["continue", "--envelope", "plane", "--out", str(out)]) == 3
+        assert "plane drive has no periodic orbit" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestReproduce:
     def test_fig1_layout(self, tmp_path):

@@ -175,6 +175,18 @@ class TestMultiplierCrossCheck:
         orbit = find_periodic(p, 0.0)
         assert multiplier_cross_check(p, orbit).rel_error < 1e-5
 
+    def test_params_must_be_the_orbits(self, lorentzian_orbit, gaussian_params):
+        # the Gaussian set against the Lorentzian orbit read rel_error 0.085,
+        # a failed certificate for a correct orbit
+        with pytest.raises(ValueError, match="parameter set"):
+            multiplier_cross_check(gaussian_params, lorentzian_orbit)
+
+    def test_equal_params_by_value(self, lorentzian_orbit):
+        p = dataclasses.replace(lorentzian_orbit.trajectory.params)
+        assert p is not lorentzian_orbit.trajectory.params
+        assert multiplier_cross_check(p, lorentzian_orbit) == multiplier_cross_check(
+            lorentzian_orbit.trajectory.params, lorentzian_orbit)
+
 
 class TestAgainstIndependentIntegrator:
     """Cross-checks with scipy's Dormand-Prince implementation."""
