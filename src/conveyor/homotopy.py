@@ -14,28 +14,24 @@ This realises constructively the existence argument that the shooting
 solver certifies independently, so the two endpoints agreeing is a
 meaningful cross-check, not a tautology.
 
-Also here: the closed-form solver for the linear boundary-value problem
-dy/dt = -y + q(t), y(0) - y(T) = c0 that anchors the homotopy argument,
-and the one check of its stability bound
-||y||_C <= (1 + 1/(1 - exp(-T))) * (|c0| + ||q||_L1), a deterministic
-check on fixed cases that ``conveyor verify`` runs.  Both rest on one
-list-based recurrence on plain floats; only ``linear_bvp``, which takes
-and returns arrays, loads numpy.
+Also here: ``linear_bvp``, the closed-form solver on plain floats for the
+linear boundary-value problem dy/dt = -y + q(t), y(0) - y(T) = c0 that
+anchors the homotopy argument, and ``beta_bound_check``, which ``conveyor
+verify`` runs: the one check, on ``linear_bvp``'s samples for fixed cases,
+of its stability bound ||y||_C <= (1 + 1/(1 - exp(-T))) * (|c0| + ||q||_L1).
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 from conveyor._newton import solve_fixed_point
 from conveyor.errors import ContinuationStall, EmptyAudit, NoConvergence
 from conveyor.integrate import IntegratorConfig, Trajectory, _half_map, tight_period
 from conveyor.model import ConveyorParams, force_closure, force_dz_closure
-
-if TYPE_CHECKING:
-    import numpy as np
 
 LAMBDA_START = 0.01
 LAMBDA_STEP_INIT = 0.05
@@ -136,37 +132,35 @@ def continue_to_one(p: ConveyorParams, cfg: IntegratorConfig | None = None) -> C
 # linear boundary-value kernel
 
 
-def linear_bvp(t: Sequence[float], q: Sequence[float], c0: float) -> np.ndarray:
+def _samples(t: Sequence[float], q: Sequence[float]) -> tuple[list[float], list[float]]:
+    """(t, q) as lists of floats, or ValueError unless they have equal
+    lengths, at least 2 samples, finite values and strictly increasing t."""
+    t, q = list(map(float, t)), list(map(float, q))
+    if len(t) != len(q) or len(t) < 2:
+        raise ValueError("t and q must have equal lengths and at least 2 samples")
+    if not all(map(math.isfinite, t + q)):
+        raise ValueError("t and q must be finite")
+    if not all(map(operator.lt, t, t[1:])):
+        raise ValueError("grid must be strictly increasing")
+    return t, q
+
+
+def linear_bvp(t: Sequence[float], q: Sequence[float], c0: float) -> list[float]:
     """Solve dy/dt = -y + q(t) with y(0) - y(T) = c0 in closed form.
 
     ``q`` is sampled on the grid ``t`` (t[0] = 0, strictly increasing) and
-    interpreted piecewise-linearly; the convolution integral
-    int_0^t exp(s - t) q(s) ds is then exact per segment, so the returned
-    samples satisfy the boundary condition to roundoff and the ODE to the
-    interpolation error of q.  Non-finite t, q or c0 raise ValueError.
+    interpreted piecewise-linearly; a recurrence exact per segment gives
+    conv_j = int_0^{t_j} exp(s - t_j) q(s) ds, and the returned list
+    y_j = exp(-t_j) * y(0) + conv_j meets the boundary condition to roundoff
+    and the ODE to the interpolation error of q.  ValueError unless t, q
+    and c0 are finite and t and q have an equal length of at least 2.
     """
-    import numpy as np
-    t = np.asarray(t, dtype=float)
-    q = np.asarray(q, dtype=float)
-    if t.ndim != 1 or t.shape != q.shape or t.size < 2:
-        raise ValueError("t and q must be equal-length 1-d arrays with at least 2 samples")
+    t, q = _samples(t, q)
     if t[0] != 0.0:
         raise ValueError(f"grid must start at 0, got t[0] = {t[0]!r}")
-    dt = np.diff(t)
-    if not (dt > 0.0).all():
-        raise ValueError("grid must be strictly increasing")
-    if not (np.isfinite(t).all() and np.isfinite(q).all() and math.isfinite(c0)):
-        raise ValueError("t, q and c0 must be finite")
-    conv, y_0 = _bvp_recurrence(t.tolist(), q.tolist(), c0)
-    return np.exp(-t) * y_0 + np.array(conv)
-
-
-def _bvp_recurrence(t: list[float], q: list[float], c0: float) -> tuple[list[float], float]:
-    """Convolution samples and y(0) of the linear BVP, on plain floats.
-
-    conv[j] = int_0^{t_j} exp(s - t_j) q(s) ds for the piecewise-linear q,
-    by a recurrence exact per segment; y(t_j) = exp(-t_j) * y(0) + conv[j].
-    """
+    c0 = float(c0)
+    if not math.isfinite(c0):
+        raise ValueError(f"c0 must be finite, got {c0!r}")
     conv = [0.0]
     acc = 0.0
     for j in range(len(t) - 1):
@@ -176,14 +170,14 @@ def _bvp_recurrence(t: list[float], q: list[float], c0: float) -> tuple[list[flo
         acc = acc * math.exp(-h) + q[j] * -em + slope * (h + em)
         conv.append(acc)
     T = t[-1]
-    y_T = (math.exp(-T) * c0 + acc) / (-math.expm1(-T))
-    return conv, y_T + c0
+    y_0 = (math.exp(-T) * c0 + acc) / (-math.expm1(-T)) + c0
+    return [math.exp(-s) * y_0 + c for s, c in zip(t, conv)]
 
 
 def piecewise_linear_l1(t: Sequence[float], q: Sequence[float]) -> float:
-    """Exact L1 norm of the piecewise-linear interpolant of (t, q)."""
-    t = [float(x) for x in t]
-    q = [float(x) for x in q]
+    """Exact L1 norm of the piecewise-linear interpolant of (t, q); the same
+    ValueError as ``linear_bvp`` for a bad grid or samples."""
+    t, q = _samples(t, q)
     total = 0.0
     for j in range(len(t) - 1):
         h = t[j + 1] - t[j]
@@ -203,9 +197,9 @@ class BetaBoundReport(NamedTuple):
 
 
 def beta_bound_check(period: float) -> BetaBoundReport:
-    """Deterministic, numpy-free check of ||y||_C <= beta * (|c0| + ||q||_L1).
+    """Deterministic check of ||y||_C <= beta * (|c0| + ||q||_L1).
 
-    Runs linear_bvp's recurrence on a ``_BVP_GRID``-point grid over [0, T]
+    Runs ``linear_bvp`` on a ``_BVP_GRID``-point grid over [0, T]
     for the sharp case q = 0, c0 = 1, whose ratio max|y| / (|c0| + ||q||_L1)
     is exactly 1/(1 - exp(-T)); for q = cos(2 pi m t/T), m = 0..5, and
     q = sin(2 pi m t/T), m = 1..5, with c0 = 0; and for the ramp q = t with
@@ -234,8 +228,7 @@ def beta_bound_check(period: float) -> BetaBoundReport:
     ratios = []
     exact = True
     for q, c0, closed in cases:
-        conv, y_0 = _bvp_recurrence(ts, q, c0)
-        y = [math.exp(-t) * y_0 + c for t, c in zip(ts, conv)]
+        y = linear_bvp(ts, q, c0)
         ratios.append(max(abs(v) for v in y) / (abs(c0) + piecewise_linear_l1(ts, q)))
         if closed is not None:
             gap = max(abs(a - b) for a, b in zip(y, closed))

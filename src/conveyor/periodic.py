@@ -35,7 +35,6 @@ from conveyor.integrate import (
     Trajectory,
     _dp45_scalar,
     _half_map,
-    flow_T,
     propagate,
     tight_period,
 )
@@ -125,8 +124,7 @@ def _certify(p: ConveyorParams, z_guess: float, cfg: IntegratorConfig | None,
         return _build_orbit(p, z_guess, 1.0, cfg, force_free=True)
     if p.envelope.kind == "plane":
         # f' == 0 turns the force identity into int F^2 dt = 0 over a period
-        gap = abs(flow_T(p, z_guess, cfg) - z_guess)
-        raise NoConvergence(1, gap, "a plane drive has no periodic orbit")
+        raise NoConvergence(0, math.nan, "a plane drive has no periodic orbit")
     rhs, rhs_dz = force_closure(p), force_dz_closure(p)
     res = solve_fixed_point(lambda z: _half_map(p, z, cfg, rhs, rhs_dz),
                             z_guess, CERTIFICATION_TOL, bracket)

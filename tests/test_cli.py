@@ -424,6 +424,10 @@ class TestNumpyFreeCommands:
             "assert verify.multiplier_cross_check(p, orbit).rel_error < 1e-4\n"
             "assert verify.fixed_point_scan(p, -1.0, 1.0, 5) == []\n"
             "assert homotopy.beta_bound_check(p.period).passed\n"
+            "ts = [0.0, 0.25, 0.5, 1.0]\n"
+            "y = homotopy.linear_bvp(ts, [2.5] * 4, 0.0)\n"
+            "assert max(abs(v - 2.5) for v in y) < 1e-12, y\n"
+            "assert abs(homotopy.piecewise_linear_l1(ts, [2.5] * 4) - 2.5) < 1e-12\n"
             "q = default_params('plane')\n"
             "assert analytic.PlaneSolution(0.2, q)(0.0) == analytic.plane_solution(\n"
             "    analytic.PlaneSolution(0.2, q), 0.0)\n"

@@ -149,7 +149,7 @@ class TestLinearBvp:
 
     def test_constant_source_steady_state(self):
         t = np.linspace(0.0, 0.5, 64)
-        y = linear_bvp(t, np.full_like(t, 2.5), 0.0)
+        y = np.asarray(linear_bvp(t, np.full_like(t, 2.5), 0.0))
         assert np.abs(y - 2.5).max() < 1e-12
 
     def test_boundary_condition_exact(self):
@@ -164,7 +164,7 @@ class TestLinearBvp:
     def test_satisfies_the_ode(self):
         t = np.linspace(0.0, 0.5, 4001)
         q = np.cos(40.0 * t) + 0.3 * np.sin(7.0 * t)
-        y = linear_bvp(t, q, 0.7)
+        y = np.asarray(linear_bvp(t, q, 0.7))
         dy = np.gradient(y, t)
         resid = dy - (-y + q)
         assert np.abs(resid[5:-5]).max() < 1e-4 * np.abs(q).max()
@@ -184,28 +184,28 @@ class TestLinearBvp:
                 linear_bvp(t, q, c0)
 
     def test_bits_match_the_numpy_loop(self):
-        # the loop linear_bvp ran before its recurrence moved onto lists,
-        # kept verbatim as the reference; both share np.exp, whose last bit
-        # depends on the CPU's SIMD path, so only a same-machine reference
-        # can demand equal bits
-        def numpy_loop(t, q, c0):
-            conv = np.empty_like(q)
-            conv[0] = 0.0
+        # the loop linear_bvp ran on numpy arrays, kept verbatim on lists of
+        # floats with math.exp in place of np.exp as the reference
+        def list_loop(t, q, c0):
+            conv = [0.0] * len(q)
             acc = 0.0
-            for j, h in enumerate(np.diff(t)):
+            for j in range(len(t) - 1):
+                h = t[j + 1] - t[j]
                 eh = math.exp(-h)
                 slope = (q[j + 1] - q[j]) / h
                 acc = acc * eh + q[j] * (-math.expm1(-h)) + slope * (h + math.expm1(-h))
                 conv[j + 1] = acc
             T = float(t[-1])
             y_T = (math.exp(-T) * c0 + conv[-1]) / (-math.expm1(-T))
-            return np.exp(-t) * (y_T + c0) + conv
+            return [math.exp(-s) * (y_T + c0) + c for s, c in zip(t, conv)]
 
         rng = np.random.default_rng(20260810)
-        t = np.concatenate([[0.0], np.sort(rng.uniform(0.0, 3.0, 511))])
-        q = rng.normal(size=t.size)
+        t = np.concatenate([[0.0], np.sort(rng.uniform(0.0, 3.0, 511))]).tolist()
+        q = rng.normal(size=len(t)).tolist()
         c0 = float(rng.normal())
-        assert linear_bvp(t, q, c0).tobytes() == numpy_loop(t, q, c0).tobytes()
+        y = linear_bvp(t, q, c0)
+        assert type(y) is list and all(type(v) is float for v in y)
+        assert np.array(y).tobytes() == np.array(list_loop(t, q, c0)).tobytes()
 
 
 class TestBetaBound:
@@ -213,6 +213,17 @@ class TestBetaBound:
         t = np.array([0.0, 1.0, 2.0])
         q = np.array([1.0, -1.0, 1.0])  # two symmetric triangles per segment
         assert piecewise_linear_l1(t, q) == pytest.approx(1.0, rel=1e-12)
+
+    @pytest.mark.parametrize("t, q", [
+        ([1.0, 0.0], [1.0, 1.0]),  # used to return -1.0, a negative norm
+        ([0.0, math.nan], [1.0, 1.0]),  # used to return nan
+        ([0.0, 1.0], [1.0]),  # used to raise IndexError
+        ([0.0, 1.0], [1.0, 1.0, 5.0]),  # used to drop the third sample
+        ([0.0], [3.0]),  # used to return 0.0
+    ])
+    def test_l1_norm_rejects_bad_samples(self, t, q):
+        with pytest.raises(ValueError):
+            piecewise_linear_l1(t, q)
 
     def test_boundary_exactness_inside_audit_grid(self, lorentzian_params):
         T = lorentzian_params.period
@@ -249,17 +260,17 @@ class TestBetaBound:
                 acc = acc + q[j] * -em + (q[j + 1] - q[j]) / h * (h + em)
                 conv.append(acc)
             T = t[-1]
-            return conv, (math.exp(-T) * c0 + acc) / (-math.expm1(-T)) + c0
+            y_0 = (math.exp(-T) * c0 + acc) / (-math.expm1(-T)) + c0
+            return [math.exp(-s) * y_0 + c for s, c in zip(t, conv)]
 
-        monkeypatch.setattr(homotopy, "_bvp_recurrence", no_decay)
+        monkeypatch.setattr(homotopy, "linear_bvp", no_decay)
         assert beta_bound_check(lorentzian_params.period).passed is False
 
     def test_check_fails_without_the_boundary_jump(self, lorentzian_params, monkeypatch):
-        recurrence = homotopy._bvp_recurrence
+        solve = homotopy.linear_bvp
 
         def periodic_only(t, q, c0):
-            conv, y_0 = recurrence(t, q, c0)
-            return conv, y_0 - c0  # y(0) = y(T) in place of y(0) - y(T) = c0
+            return solve(t, q, 0.0)  # y(0) = y(T) in place of y(0) - y(T) = c0
 
-        monkeypatch.setattr(homotopy, "_bvp_recurrence", periodic_only)
+        monkeypatch.setattr(homotopy, "linear_bvp", periodic_only)
         assert beta_bound_check(lorentzian_params.period).passed is False

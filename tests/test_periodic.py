@@ -40,26 +40,20 @@ def count_map_evaluations(monkeypatch) -> list:
     """A list that grows by one entry per period-map evaluation made in
     ``periodic``: "sensitivity" for a map that also sums its derivative,
     "map" for one that does not, "loose" for a scan grid's sign-only map.
-    The solves build every map in ``integrate._half_map``, the scan grid
-    runs the stepper itself, and the plane drive's gap runs the public
-    ``flow_T``."""
+    The solves build every map in ``integrate._half_map`` and the scan grid
+    runs the stepper itself."""
     calls = []
-    half_map, full_map, stepper = periodic._half_map, periodic.flow_T, periodic._dp45_scalar
+    half_map, stepper = periodic._half_map, periodic._dp45_scalar
 
     def counted_half_map(p, z, cfg, rhs, rhs_dz=None):
         calls.append("map" if rhs_dz is None else "sensitivity")
         return half_map(p, z, cfg, rhs, rhs_dz)
-
-    def counted_full_map(*args, **kwargs):
-        calls.append("map")
-        return full_map(*args, **kwargs)
 
     def counted_stepper(p, rhs, z0, t0, t1, cfg, collect, rhs_dz=None):
         calls.append("loose" if cfg.rtol >= periodic.GRID_RTOL else "map")
         return stepper(p, rhs, z0, t0, t1, cfg, collect, rhs_dz)
 
     monkeypatch.setattr(periodic, "_half_map", counted_half_map)
-    monkeypatch.setattr(periodic, "flow_T", counted_full_map)
     monkeypatch.setattr(periodic, "_dp45_scalar", counted_stepper)
     return calls
 
@@ -186,23 +180,25 @@ class TestFindPeriodic:
             find_periodic(lorentzian_params, 1e308)
 
     def test_no_orbit_for_plane_drive(self, plane_params):
-        # locked transport: P(z) - z ~ 2 pi / k > 0 everywhere, no fixed points
+        # locked transport: P(z) - z ~ 2 pi / k > 0 everywhere, no fixed points,
+        # so the solver refuses before it iterates
         with pytest.raises(NoConvergence) as info:
             find_periodic(plane_params, 0.0)
-        assert info.value.iterations > 0
-        assert info.value.last_residual > 0.0
+        assert info.value.iterations == 0
+        assert math.isnan(info.value.last_residual)
 
     @pytest.mark.parametrize("b", [100.0, 200.0])
     def test_plane_drive_costs_one_map(self, monkeypatch, b):
         # f' == 0 makes int F^2 dt vanish over any period, so no orbit exists
-        # in either plane regime, and one map evaluation reports the gap
+        # in either plane regime, and the refusal runs no map at all
         calls = count_map_evaluations(monkeypatch)
+        monkeypatch.setattr(periodic, "tight_period", lambda *a: calls.append("tight"))
         p = default_params("plane", b=b)
         with pytest.raises(NoConvergence) as info:
             find_periodic(p, 0.3)
-        assert len(calls) == 1
-        assert info.value.iterations == 1
-        assert info.value.last_residual == abs(flow_T(p, 0.3) - 0.3)
+        assert calls == []
+        assert info.value.iterations == 0
+        assert math.isnan(info.value.last_residual)
 
 
 class TestScanOrbits:
