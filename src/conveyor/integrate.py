@@ -10,11 +10,11 @@ a scalar ODE the variational equation dw/dt = dF/dz(t, z(t)) * w has the
 closed-form solution w(T) = exp(int_0^T dF/dz(t, z(t)) dt) (Liouville's
 formula), so the derivative of the period map needs no second
 integrator: the stepper sums the integral along its own accepted steps,
-outside error control.  The solvers build their period maps in
-``_half_map``, over the drive's minimal period 2*pi/b, half of
-``ConveyorParams.period``.  The right-hand side is always a
-caller-supplied (t, z) callable so the homotopy solver can reuse the
-engine with its own blend of force and linear decay.
+outside error control, from one fused (F, dF/dz) call per stage.  Every
+period map, the multiplier cross-check's too, is built in ``_half_map``,
+over the drive's minimal period 2*pi/b, half of ``ConveyorParams.period``.
+The right-hand side is always a caller-supplied (t, z) callable so the
+homotopy solver can reuse the engine with its own blend of force and decay.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, replace
+from itertools import repeat
 from typing import TYPE_CHECKING, Callable
 
 from conveyor.errors import StepSizeUnderflow
@@ -192,10 +193,12 @@ class Trajectory:
         seg_c, kz = self._seg_c, self._kz
         k = max(range(len(kz)), key=lambda i: abs(kz[i]))
         best, starts = abs(kz[k]), [(k, 0.0), (k - 1, 1.0)]
+        thetas = [(i / _SUP_REFINE, 1.0 - i / _SUP_REFINE) for i in range(1, _SUP_REFINE)]
         for j, (c1, c2, c3, c4, c5) in enumerate(seg_c):
-            for i in range(1, _SUP_REFINE):
-                th = i / _SUP_REFINE
-                th1 = 1.0 - th
+            # theta, 1 - theta in [0, 1]: the sum bounds the step's quartic
+            if abs(c1) + abs(c2) + abs(c3) + abs(c4) + abs(c5) < best * (1.0 - 1e-12):
+                continue
+            for th, th1 in thetas:
                 v = abs(c1 + th * (c2 + th1 * (c3 + th * (c4 + th1 * c5))))
                 if v > best:
                     best, starts = v, [(j, th)]
@@ -209,22 +212,26 @@ class Trajectory:
             best = max(best, abs(c1 + th * (a1 + th * (a2 + th * (a3 + c5 * th)))))
         return best
 
-    def integral(self, fn: Callable[[float, float], float]) -> float:
-        """int fn(t, z(t)) dt over the span by the 4-point Gauss-Legendre rule
-        on each accepted step, z read off that step's quartic.  The sums start
-        at -0.0, so an integrand of negative zeros integrates to -0.0."""
-        total = -0.0
+    def integral(self, fn: Callable[[float, float], tuple[float, ...]]) -> list[float]:
+        """int fn(t, z(t)) dt over the span for each entry of fn's tuples, one
+        fn call per node of the 4-point Gauss-Legendre rule on each accepted
+        step, z read off that step's quartic.  The sums start at -0.0, so an
+        entry of negative zeros integrates to -0.0."""
+        (ta, ua, wa), (tb, ub, wb), (tc, uc, wc), (td, ud, wd) = _GL4
+        totals = repeat(-0.0)
         for t, h, (c1, c2, c3, c4, c5) in zip(self._kt, self._seg_h, self._seg_c):
-            s = -0.0
-            for th, th1, w in _GL4:
-                s += w * fn(t + th * h, c1 + th * (c2 + th1 * (c3 + th * (c4 + th1 * c5))))
-            total += h * s
-        return total
+            fa = fn(t + ta * h, c1 + ta * (c2 + ua * (c3 + ta * (c4 + ua * c5))))
+            fb = fn(t + tb * h, c1 + tb * (c2 + ub * (c3 + tb * (c4 + ub * c5))))
+            fc = fn(t + tc * h, c1 + tc * (c2 + uc * (c3 + tc * (c4 + uc * c5))))
+            fd = fn(t + td * h, c1 + td * (c2 + ud * (c3 + td * (c4 + ud * c5))))
+            totals = [total + h * (wa * a + wb * b + wc * c + wd * d)
+                      for total, a, b, c, d in zip(totals, fa, fb, fc, fd)]
+        return totals
 
 
 def _dp45_scalar(p: ConveyorParams, rhs: Callable[[float, float], float] | None, z0: float,
                  t0: float, t1: float, cfg: IntegratorConfig | None, collect: bool,
-                 rhs_dz: Callable[[float, float], float] | None = None):
+                 rhs_and_dz: Callable[[float, float], tuple[float, float]] | None = None):
     """The one entry into the stepper.
     Returns (z1, log_w, err_sum, knots_t, knots_z, seg_h, seg_c).
 
@@ -233,11 +240,11 @@ def _dp45_scalar(p: ConveyorParams, rhs: Callable[[float, float], float] | None,
     phase at z0 must be finite at t0 and at t1, the span must fit in
     MAX_STEPS steps of the step ceiling, and time runs forward: t1 > t0.
 
-    With ``rhs_dz`` given, log_w is the integral of rhs_dz(t, z(t)) over the
-    span (0.0 otherwise): each accepted step adds h * sum(b_i * g_i), with
-    g_i = rhs_dz at the stage points the step already formed and g_1 carried
-    over from the previous endpoint.  That is the step's own solution of
-    d(log w)/dt = rhs_dz(t, z); it takes no part in error control.
+    With ``rhs_and_dz``, (t, z) -> (rhs, g = d rhs/dz), given, log_w is the
+    integral of g along z(t) over the span (0.0 otherwise): stages 1 and 3-7
+    read k_i and g_i from one call (stage 2, of weight 0, calls ``rhs``); each
+    accepted step adds h * sum(b_i * g_i), g_1 carried over from the previous
+    endpoint, its own solution of d(log w)/dt = g, outside error control.
 
     err_sum, beside it, adds up |err|, the step's own DP5(4) error estimate
     y5 - y4, over the accepted steps: a gauge of the run's error in z1 that
@@ -261,8 +268,7 @@ def _dp45_scalar(p: ConveyorParams, rhs: Callable[[float, float], float] | None,
     h = min(h0, max_step, span)
 
     t, y = t0, z0
-    k1 = rhs(t, y)
-    g1 = rhs_dz(t, y) if rhs_dz is not None else 0.0
+    k1, g1 = (rhs(t, y), 0.0) if rhs_and_dz is None else rhs_and_dz(t, y)
     log_w = err_sum = 0.0
     facold = 1e-4
     rejected = False
@@ -280,15 +286,26 @@ def _dp45_scalar(p: ConveyorParams, rhs: Callable[[float, float], float] | None,
 
         k2 = rhs(t + _C2 * h, y + h * (_A21 * k1))
         y3 = y + h * (_A31 * k1 + _A32 * k2)
-        k3 = rhs(t + _C3 * h, y3)
-        y4 = y + h * (_A41 * k1 + _A42 * k2 + _A43 * k3)
-        k4 = rhs(t + _C4 * h, y4)
-        y5 = y + h * (_A51 * k1 + _A52 * k2 + _A53 * k3 + _A54 * k4)
-        k5 = rhs(t + _C5 * h, y5)
-        y6 = y + h * (_A61 * k1 + _A62 * k2 + _A63 * k3 + _A64 * k4 + _A65 * k5)
-        k6 = rhs(t + h, y6)
-        y1 = y + h * (_B1 * k1 + _B3 * k3 + _B4 * k4 + _B5 * k5 + _B6 * k6)
-        k7 = rhs(t + h, y1)
+        if rhs_and_dz is None:
+            k3 = rhs(t + _C3 * h, y3)
+            y4 = y + h * (_A41 * k1 + _A42 * k2 + _A43 * k3)
+            k4 = rhs(t + _C4 * h, y4)
+            y5 = y + h * (_A51 * k1 + _A52 * k2 + _A53 * k3 + _A54 * k4)
+            k5 = rhs(t + _C5 * h, y5)
+            y6 = y + h * (_A61 * k1 + _A62 * k2 + _A63 * k3 + _A64 * k4 + _A65 * k5)
+            k6 = rhs(t + h, y6)
+            y1 = y + h * (_B1 * k1 + _B3 * k3 + _B4 * k4 + _B5 * k5 + _B6 * k6)
+            k7 = rhs(t + h, y1)
+        else:   # the same stages with their g_i, apart so plain runs unpack no pairs
+            k3, g3 = rhs_and_dz(t + _C3 * h, y3)
+            y4 = y + h * (_A41 * k1 + _A42 * k2 + _A43 * k3)
+            k4, g4 = rhs_and_dz(t + _C4 * h, y4)
+            y5 = y + h * (_A51 * k1 + _A52 * k2 + _A53 * k3 + _A54 * k4)
+            k5, g5 = rhs_and_dz(t + _C5 * h, y5)
+            y6 = y + h * (_A61 * k1 + _A62 * k2 + _A63 * k3 + _A64 * k4 + _A65 * k5)
+            k6, g6 = rhs_and_dz(t + h, y6)
+            y1 = y + h * (_B1 * k1 + _B3 * k3 + _B4 * k4 + _B5 * k5 + _B6 * k6)
+            k7, g7 = rhs_and_dz(t + h, y1)
 
         err = abs(h * (_E1 * k1 + _E3 * k3 + _E4 * k4 + _E5 * k5 + _E6 * k6 + _E7 * k7))
         ay, ay1 = abs(y), abs(y1)   # comparisons, not max/min calls, with the same picks
@@ -296,11 +313,8 @@ def _dp45_scalar(p: ConveyorParams, rhs: Callable[[float, float], float] | None,
 
         if err_norm <= 1.0:
             err_sum += err
-            if rhs_dz is not None:
-                g7 = rhs_dz(t + h, y1)
-                log_w += h * (_B1 * g1 + _B3 * rhs_dz(t + _C3 * h, y3)
-                              + _B4 * rhs_dz(t + _C4 * h, y4) + _B5 * rhs_dz(t + _C5 * h, y5)
-                              + _B6 * rhs_dz(t + h, y6))
+            if rhs_and_dz is not None:
+                log_w += h * (_B1 * g1 + _B3 * g3 + _B4 * g4 + _B5 * g5 + _B6 * g6)
                 g1 = g7  # FSAL
             if collect:
                 dy = y1 - y
@@ -352,20 +366,13 @@ def propagate(p: ConveyorParams, rhs: Callable[[float, float], float], z_i: floa
     return _dp45_scalar(p, rhs, z_i, t0, t1, cfg, collect=False)[0]
 
 
-def flow_T(p: ConveyorParams, z0: float, cfg: IntegratorConfig | None = None) -> float:
-    """Period map P(z0) = z(T; 0, z0) of the conveyor force field over
-    T = ``p.period`` = 4*pi/b, whose fixed points are the drive-periodic
-    solutions; the solvers seek them on ``_half_map``."""
-    return _dp45_scalar(p, None, z0, 0.0, p.period, cfg, collect=False)[0]
-
-
 def _half_map(p: ConveyorParams, z0: float, cfg: IntegratorConfig | None,
               rhs: Callable[[float, float], float],
-              rhs_dz: Callable[[float, float], float] | None = None) -> tuple[float, float]:
+              rhs_and_dz: Callable[[float, float], tuple] | None = None) -> tuple[float, float]:
     """(P_h(z0), dP_h/dz0) over the minimal period 2*pi/b, with ``p.period``'s
-    step bounds; the slope is 1.0 without ``rhs_dz``.  P = P_h o P_h with P_h
-    increasing, so P_h has exactly P's fixed points, and mu = mu_h**2."""
-    z1, log_w, *_ = _dp45_scalar(p, rhs, z0, 0.0, 0.5 * p.period, cfg, False, rhs_dz)
+    step bounds; the slope is 1.0 without ``rhs_and_dz``.  P = P_h o P_h with
+    P_h increasing, so P_h has exactly P's fixed points, and mu = mu_h**2."""
+    z1, log_w, *_ = _dp45_scalar(p, rhs, z0, 0.0, 0.5 * p.period, cfg, False, rhs_and_dz)
     return z1, math.exp(log_w)
 
 

@@ -12,15 +12,14 @@ minimal period is 2*pi/b, half of ``ConveyorParams.period`` = 4*pi/b; the
 solvers seek periodic orbits as fixed points of the map over 2*pi/b.
 
 ``field(p)`` serves the whole field of one parameter set as prebound
-callables: V, F, dF/dz, dV/dt and the envelope with its exact
-derivatives.  Each envelope kind supplies two kernels, z -> f, which serves
-V and dV/dt, and z -> (f, f', f''), sharing one denominator or one exp,
-which serves the envelope; F and dF/dz are fused per kind, with the
-envelope written inline, so that a right-hand-side call makes no second
-call.
-``force_closure`` and ``force_dz_closure`` are the names under which the
-solvers fetch F and dF/dz.  ``drive_bound`` bounds |F(t, z)| over all t;
-no envelope vanishes, so F is zero at z for every t only when f0 = 0.
+callables: V, F, the pair (F, dF/dz), the envelope with its exact
+derivatives and the identity integrands (F^2, dV/dt, cos^2(kz - bt/2) f').
+Each envelope kind supplies two kernels, z -> f for V and z -> (f, f',
+f''), sharing one denominator or one exp, for the envelope; F, the pair and
+the identity integrands are fused per kind, with the envelope written
+inline, so one point costs one Python call.  ``force_closure`` is the name
+under which the solvers fetch F.  ``drive_bound`` bounds |F(t, z)| over all
+t; no envelope vanishes, so F is zero at z for every t only when f0 = 0.
 
 All types are immutable and all operations are pure functions; they are safe
 to call from any number of concurrent workers.
@@ -150,28 +149,39 @@ def default_params(kind: str = "lorentzian", **overrides) -> ConveyorParams:
 
 
 # ---------------------------------------------------------------------------
-# per envelope kind: kernels z -> f and z -> (f, f', f''), and F and dF/dz
-# with the envelope inline, in this operation order, which fixes their bits:
+# per envelope kind: kernels z -> f and z -> (f, f', f''), then F, (F, dF/dz)
+# and the identity terms (F^2, dV/dt, c^2 f'), each with one phase, one cos/sin
+# pair and the envelope inline, in this operation order, which fixes their bits:
 #     F     = -2k f0 f s c + f0 c^2 f',    c, s = cos, sin(kz - bt/2)
 #     dF/dz = -2k f0 f' sin(2kz - bt) - 2k^2 f0 f cos(2kz - bt) + f0 c^2 f''
+#     dV/dt = b f0 f s c
 
 
-def _plane_kernels(z0: float, k: float, half_b: float, f0: float, m2kf0: float, tkkf0: float):
+def _plane_kernels(z0: float, k: float, half_b: float, f0: float, m2kf0: float, tkkf0: float,
+                   bf0: float):
     # the f' and f'' terms stay, times 0.0, for the same signed zeros
     def force(t: float, z: float) -> float:
         ph = k * z - half_b * t
         c = cos(ph)
         return m2kf0 * sin(ph) * c + f0 * c * c * 0.0
 
-    def force_dz(t: float, z: float) -> float:
+    def force_and_dz(t: float, z: float) -> tuple[float, float]:
         ph = k * z - half_b * t
         c, s = cos(ph), sin(ph)
-        return m2kf0 * 0.0 * (2.0 * s * c) - tkkf0 * (c * c - s * s) + f0 * c * c * 0.0
+        f0c2 = f0 * c * c
+        return (m2kf0 * s * c + f0c2 * 0.0,
+                m2kf0 * 0.0 * (2.0 * s * c) - tkkf0 * (c * c - s * s) + f0c2 * 0.0)
 
-    return (lambda z: 1.0), (lambda z: (1.0, 0.0, 0.0)), force, force_dz
+    def identity_terms(t: float, z: float) -> tuple[float, float, float]:
+        ph = k * z - half_b * t
+        c, s = cos(ph), sin(ph)
+        return (m2kf0 * s * c + f0 * c * c * 0.0) ** 2, bf0 * s * c, c * c * 0.0
+
+    return (lambda z: 1.0), (lambda z: (1.0, 0.0, 0.0)), force, force_and_dz, identity_terms
 
 
-def _lorentzian_kernels(z0: float, k: float, half_b: float, f0: float, m2kf0: float, tkkf0: float):
+def _lorentzian_kernels(z0: float, k: float, half_b: float, f0: float, m2kf0: float, tkkf0: float,
+                        bf0: float):
     z0sq = z0 * z0
     m2z0sq = -2.0 * z0sq
 
@@ -191,19 +201,29 @@ def _lorentzian_kernels(z0: float, k: float, half_b: float, f0: float, m2kf0: fl
         den = z0sq + z * z
         return m2kf0 * (z0sq / den) * sin(ph) * c + f0 * c * c * (m2z0sq * z / (den * den))
 
-    def force_dz(t: float, z: float) -> float:
+    def force_and_dz(t: float, z: float) -> tuple[float, float]:
         ph = k * z - half_b * t
         c, s = cos(ph), sin(ph)
         den = z0sq + z * z
         den3 = den * den * den
+        fz, d1 = z0sq / den, m2z0sq * z / (den * den)
         d2 = z0sq * (6.0 * z * z - 2.0 * z0sq) / den3 if den3 < math.inf else 0.0
-        return (m2kf0 * (m2z0sq * z / (den * den)) * (2.0 * s * c)
-                - tkkf0 * (z0sq / den) * (c * c - s * s) + f0 * c * c * d2)
+        f0c2 = f0 * c * c
+        return (m2kf0 * fz * s * c + f0c2 * d1,
+                m2kf0 * d1 * (2.0 * s * c) - tkkf0 * fz * (c * c - s * s) + f0c2 * d2)
 
-    return f, fd2, force, force_dz
+    def identity_terms(t: float, z: float) -> tuple[float, float, float]:
+        ph = k * z - half_b * t
+        c, s = cos(ph), sin(ph)
+        den = z0sq + z * z
+        fz, d1 = z0sq / den, m2z0sq * z / (den * den)
+        return (m2kf0 * fz * s * c + f0 * c * c * d1) ** 2, bf0 * fz * s * c, c * c * d1
+
+    return f, fd2, force, force_and_dz, identity_terms
 
 
-def _gaussian_kernels(z0: float, k: float, half_b: float, f0: float, m2kf0: float, tkkf0: float):
+def _gaussian_kernels(z0: float, k: float, half_b: float, f0: float, m2kf0: float, tkkf0: float,
+                      bf0: float):
     z0sq = z0 * z0
     c1 = -4.0 / z0sq
     c2 = 16.0 / (z0sq * z0sq)
@@ -226,14 +246,23 @@ def _gaussian_kernels(z0: float, k: float, half_b: float, f0: float, m2kf0: floa
         d1 = c1 * z * g if g else copysign(0.0, c1 * z)
         return m2kf0 * g * sin(ph) * c + f0 * c * c * d1
 
-    def force_dz(t: float, z: float) -> float:
+    def force_and_dz(t: float, z: float) -> tuple[float, float]:
         ph = k * z - half_b * t
         c, s = cos(ph), sin(ph)
         g = exp(-2.0 * z * z / z0sq)
         d1, d2 = (c1 * z * g, (c2 * z * z + c1) * g) if g else (copysign(0.0, c1 * z), 0.0)
-        return m2kf0 * d1 * (2.0 * s * c) - tkkf0 * g * (c * c - s * s) + f0 * c * c * d2
+        f0c2 = f0 * c * c
+        return (m2kf0 * g * s * c + f0c2 * d1,
+                m2kf0 * d1 * (2.0 * s * c) - tkkf0 * g * (c * c - s * s) + f0c2 * d2)
 
-    return f, fd2, force, force_dz
+    def identity_terms(t: float, z: float) -> tuple[float, float, float]:
+        ph = k * z - half_b * t
+        c, s = cos(ph), sin(ph)
+        g = exp(-2.0 * z * z / z0sq)
+        d1 = c1 * z * g if g else copysign(0.0, c1 * z)
+        return (m2kf0 * g * s * c + f0 * c * c * d1) ** 2, bf0 * g * s * c, c * c * d1
+
+    return f, fd2, force, force_and_dz, identity_terms
 
 
 _KERNELS = {
@@ -252,9 +281,9 @@ class Field(NamedTuple):
 
     potential: Callable[[float, float], float]      # V(t, z), in [0, f0 f(z)]
     force: Callable[[float, float], float]          # F = dV/dz, the equation of motion
-    force_dz: Callable[[float, float], float]       # dF/dz, for multipliers and Newton
-    potential_dt: Callable[[float, float], float]   # dV/dt = (b/2) f0 f(z) sin(2kz - bt)
+    force_and_dz: Callable[[float, float], tuple[float, float]]  # (F, dF/dz), for multipliers
     envelope: Callable[[float], tuple[float, float, float]]  # z -> (f, f', f''), exact
+    identity_terms: Callable[[float, float], tuple]  # verify's (F^2, dV/dt, cos^2(kz - bt/2) f')
 
 
 @lru_cache(maxsize=256)
@@ -262,28 +291,19 @@ def field(p: ConveyorParams) -> Field:
     """The field of ``p``, built once per parameter set."""
     f0, b, k = p.f0, p.b, p.k
     half_b = 0.5 * b
-    f, fd2, force, force_dz = _KERNELS[p.envelope.kind](
-        p.envelope.z0, k, half_b, f0, -2.0 * k * f0, 2.0 * k * k * f0)
+    f, fd2, force, force_and_dz, identity_terms = _KERNELS[p.envelope.kind](
+        p.envelope.z0, k, half_b, f0, -2.0 * k * f0, 2.0 * k * k * f0, b * f0)
 
     def potential(t: float, z: float) -> float:
         c = cos(k * z - half_b * t)
         return f0 * f(z) * c * c
 
-    def potential_dt(t: float, z: float) -> float:
-        ph = k * z - half_b * t
-        return b * f0 * f(z) * sin(ph) * cos(ph)
-
-    return Field(potential, force, force_dz, potential_dt, fd2)
+    return Field(potential, force, force_and_dz, fd2, identity_terms)
 
 
 def force_closure(p: ConveyorParams) -> Callable[[float, float], float]:
     """``field(p).force``, the name under which the solvers fetch F."""
     return field(p).force
-
-
-def force_dz_closure(p: ConveyorParams) -> Callable[[float, float], float]:
-    """``field(p).force_dz``, the name under which the solvers fetch dF/dz."""
-    return field(p).force_dz
 
 
 def drive_bound(p: ConveyorParams, z: float) -> float:

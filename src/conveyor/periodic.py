@@ -38,7 +38,7 @@ from conveyor.integrate import (
     propagate,
     tight_period,
 )
-from conveyor.model import ConveyorParams, drive_bound, force_closure, force_dz_closure
+from conveyor.model import ConveyorParams, drive_bound, field, force_closure
 
 CERTIFICATION_TOL = 1e-9
 DEDUPE_TOL = 1e-6
@@ -125,8 +125,8 @@ def _certify(p: ConveyorParams, z_guess: float, cfg: IntegratorConfig | None,
     if p.envelope.kind == "plane":
         # f' == 0 turns the force identity into int F^2 dt = 0 over a period
         raise NoConvergence(0, math.nan, "a plane drive has no periodic orbit")
-    rhs, rhs_dz = force_closure(p), force_dz_closure(p)
-    res = solve_fixed_point(lambda z: _half_map(p, z, cfg, rhs, rhs_dz),
+    rhs, rhs_and_dz = force_closure(p), field(p).force_and_dz
+    res = solve_fixed_point(lambda z: _half_map(p, z, cfg, rhs, rhs_and_dz),
                             z_guess, CERTIFICATION_TOL, bracket)
     if abs(res.derivative * res.derivative - 1.0) < NEUTRAL:
         raise NoConvergence(res.iterations, res.residual,

@@ -8,25 +8,25 @@ z' and integrating, then by eliminating the drive's time derivative:
     force:   int |F(t, z)|^2 dt  =  -(b f0 / 2k) int cos^2(kz - bt/2) f'(z) dt
 
 Both sides are integrals over the orbit's stored run, 2*pi/b for a solved
-orbit, each by ``Trajectory.integral``: a 4-point Gauss-Legendre rule on
-every accepted step of the run, with z read off that step's quartic, so
-the rule sees a smooth integrand on each step; small relative residuals
-certify that a computed orbit behaves like a genuine periodic
-solution rather than a numerical coincidence.  ``multiplier_cross_check``
-compares the Liouville multiplier with a central difference of the
-full-period map, run at ``tight_period``'s tolerances, at the fixed step
-1e-4.  The fixed-point scan certifies that the flow has no rest points,
-points where F(t, z) = 0 for every t: since no envelope vanishes, it flags
-every grid point when f0 = 0 and none otherwise.
+orbit, taken in one pass of ``Trajectory.integral`` over ``identity_terms``
+of the field: a 4-point Gauss-Legendre rule on every accepted step of the
+run, z read off that step's quartic, so the rule sees a smooth integrand
+on each step; small relative residuals certify that a computed orbit
+behaves like a genuine periodic solution rather than a numerical
+coincidence.  ``multiplier_cross_check`` compares the Liouville multiplier
+mu = mu_h**2 with the square of a central difference of the half-period
+map P_h, run at ``tight_period``'s tolerances, at the fixed step 1e-4.
+The fixed-point scan certifies that the flow has no rest points, points
+where F(t, z) = 0 for every t: since no envelope vanishes, it flags every
+grid point when f0 = 0 and none otherwise.
 """
 
 from __future__ import annotations
 
-import math
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 from conveyor.errors import ConveyorError
-from conveyor.integrate import IntegratorConfig, _tight_config, flow_T
+from conveyor.integrate import IntegratorConfig, _half_map, _tight_config
 from conveyor.model import ConveyorParams, field, force_closure
 from conveyor.periodic import PeriodicOrbit, _grid
 
@@ -46,26 +46,25 @@ class MultiplierCheck(NamedTuple):
     rel_error: float
 
 
-def _identity(orbit: PeriodicOrbit, factor: float,
-              integrand: Callable[[float, float], float]) -> IdentityResult:
-    """int |F|^2 dt against factor * int integrand(t, z(t)) dt over the stored
-    run: over 2*pi/b for a solved orbit, half of each full-period integral."""
+def _identity(orbit: PeriodicOrbit, factor: float, term: int) -> IdentityResult:
+    """int |F|^2 dt against factor * int of ``Field.identity_terms``' entry
+    ``term`` over the stored run, all in one pass: over 2*pi/b for a solved
+    orbit, half of each full-period integral."""
     if orbit.residual > 1e-6:
         raise ConveyorError(
             f"orbit is not certified (residual {orbit.residual:.3e}); "
             "identities only hold on periodic solutions"
         )
     traj = orbit.trajectory
-    force = force_closure(traj.params)
-    lhs = traj.integral(lambda t, z: force(t, z) ** 2)
-    rhs_val = factor * traj.integral(integrand)
+    sums = traj.integral(field(traj.params).identity_terms)
+    lhs, rhs_val = sums[0], factor * sums[term]
     rel = abs(lhs - rhs_val) / (abs(lhs) + abs(rhs_val) + _RESIDUAL_EPS)
     return IdentityResult(lhs, rhs_val, rel)
 
 
 def identity_energy(orbit: PeriodicOrbit) -> IdentityResult:
     """Energy-balance certificate: int |F|^2 dt vs -int dV/dt dt."""
-    return _identity(orbit, -1.0, field(orbit.trajectory.params).potential_dt)
+    return _identity(orbit, -1.0, 1)
 
 
 def identity_force(orbit: PeriodicOrbit) -> IdentityResult:
@@ -78,15 +77,7 @@ def identity_force(orbit: PeriodicOrbit) -> IdentityResult:
     a positive right side forces the orbit to sit where f' < 0 on average.
     """
     p = orbit.trajectory.params
-    envelope = field(p).envelope
-    half_b = 0.5 * p.b
-    k = p.k
-
-    def weighted_slope(t: float, z: float) -> float:
-        c = math.cos(k * z - half_b * t)
-        return c * c * envelope(z)[1]
-
-    return _identity(orbit, -(p.b * p.f0) / (2.0 * p.k), weighted_slope)
+    return _identity(orbit, -(p.b * p.f0) / (2.0 * p.k), 2)
 
 
 def fixed_point_scan(p: ConveyorParams, z_lo: float, z_hi: float, n: int) -> list[float]:
@@ -103,19 +94,22 @@ def fixed_point_scan(p: ConveyorParams, z_lo: float, z_hi: float, n: int) -> lis
 
 def multiplier_cross_check(p: ConveyorParams, orbit: PeriodicOrbit,
                            cfg: IntegratorConfig | None = None) -> MultiplierCheck:
-    """Liouville multiplier vs central finite difference of the period map.
+    """Liouville multiplier vs the squared central finite difference of the
+    half-period map P_h, mu = mu_h**2.
 
-    P runs over the full period at a hundredth of ``cfg``'s tolerances, as
+    P_h runs over 2*pi/b at a hundredth of ``cfg``'s tolerances, as
     ``tight_period`` does, so its noise over the fixed step ``_FD_STEP`` =
     1e-4 stays below 1e-4 of a multiplier as small as the 8e-6 of f0 = 10.
+    Squared, the half-period difference carries, relative to mu, at most the
+    noise of a full-period one where mu <= 1, and far less where mu is small.
     ``p`` must be the orbit's own parameter set, else ValueError.
     """
     if p != orbit.trajectory.params:
         raise ValueError("p is not the parameter set of the orbit")
-    h = _FD_STEP
-    tight = _tight_config(cfg)
-    plus = flow_T(p, orbit.z_star + h, tight)
-    minus = flow_T(p, orbit.z_star - h, tight)
-    fd = (plus - minus) / (2.0 * h)
+    h, tight, rhs = _FD_STEP, _tight_config(cfg), force_closure(p)
+    plus = _half_map(p, orbit.z_star + h, tight, rhs)[0]
+    minus = _half_map(p, orbit.z_star - h, tight, rhs)[0]
+    fd_h = (plus - minus) / (2.0 * h)
+    fd = fd_h * fd_h
     rel = abs(orbit.multiplier - fd) / max(abs(fd), 1e-300)
     return MultiplierCheck(orbit.multiplier, fd, rel)

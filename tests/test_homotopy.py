@@ -208,6 +208,31 @@ class TestLinearBvp:
         assert np.array(y).tobytes() == np.array(list_loop(t, q, c0)).tobytes()
 
 
+def public_beta_bound_check(period):
+    """``beta_bound_check`` as it ran through the public, validating
+    ``linear_bvp`` and ``piecewise_linear_l1`` on every case."""
+    sharp = 1.0 / (-math.expm1(-period))
+    beta = 1.0 + sharp
+    n = homotopy._BVP_GRID
+    step = period / (n - 1)
+    ts = [j * step for j in range(n - 1)] + [period]
+    w = 2.0 * math.pi / period
+    cases = [([0.0] * n, 1.0, None), ([1.0] * n, 0.0, [1.0] * n)]
+    cases += [([math.cos(m * w * t) for t in ts], 0.0, None) for m in range(1, 6)]
+    cases += [([math.sin(m * w * t) for t in ts], 0.0, None) for m in range(1, 6)]
+    cases.append((ts, -period, [t - 1.0 for t in ts]))
+    ratios = []
+    exact = True
+    for q, c0, closed in cases:
+        y = linear_bvp(ts, q, c0)
+        ratios.append(max(abs(v) for v in y) / (abs(c0) + piecewise_linear_l1(ts, q)))
+        if closed is not None:
+            gap = max(abs(a - b) for a, b in zip(y, closed))
+            exact = exact and gap <= 1e-12 * max(abs(v) for v in closed)
+    passed = max(ratios) <= beta and abs(ratios[0] - sharp) <= 1e-12 * sharp and exact
+    return BetaBoundReport(beta, max(ratios), len(cases), passed)
+
+
 class TestBetaBound:
     def test_l1_norm_handles_sign_changes(self):
         t = np.array([0.0, 1.0, 2.0])
@@ -251,6 +276,19 @@ class TestBetaBound:
         assert report.max_ratio == pytest.approx(8.468216375029098, rel=1e-12)
         assert type(report.max_ratio) is float
 
+    @pytest.mark.parametrize("period", [4.0 * math.pi / 100.0, 4.0 * math.pi / 61.559,
+                                        4.0 * math.pi / 94.705, 1e-3, 50.0])
+    def test_grid_checked_once_with_the_same_report(self, monkeypatch, period):
+        # the check builds a valid grid and calls the solver's core directly,
+        # so it validates nothing per case, and reports what the public,
+        # validating entry points would
+        want = repr(public_beta_bound_check(period))
+        checked = []
+        samples = homotopy._samples
+        monkeypatch.setattr(homotopy, "_samples", lambda t, q: checked.append(1) or samples(t, q))
+        assert repr(beta_bound_check(period)) == want
+        assert checked == []
+
     def test_check_fails_without_the_decay(self, lorentzian_params, monkeypatch):
         def no_decay(t, q, c0):
             conv, acc = [0.0], 0.0
@@ -263,14 +301,14 @@ class TestBetaBound:
             y_0 = (math.exp(-T) * c0 + acc) / (-math.expm1(-T)) + c0
             return [math.exp(-s) * y_0 + c for s, c in zip(t, conv)]
 
-        monkeypatch.setattr(homotopy, "linear_bvp", no_decay)
+        monkeypatch.setattr(homotopy, "_bvp", no_decay)
         assert beta_bound_check(lorentzian_params.period).passed is False
 
     def test_check_fails_without_the_boundary_jump(self, lorentzian_params, monkeypatch):
-        solve = homotopy.linear_bvp
+        solve = homotopy._bvp
 
         def periodic_only(t, q, c0):
             return solve(t, q, 0.0)  # y(0) = y(T) in place of y(0) - y(T) = c0
 
-        monkeypatch.setattr(homotopy, "linear_bvp", periodic_only)
+        monkeypatch.setattr(homotopy, "_bvp", periodic_only)
         assert beta_bound_check(lorentzian_params.period).passed is False

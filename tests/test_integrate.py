@@ -10,6 +10,8 @@ import numpy as np
 import pytest
 
 import conveyor
+from conveyor import homotopy, periodic
+from conveyor import integrate as integrate_module
 from conveyor.analytic import PlaneSolution, plane_solution, taylor_small_f0
 from conveyor.errors import StepSizeUnderflow
 from conveyor.integrate import (
@@ -17,18 +19,22 @@ from conveyor.integrate import (
     IntegratorConfig,
     Trajectory,
     _half_map,
-    flow_T,
     integrate,
     propagate,
     tight_period,
 )
-from conveyor.model import default_params, force_closure, force_dz_closure
+from conveyor.model import default_params, field, force_closure
 from tests.conftest import Z_STAR_LORENTZIAN
 
 
 def sensitivity_map(p, z0):
     """(P_h(z0), dP_h/dz0) of the force field: the map every solver builds."""
-    return _half_map(p, z0, None, force_closure(p), force_dz_closure(p))
+    return _half_map(p, z0, None, force_closure(p), field(p).force_and_dz)
+
+
+def period_map(p, z0):
+    """P(z0) over the full period 4 pi / b, on the plain force field."""
+    return propagate(p, force_closure(p), z0, 0.0, p.period)
 
 
 class TestConfig:
@@ -124,7 +130,7 @@ class TestIntegrate:
         p = lorentzian_params
         rhs = force_closure(p)
         with pytest.raises(ValueError):
-            flow_T(p, math.nan)
+            period_map(p, math.nan)
         with pytest.raises(ValueError):
             sensitivity_map(p, -math.inf)
         with pytest.raises(ValueError):
@@ -138,10 +144,10 @@ class TestIntegrate:
         lambda p, rhs: integrate(p, rhs, 1e308, 0.0, 1.0),
         lambda p, rhs: propagate(p, rhs, 1e308, 0.0, 1.0),
         lambda p, rhs: propagate(p, rhs, 0.0, 0.0, 1e308),
-        lambda p, rhs: flow_T(p, 1e308),
+        lambda p, rhs: period_map(p, 1e308),
         lambda p, rhs: sensitivity_map(p, -1e308),
         lambda p, rhs: tight_period(p, 1e308),
-    ], ids=["integrate", "propagate", "propagate-end", "flow_T", "_half_map", "tight_period"])
+    ], ids=["integrate", "propagate", "propagate-end", "period-map", "_half_map", "tight_period"])
     def test_unrepresentable_drive_phase_rejected(self, lorentzian_params, call):
         with pytest.raises(ValueError, match="drive phase"):
             call(lorentzian_params, force_closure(lorentzian_params))
@@ -271,29 +277,117 @@ class TestTrajectory:
         traj = integrate(lorentzian_params, force_closure(lorentzian_params), 0.2, 0.1, 0.6)
         for n in range(8):
             exact = (0.6 ** (n + 1) - 0.1 ** (n + 1)) / (n + 1)
-            assert traj.integral(lambda t, z, n=n: t ** n) == pytest.approx(exact, rel=1e-13)
+            assert traj.integral(lambda t, z, n=n: (t ** n,)) == pytest.approx([exact], rel=1e-13)
 
     def test_integral_keeps_the_sign_of_zero(self, lorentzian_params):
         # verify's f0 = 0 report prints the sign of its zero identity sides
         traj = integrate(lorentzian_params, force_closure(lorentzian_params), 0.2, 0.0, 0.5)
-        assert math.copysign(1.0, traj.integral(lambda t, z: -0.0)) == -1.0
-        assert math.copysign(1.0, traj.integral(lambda t, z: 0.0)) == 1.0
+        got = traj.integral(lambda t, z: (-0.0, 0.0))
+        assert [math.copysign(1.0, v) for v in got] == [-1.0, 1.0]
+
+    def test_integral_entries_are_independent(self, lorentzian_params):
+        # one pass integrates each entry of the tuple exactly as a pass over
+        # that entry alone
+        p = lorentzian_params
+        traj = integrate(p, force_closure(p), 0.2, 0.0, 0.5)
+        force = force_closure(p)
+        both = traj.integral(lambda t, z: (force(t, z), t * z))
+        alone = [traj.integral(lambda t, z: (force(t, z),))[0],
+                 traj.integral(lambda t, z: (t * z,))[0]]
+        assert [v.hex() for v in both] == [v.hex() for v in alone]
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_integral_of_non_finite_integrand(self, lorentzian_params, value):
         # a fixed rule: four calls on each step, whatever the integrand returns
         traj = integrate(lorentzian_params, force_closure(lorentzian_params), 0.2, 0.0, 0.5)
         calls = []
-        got = traj.integral(lambda t, z: calls.append(t) or value)
+        [got] = traj.integral(lambda t, z: calls.append(t) or (value,))
         assert math.isnan(got) if math.isnan(value) else got == value
         assert len(calls) == 4 * (len(traj.knots[0]) - 1)
+
+
+def unpruned_sup_norm(traj):
+    """``Trajectory.sup_norm`` as it was before it skipped steps, verbatim."""
+    seg_c, kz = traj._seg_c, traj._kz
+    k = max(range(len(kz)), key=lambda i: abs(kz[i]))
+    best, starts = abs(kz[k]), [(k, 0.0), (k - 1, 1.0)]
+    for j, (c1, c2, c3, c4, c5) in enumerate(seg_c):
+        for i in range(1, integrate_module._SUP_REFINE):
+            th = i / integrate_module._SUP_REFINE
+            th1 = 1.0 - th
+            v = abs(c1 + th * (c2 + th1 * (c3 + th * (c4 + th1 * c5))))
+            if v > best:
+                best, starts = v, [(j, th)]
+    for j, th in (s for s in starts if 0 <= s[0] < len(seg_c)):
+        c1, c2, c3, c4, c5 = seg_c[j]
+        a1, a2, a3 = c2 + c3, c4 + c5 - c3, -c4 - 2.0 * c5  # c1 + a1 th + ... + c5 th^4
+        for _ in range(3):
+            curv = 2.0 * a2 + th * (6.0 * a3 + 12.0 * c5 * th)
+            slope = a1 + th * (2.0 * a2 + th * (3.0 * a3 + 4.0 * c5 * th))
+            th = min(1.0, max(0.0, th - slope / curv)) if curv else th
+        best = max(best, abs(c1 + th * (a1 + th * (a2 + th * (a3 + c5 * th)))))
+    return best
+
+
+class TestSupNormSkipsSteps:
+    """``sup_norm`` skips a step whose coefficient sum |c1| + ... + |c5|, a
+    bound on its quartic, is below the running maximum; the result must be
+    bit for bit that of the scan over every step."""
+
+    @staticmethod
+    def assert_unpruned(traj):
+        assert traj.sup_norm().hex() == unpruned_sup_norm(traj).hex()
+
+    @pytest.mark.parametrize("orbit", ["lorentzian_orbit", "gaussian_orbit"])
+    def test_reference_orbits(self, orbit, request):
+        self.assert_unpruned(request.getfixturevalue(orbit).trajectory)
+
+    def test_force_free_parked_orbit(self):
+        orbit = periodic.find_periodic(default_params("lorentzian", f0=0.0), 0.3)
+        assert orbit.force_free and set(orbit.trajectory.knots[1]) == {0.3}
+        self.assert_unpruned(orbit.trajectory)
+
+    @pytest.mark.parametrize("kind", ["lorentzian", "gaussian"])
+    def test_continuation_runs(self, monkeypatch, kind):
+        runs = []
+        sup_norm = Trajectory.sup_norm
+
+        def spy(traj):
+            runs.append(traj)
+            return sup_norm(traj)
+
+        monkeypatch.setattr(Trajectory, "sup_norm", spy)
+        trace = homotopy.continue_to_one(default_params(kind))
+        monkeypatch.undo()
+        assert trace.converged and len(runs) == len(trace.steps)
+        for traj in runs:
+            self.assert_unpruned(traj)
+
+    def test_crest_in_a_later_step(self, plane_params):
+        # z = sin(10 t) climbs over several steps: each later step can beat
+        # the running maximum, and the scan keeps every such step
+        traj = integrate(plane_params, lambda t, z: 10.0 * math.cos(10.0 * t), 0.0, 0.0, 1.0)
+        self.assert_unpruned(traj)
+
+    @pytest.mark.parametrize("start,bulge,top", [(0.9, 0.4, 0.95), (0.9995, 0.004, 0.9999)])
+    def test_crest_away_from_the_largest_knot(self, plane_params, start, bulge, top):
+        # step 0 rises from ``start`` to start + bulge/4 at its middle and back;
+        # the largest knot, ``top``, ends step 1, so only step 0's own samples
+        # see the crest; its coefficient sum start + bulge lies above ``top``,
+        # by 1e-2 relative or less in the second case
+        knots, kz = [0.0, 1.0, 2.0, 3.0], [start, start, top, top]
+        seg_c = [(start, 0.0, bulge, 0.0, 0.0), (start, top - start, 0.0, 0.0, 0.0),
+                 (top, 0.0, 0.0, 0.0, 0.0)]
+        traj = Trajectory(plane_params, knots, kz, [1.0, 1.0, 1.0], seg_c)
+        assert traj.sup_norm() == pytest.approx(start + 0.25 * bulge, abs=1e-15)
+        self.assert_unpruned(traj)
 
 
 class TestPeriodMap:
     def test_zero_drive_identity(self):
         p = default_params("plane", f0=0.0)
         for z0 in (-2.0, 0.0, 0.37, 5.5):
-            assert flow_T(p, z0) == z0
+            assert period_map(p, z0) == z0
             assert sensitivity_map(p, z0) == (z0, 1.0)
 
     @pytest.mark.parametrize("kind", ["plane", "lorentzian", "gaussian"])
@@ -316,12 +410,12 @@ class TestPeriodMap:
 
     def test_fixed_point_anchor(self, lorentzian_params):
         # independently derived orbit point: P(z*) = z* within certification
-        assert abs(flow_T(lorentzian_params, Z_STAR_LORENTZIAN) - Z_STAR_LORENTZIAN) < 1e-9
+        assert abs(period_map(lorentzian_params, Z_STAR_LORENTZIAN) - Z_STAR_LORENTZIAN) < 1e-9
 
     def test_continuity_in_initial_condition(self, lorentzian_params):
-        base = flow_T(lorentzian_params, 0.25)
-        d4 = abs(flow_T(lorentzian_params, 0.25 + 1e-4) - base)
-        d6 = abs(flow_T(lorentzian_params, 0.25 + 1e-6) - base)
+        base = period_map(lorentzian_params, 0.25)
+        d4 = abs(period_map(lorentzian_params, 0.25 + 1e-4) - base)
+        d6 = abs(period_map(lorentzian_params, 0.25 + 1e-6) - base)
         assert d6 < d4 < 1e-2
         assert d6 < 1e-4
 
@@ -343,14 +437,14 @@ class TestPeriodMap:
         rhs = force_closure(p)
         for z0 in map(float, zs):
             twice = _half_map(p, _half_map(p, z0, None, rhs)[0], None, rhs)[0]
-            assert twice == pytest.approx(flow_T(p, z0), abs=1e-9)
+            assert twice == pytest.approx(period_map(p, z0), abs=1e-9)
 
     def test_half_map_derivative_rides_along(self, lorentzian_params):
         # the derivative is summed on the same steps, so P_h is bitwise the
         # same with or without it; without it the slope reads 1.0
         p = lorentzian_params
         z1, w = _half_map(p, 0.3, None, force_closure(p))
-        z1_sens, w_sens = _half_map(p, 0.3, None, force_closure(p), force_dz_closure(p))
+        z1_sens, w_sens = _half_map(p, 0.3, None, force_closure(p), field(p).force_and_dz)
         assert w == 1.0
         assert z1_sens == z1
         assert w_sens > 0.0 and w_sens != 1.0

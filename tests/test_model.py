@@ -179,8 +179,8 @@ class TestParams:
         with pytest.raises(ValueError, match=r"bound \|F\| and \|dF/dz\|"):
             default_params(kind, **overrides)
         p = default_params("plane", f0=1e308, k=0.6)
-        assert all(math.isfinite(g(t, 0.3)) for g in (field(p).force, field(p).force_dz)
-                   for t in (0.0, 0.001, 0.01))
+        assert all(math.isfinite(v) for t in (0.0, 0.001, 0.01)
+                   for v in (field(p).force(t, 0.3), *field(p).force_and_dz(t, 0.3)))
 
     def test_default_params_overrides(self):
         p = default_params("gaussian", b=200.0)
@@ -221,15 +221,15 @@ class TestPotentialAndForce:
 
     def test_force_dz_plane_at_origin(self, plane_params):
         k = plane_params.k
-        assert field(plane_params).force_dz(0.0, 0.0) == pytest.approx(-2.0 * 0.8 * k * k, rel=1e-13)
-        assert field(plane_params).force_dz(0.0, 0.0) == pytest.approx(-111.73339664055659, rel=1e-12)
+        dfz = field(plane_params).force_and_dz(0.0, 0.0)[1]
+        assert dfz == pytest.approx(-2.0 * 0.8 * k * k, rel=1e-13)
+        assert dfz == pytest.approx(-111.73339664055659, rel=1e-12)
 
     def test_force_dz_vanishes_far_out(self, lorentzian_params):
         # polynomial tail: ~2 k^2 f0 * f(z) ~ 3e-11 at z = 1e6, shrinking ~1/z^2
-        assert abs(field(lorentzian_params).force_dz(0.3, 1e6)) < 1e-10
-        assert abs(field(lorentzian_params).force_dz(0.3, 1e6)) < abs(
-            field(lorentzian_params).force_dz(0.3, 1e3)
-        )
+        force_and_dz = field(lorentzian_params).force_and_dz
+        assert abs(force_and_dz(0.3, 1e6)[1]) < 1e-10
+        assert abs(force_and_dz(0.3, 1e6)[1]) < abs(force_and_dz(0.3, 1e3)[1])
 
     @pytest.mark.parametrize("kind", ["lorentzian", "gaussian"])
     def test_force_dz_finite_where_z_squared_overflows(self, kind):
@@ -238,7 +238,7 @@ class TestPotentialAndForce:
         fld = field(default_params(kind))
         for z in (1e154, -1e154, 1.3e154, -1.3e154, 1e200, -1e200):
             assert fld.envelope(z)[2] == 0.0
-            assert math.isfinite(fld.force_dz(0.3, z))
+            assert all(map(math.isfinite, fld.force_and_dz(0.3, z)))
 
     def test_gaussian_d1_where_exp_underflows(self):
         # c1*z = -4z/z0^2 overflows at z0 = 1e-50, z = 1e250; f' keeps the sign of
@@ -248,19 +248,19 @@ class TestPotentialAndForce:
             f, d1, d2 = fld.envelope(z)
             assert (f, d1, d2) == (0.0, 0.0, 0.0)
             assert math.copysign(1.0, d1) == sign
-            assert math.isfinite(fld.force(0.3, z)) and math.isfinite(fld.force_dz(0.3, z))
+            assert all(map(math.isfinite, (fld.force(0.3, z), *fld.force_and_dz(0.3, z))))
 
     def test_potential_dt_zero_at_origin(self, lorentzian_params):
-        assert field(lorentzian_params).potential_dt(0.0, 0.0) == 0.0
+        assert field(lorentzian_params).identity_terms(0.0, 0.0)[1] == 0.0
 
     def test_potential_dt_plane_peak(self, plane_params):
         # at 2kz - bt = pi/2: dV/dt = b f0 / 2 = 40
         z = math.pi / (4.0 * plane_params.k)
-        assert field(plane_params).potential_dt(0.0, z) == pytest.approx(40.0, rel=1e-12)
+        assert field(plane_params).identity_terms(0.0, z)[1] == pytest.approx(40.0, rel=1e-12)
 
     @pytest.mark.parametrize("kind", ["plane", "lorentzian", "gaussian"])
     def test_gradient_consistency(self, kind):
-        # force == dV/dz and potential_dt == dV/dt by central differences
+        # force == dV/dz and the identity terms' dV/dt by central differences
         p = default_params(kind)
         scale = p.k * p.f0
         rng = np.random.default_rng(11)
@@ -270,7 +270,7 @@ class TestPotentialAndForce:
             fd = central_diff(lambda x: field(p).potential(t, x), z)
             if abs(fz) > 1e-2 * scale:  # away from zeros of the gradient
                 assert fz == pytest.approx(fd, rel=1e-6)
-            vt = field(p).potential_dt(t, z)
+            vt = field(p).identity_terms(t, z)[1]
             vt_fd = central_diff(lambda s: field(p).potential(s, z), t)
             if abs(vt) > 1e-2 * scale * p.b / p.k:
                 assert vt == pytest.approx(vt_fd, rel=1e-6)
@@ -282,7 +282,7 @@ class TestPotentialAndForce:
         scale = 2.0 * p.k * p.k * p.f0
         for t, z in zip(rng.uniform(0, 1, 40), rng.uniform(-2, 2, 40)):
             t, z = float(t), float(z)
-            dfz = field(p).force_dz(t, z)
+            dfz = field(p).force_and_dz(t, z)[1]
             fd = central_diff(lambda x: field(p).force(t, x), z)
             assert dfz == pytest.approx(fd, rel=1e-5, abs=1e-5 * scale)
 
@@ -403,9 +403,15 @@ class TestStructuralProbes:
         assert plane_regime(exact) == DEGENERATE
 
 
+def _bits(v):
+    """float.hex of a value, or of each entry of a tuple of them."""
+    return tuple(x.hex() for x in v) if isinstance(v, tuple) else v.hex()
+
+
 def _product_rule(p):
     """V, F, dF/dz and dV/dt of ``p`` over ``field(p).envelope``, F and dF/dz
-    by the product rule, term for term as the unfused field evaluated them."""
+    by the product rule, term for term as the unfused field evaluated them,
+    and cos^2(kz - bt/2) f', as the force identity's integrand evaluated it."""
     envelope = field(p).envelope
     f0, k, half_b = p.f0, p.k, 0.5 * p.b
 
@@ -433,23 +439,33 @@ def _product_rule(p):
         fz, d1, d2 = envelope(z)
         return -2.0 * k * f0 * d1 * two_sc - 2.0 * k * k * f0 * fz * cos2 + f0 * c * c * d2
 
-    return potential, force, force_dz, potential_dt
+    def weighted_slope(t, z):
+        c = math.cos(k * z - half_b * t)
+        return c * c * envelope(z)[1]
+
+    return potential, force, force_dz, potential_dt, weighted_slope
 
 
 class TestFusedKernels:
-    """Each kind's F and dF/dz write the envelope inline, and V and dV/dt read
-    f from their own kernel; all four must equal their forms over the
-    envelope triple bit for bit, signed zeros included (``float.hex`` tells
-    -0.0 from 0.0)."""
+    """Each kind's F, (F, dF/dz) and identity terms write the envelope
+    inline, and V and dV/dt read f from their own kernel; all must equal
+    their forms over the envelope triple bit for bit, signed zeros included
+    (``float.hex`` tells -0.0 from 0.0).  The pair's F is ``force`` and the
+    identity terms are ``force``'s square, dV/dt and cos^2(kz - bt/2) f'."""
 
     @staticmethod
     def assert_bitwise(p, points):
         fld = field(p)
-        pairs = list(zip((fld.potential, fld.force, fld.force_dz, fld.potential_dt),
-                         _product_rule(p)))
+        potential, force, force_dz, potential_dt, weighted_slope = _product_rule(p)
+        pairs = [
+            (fld.potential, potential), (fld.force, force),
+            (fld.force_and_dz, lambda t, z: (fld.force(t, z), force_dz(t, z))),
+            (fld.identity_terms,
+             lambda t, z: (fld.force(t, z) ** 2, potential_dt(t, z), weighted_slope(t, z))),
+        ]
         for t, z in points:
             for got, ref in pairs:
-                assert got(t, z).hex() == ref(t, z).hex(), (p, got.__name__, t, z)
+                assert _bits(got(t, z)) == _bits(ref(t, z)), (p, got.__name__, t, z)
 
     @pytest.mark.parametrize("kind", ["plane", "lorentzian", "gaussian"])
     def test_seeded_random_points(self, kind):

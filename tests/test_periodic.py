@@ -10,7 +10,7 @@ import pytest
 from conveyor import integrate as integrator
 from conveyor import periodic
 from conveyor.errors import EmptyAudit, NoConvergence
-from conveyor.integrate import IntegratorConfig, flow_T, integrate
+from conveyor.integrate import IntegratorConfig, integrate, propagate
 from conveyor.model import (
     ConveyorParams,
     EnvelopeSpec,
@@ -18,7 +18,6 @@ from conveyor.model import (
     drive_bound,
     field,
     force_closure,
-    force_dz_closure,
 )
 from conveyor.periodic import (
     BasinPoint,
@@ -45,13 +44,13 @@ def count_map_evaluations(monkeypatch) -> list:
     calls = []
     half_map, stepper = periodic._half_map, periodic._dp45_scalar
 
-    def counted_half_map(p, z, cfg, rhs, rhs_dz=None):
-        calls.append("map" if rhs_dz is None else "sensitivity")
-        return half_map(p, z, cfg, rhs, rhs_dz)
+    def counted_half_map(p, z, cfg, rhs, rhs_and_dz=None):
+        calls.append("map" if rhs_and_dz is None else "sensitivity")
+        return half_map(p, z, cfg, rhs, rhs_and_dz)
 
-    def counted_stepper(p, rhs, z0, t0, t1, cfg, collect, rhs_dz=None):
+    def counted_stepper(p, rhs, z0, t0, t1, cfg, collect, rhs_and_dz=None):
         calls.append("loose" if cfg.rtol >= periodic.GRID_RTOL else "map")
-        return stepper(p, rhs, z0, t0, t1, cfg, collect, rhs_dz)
+        return stepper(p, rhs, z0, t0, t1, cfg, collect, rhs_and_dz)
 
     monkeypatch.setattr(periodic, "_half_map", counted_half_map)
     monkeypatch.setattr(periodic, "_dp45_scalar", counted_stepper)
@@ -77,8 +76,9 @@ class TestFindPeriodic:
         assert o.multiplier == pytest.approx(MU_LORENTZIAN, abs=1e-5)
         assert not o.force_free
         assert o.period == lorentzian_params.period
+        p = lorentzian_params
         # certificate: the period map really fixes z_star
-        assert abs(flow_T(lorentzian_params, o.z_star) - o.z_star) < 1e-9
+        assert abs(propagate(p, force_closure(p), o.z_star, 0.0, p.period) - o.z_star) < 1e-9
 
     def test_gaussian_orbit_certified(self, gaussian_orbit):
         o = gaussian_orbit
@@ -261,8 +261,8 @@ class TestScanOrbits:
         calls = count_map_evaluations(monkeypatch)
         stepper, loose = periodic._dp45_scalar, []
 
-        def spy(p, rhs, z0, t0, t1, cfg, collect, rhs_dz=None):
-            out = stepper(p, rhs, z0, t0, t1, cfg, collect, rhs_dz)
+        def spy(p, rhs, z0, t0, t1, cfg, collect, rhs_and_dz=None):
+            out = stepper(p, rhs, z0, t0, t1, cfg, collect, rhs_and_dz)
             loose.append((out[0] - z0, out[2]))
             return out
 
@@ -346,11 +346,11 @@ class TestHalfPeriodMap:
                                              ("gaussian", (-1.0, 1.0, 21))])
     def test_certified_orbit_fixes_both_maps(self, kind, window):
         p = default_params(kind)
-        rhs, rhs_dz = force_closure(p), force_dz_closure(p)
+        rhs, rhs_and_dz = force_closure(p), field(p).force_and_dz
         for o in [find_periodic(p, 0.0), *scan_orbits(p, *window)]:
-            z_half, mu_half = integrator._half_map(p, o.z_star, None, rhs, rhs_dz)
+            z_half, mu_half = integrator._half_map(p, o.z_star, None, rhs, rhs_and_dz)
             z_full, log_w, *_ = integrator._dp45_scalar(p, rhs, o.z_star, 0.0, p.period, None,
-                                                        False, rhs_dz)
+                                                        False, rhs_and_dz)
             mu_full = math.exp(log_w)
             assert abs(z_half - o.z_star) < periodic.CERTIFICATION_TOL
             assert abs(z_full - o.z_star) < periodic.CERTIFICATION_TOL
@@ -429,7 +429,8 @@ class TestScanFindsEveryOrbit:
         # field is the one each orbit's stored run integrates
         for module in (periodic, integrator):
             monkeypatch.setattr(module, "force_closure", lambda p: g)
-        monkeypatch.setattr(periodic, "force_dz_closure", lambda p: g_dz)
+        monkeypatch.setattr(periodic, "field", lambda p: field(p)._replace(
+            force_and_dz=lambda t, z: (g(t, z), g_dz(t, z))))
         return g_dz
 
     @pytest.mark.parametrize("c,roots,n_grid", [
@@ -475,10 +476,10 @@ class TestLooseGrid:
         def rereads():
             half_map, reread = periodic._half_map, []
 
-            def spy(p, z, cfg, rhs, rhs_dz=None):
-                if rhs_dz is None:
+            def spy(p, z, cfg, rhs, rhs_and_dz=None):
+                if rhs_and_dz is None:
                     reread.append(z)
-                return half_map(p, z, cfg, rhs, rhs_dz)
+                return half_map(p, z, cfg, rhs, rhs_and_dz)
 
             with monkeypatch.context() as m:
                 m.setattr(periodic, "_half_map", spy)
@@ -487,8 +488,8 @@ class TestLooseGrid:
 
         stepper = periodic._dp45_scalar
 
-        def wrong_sign(p, rhs, z0, t0, t1, cfg, collect, rhs_dz=None):
-            z1, log_w, err_sum, *path = stepper(p, rhs, z0, t0, t1, cfg, collect, rhs_dz)
+        def wrong_sign(p, rhs, z0, t0, t1, cfg, collect, rhs_and_dz=None):
+            z1, log_w, err_sum, *path = stepper(p, rhs, z0, t0, t1, cfg, collect, rhs_and_dz)
             if z0 == z_bad:
                 assert 0.0 < err_sum < abs(z1 - z0)
                 z1 = z0 - math.copysign(err_sum, z1 - z0)

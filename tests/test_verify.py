@@ -7,14 +7,13 @@ import re
 import pytest
 
 from conveyor.errors import ConveyorError
-from conveyor.integrate import _half_map, flow_T, integrate, tight_period
+from conveyor.integrate import IntegratorConfig, _half_map, integrate, propagate, tight_period
 from conveyor.model import (
     ConveyorParams,
     EnvelopeSpec,
     default_params,
     field,
     force_closure,
-    force_dz_closure,
 )
 from conveyor.periodic import PeriodicOrbit, find_periodic
 from conveyor.verify import (
@@ -51,8 +50,8 @@ class TestIdentities:
         # envelope slope integral is negative along the orbit's stored run
         envelope = field(lorentzian_params).envelope
         k, b = lorentzian_params.k, lorentzian_params.b
-        val = lorentzian_orbit.trajectory.integral(
-            lambda t, z: math.cos(k * z - 0.5 * b * t) ** 2 * envelope(z)[1])
+        [val] = lorentzian_orbit.trajectory.integral(
+            lambda t, z: (math.cos(k * z - 0.5 * b * t) ** 2 * envelope(z)[1],))
         assert val < 0.0
 
     def test_zero_drive_orbit_is_degenerate(self):
@@ -67,7 +66,7 @@ class TestIdentities:
     def test_both_identities_share_one_left_side(self, orbit, request):
         o = request.getfixturevalue(orbit)
         rhs = force_closure(o.trajectory.params)
-        direct = o.trajectory.integral(lambda t, z: rhs(t, z) ** 2)
+        [direct] = o.trajectory.integral(lambda t, z: (rhs(t, z) ** 2,))
         assert identity_energy(o).lhs == identity_force(o).lhs == direct
 
     @pytest.mark.parametrize("orbit", ["lorentzian_orbit", "gaussian_orbit"])
@@ -119,7 +118,7 @@ class TestFixedPointScan:
     def test_drive_free_flags_every_point(self, kind):
         # with f0 = 0 every point is at rest: P(z) - z is exactly 0
         p = default_params(kind, f0=0.0)
-        assert flow_T(p, 0.5) == 0.5
+        assert propagate(p, force_closure(p), 0.5, 0.0, p.period) == 0.5
         grid = [-25.0 + 50.0 * i / 1000 for i in range(1001)]
         assert fixed_point_scan(p, -25.0, 25.0, 1001) == grid
 
@@ -175,6 +174,24 @@ class TestMultiplierCrossCheck:
         orbit = find_periodic(p, 0.0)
         assert multiplier_cross_check(p, orbit).rel_error < 1e-5
 
+    @pytest.mark.parametrize("kind", ["lorentzian", "gaussian"])
+    @pytest.mark.parametrize("f0", [0.04, 0.8, 2.0, 5.0, 10.0])
+    def test_matches_a_tight_liouville_multiplier(self, kind, f0):
+        # the squared difference of P_h against mu_h**2 summed at rtol 1e-13;
+        # at Gaussian f0 = 10 (mu = 8.2e-6) a full-period difference read 1.3e-5
+        p = default_params(kind, f0=f0)
+        orbit = find_periodic(p, 0.0)
+        tight = IntegratorConfig(rtol=1e-13, atol=1e-15)
+        _, mu_h = _half_map(p, orbit.z_star, tight, force_closure(p), field(p).force_and_dz)
+        fd = multiplier_cross_check(p, orbit).finite_difference
+        assert fd == pytest.approx(mu_h * mu_h, rel=1e-5)
+
+    @pytest.mark.parametrize("orbit", ["lorentzian_orbit", "gaussian_orbit"])
+    def test_fails_on_a_wrong_multiplier(self, orbit, request):
+        o = request.getfixturevalue(orbit)
+        wrong = dataclasses.replace(o, multiplier=1.01 * o.multiplier)
+        assert multiplier_cross_check(o.trajectory.params, wrong).rel_error > 1e-4
+
     def test_params_must_be_the_orbits(self, lorentzian_orbit, gaussian_params):
         # the Gaussian set against the Lorentzian orbit read rel_error 0.085,
         # a failed certificate for a correct orbit
@@ -204,13 +221,13 @@ class TestAgainstIndependentIntegrator:
             atol=1e-14,
             max_step=p.period / 4.0,
         )
-        assert flow_T(p, 0.3) == pytest.approx(sol.y[0, -1], abs=1e-9)
+        assert propagate(p, rhs, 0.3, 0.0, p.period) == pytest.approx(sol.y[0, -1], abs=1e-9)
 
     def test_sensitivity_matches_scipy_fd(self, gaussian_params):
         # the solvers' map: P_h over the drive's minimal period 2 pi / b
         p = gaussian_params
         rhs = force_closure(p)
-        _, w = _half_map(p, 0.1, None, rhs, force_dz_closure(p))
+        _, w = _half_map(p, 0.1, None, rhs, field(p).force_and_dz)
 
         def final(z0):
             sol = self.scipy_integrate.solve_ivp(
@@ -242,7 +259,7 @@ class TestAgainstIndependentIntegrator:
                                              epsabs=0.0, epsrel=1e-13)[0]
 
         lhs = quad(lambda t, z: fld.force(t, z) ** 2)
-        energy = -quad(fld.potential_dt)
+        energy = -quad(lambda t, z: fld.identity_terms(t, z)[1])
         force = -(p.b * p.f0) / (2.0 * p.k) * quad(
             lambda t, z: math.cos(p.k * z - 0.5 * p.b * t) ** 2 * fld.envelope(z)[1])
         e, f = identity_energy(o), identity_force(o)
