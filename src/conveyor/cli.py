@@ -11,7 +11,7 @@ errors (an unwritable output path among them), 3 numerical failure.
 Every command runs in a fresh process, so importing this module loads only
 ``conveyor``, ``errors``, ``model`` and ``integrate``; each command imports
 the solver modules it runs (``periodic``, ``homotopy``, ``verify``,
-``analytic``) when it starts computing.
+``analytic``) when it starts computing, and ``verify`` checks ``--b`` then.
 """
 
 from __future__ import annotations
@@ -321,6 +321,8 @@ def cmd_verify(parser: argparse.ArgumentParser, args) -> int:
     def compute() -> int:
         from conveyor import homotopy, periodic, verify
 
+        if not homotopy._beta_grid_fits(lorentzian.period):  # here, so --dry-run loads no solver
+            parser.error(f"--b {args.b} leaves the beta-bound check's grid no normal step")
         checks: list[dict] = []
 
         def record(name: str, passed: bool, **details):

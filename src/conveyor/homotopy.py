@@ -204,6 +204,12 @@ class BetaBoundReport(NamedTuple):
     passed: bool
 
 
+def _beta_grid_fits(period: float) -> bool:
+    """Whether T = ``period`` is finite and > 0 with a normal grid step T / 511,
+    at least 2**-1022, which also keeps the fifth harmonic's rate 10 pi / T finite."""
+    return 0.0 < period < math.inf and period / (_BVP_GRID - 1) >= 2.0 ** -1022
+
+
 def beta_bound_check(period: float) -> BetaBoundReport:
     """Deterministic check of ||y||_C <= beta * (|c0| + ||q||_L1).
 
@@ -217,10 +223,10 @@ def beta_bound_check(period: float) -> BetaBoundReport:
     1e-12 relative.  The recurrence is exact for piecewise-linear q, so only
     roundoff separates those two from their closed forms; the other trig
     cases also carry the interpolation error of q and are bounded by beta
-    only.
+    only.  ValueError for a period that ``_beta_grid_fits`` rejects.
     """
-    if not 0.0 < period < math.inf:
-        raise ValueError(f"period must be finite and > 0, got {period!r}")
+    if not _beta_grid_fits(period):
+        raise ValueError(f"period must be finite, > 0 and give a normal grid step, got {period!r}")
     sharp = 1.0 / (-math.expm1(-period))
     beta = 1.0 + sharp
     n = _BVP_GRID

@@ -26,6 +26,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Iterable, NamedTuple, Sequence
 
 from conveyor._newton import NEUTRAL, solve_fixed_point
@@ -69,6 +70,11 @@ class PeriodicOrbit:
     @property
     def attracting(self) -> bool:
         return 0.0 < self.multiplier < 1.0
+
+    @cached_property
+    def _identity_sums(self) -> tuple[float, ...]:
+        # both of ``verify``'s identities read this; not a field, so replace() drops it
+        return tuple(self.trajectory.integral(field(self.trajectory.params).identity_terms))
 
 
 class BasinPoint(NamedTuple):

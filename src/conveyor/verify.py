@@ -9,16 +9,17 @@ z' and integrating, then by eliminating the drive's time derivative:
 
 Both sides are integrals over the orbit's stored run, 2*pi/b for a solved
 orbit, taken in one pass of ``Trajectory.integral`` over ``identity_terms``
-of the field: a 4-point Gauss-Legendre rule on every accepted step of the
-run, z read off that step's quartic, so the rule sees a smooth integrand
-on each step; small relative residuals certify that a computed orbit
-behaves like a genuine periodic solution rather than a numerical
-coincidence.  ``multiplier_cross_check`` compares the Liouville multiplier
-mu = mu_h**2 with the square of a central difference of the half-period
-map P_h, run at ``tight_period``'s tolerances, at the fixed step 1e-4.
-The fixed-point scan certifies that the flow has no rest points, points
-where F(t, z) = 0 for every t: since no envelope vanishes, it flags every
-grid point when f0 = 0 and none otherwise.
+of the field, which the orbit caches and both identities read: a 4-point
+Gauss-Legendre rule on every accepted step of the run, z read off that
+step's quartic, so the rule sees a smooth integrand on each step; small
+relative residuals certify that a computed orbit behaves like a genuine
+periodic solution rather than a numerical coincidence.
+``multiplier_cross_check`` compares the Liouville multiplier mu = mu_h**2
+with the square of a central difference of the half-period map P_h, run at
+``tight_period``'s tolerances, at the fixed step 1e-4.  The fixed-point
+scan certifies that the flow has no rest points, points where F(t, z) = 0
+for every t: since no envelope vanishes, it flags every grid point when
+f0 = 0 and none otherwise.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from typing import NamedTuple
 
 from conveyor.errors import ConveyorError
 from conveyor.integrate import IntegratorConfig, _half_map, _tight_config
-from conveyor.model import ConveyorParams, field, force_closure
+from conveyor.model import ConveyorParams, force_closure
 from conveyor.periodic import PeriodicOrbit, _grid
 
 _FD_STEP = 1e-4
@@ -48,15 +49,14 @@ class MultiplierCheck(NamedTuple):
 
 def _identity(orbit: PeriodicOrbit, factor: float, term: int) -> IdentityResult:
     """int |F|^2 dt against factor * int of ``Field.identity_terms``' entry
-    ``term`` over the stored run, all in one pass: over 2*pi/b for a solved
-    orbit, half of each full-period integral."""
+    ``term`` over the stored run, from the orbit's one cached pass: over
+    2*pi/b for a solved orbit, half of each full-period integral."""
     if orbit.residual > 1e-6:
         raise ConveyorError(
             f"orbit is not certified (residual {orbit.residual:.3e}); "
             "identities only hold on periodic solutions"
         )
-    traj = orbit.trajectory
-    sums = traj.integral(field(traj.params).identity_terms)
+    sums = orbit._identity_sums
     lhs, rhs_val = sums[0], factor * sums[term]
     rel = abs(lhs - rhs_val) / (abs(lhs) + abs(rhs_val) + _RESIDUAL_EPS)
     return IdentityResult(lhs, rhs_val, rel)

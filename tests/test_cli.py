@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import conveyor
-from conveyor import homotopy
+from conveyor import homotopy, periodic, verify
 from conveyor.cli import _linspace, _write_csv, build_parser, main
 from conveyor.errors import ContinuationStall
 from conveyor.homotopy import ContinuationTrace
@@ -287,6 +287,36 @@ class TestVerify:
         with pytest.raises(SystemExit) as info:
             run(["verify", "--f0", "nan", "--out", str(tmp_path / "report.json")])
         assert info.value.code == 2
+
+    @pytest.mark.parametrize("b", ["1e308", "5e307"])
+    def test_drive_too_fast_for_the_beta_grid_is_a_flag_error(self, tmp_path, b):
+        # the beta-bound check's grid has no normal step there: 1e308 ended in
+        # a math domain error traceback, 5e307 in a false FAIL beta_bound
+        src = str(Path(conveyor.__file__).resolve().parent.parent)
+        proc = subprocess.run(
+            [sys.executable, "-m", "conveyor.cli", "verify", "--b", b,
+             "--out", str(tmp_path / "report.json")],
+            env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 2
+        assert "--b" in proc.stderr and "Traceback" not in proc.stderr
+        assert proc.stdout == ""
+        assert list(tmp_path.iterdir()) == []
+
+    def test_reference_report_reads_the_library(self, tmp_path, lorentzian_params):
+        # the identities come from fresh orbits' one shared pass, the beta
+        # bound from the check at the reference period, bit for bit
+        out = tmp_path / "report.json"
+        assert run(["verify", "--out", str(out)]) == 0
+        checks = {c["name"]: c for c in json.loads(out.read_text())["checks"]}
+        for kind in ("lorentzian", "gaussian"):
+            orbit = periodic.find_periodic(default_params(kind), 0.0)
+            for name, identity in (("identity_energy", verify.identity_energy),
+                                   ("identity_force", verify.identity_force)):
+                got = checks[f"{name}[{kind}]"]
+                assert (got["lhs"], got["rhs"], got["rel_residual"]) == tuple(identity(orbit))
+        bb = homotopy.beta_bound_check(lorentzian_params.period)
+        assert checks["beta_bound"] == {"name": "beta_bound", "passed": True, "beta": bb.beta,
+                                        "max_ratio": bb.max_ratio, "n_cases": bb.n_cases}
 
     def test_dry_run_lists_the_report(self, tmp_path, capsys):
         out = tmp_path / "report.json"

@@ -1,6 +1,7 @@
 """Homotopy continuation, the linear BVP kernel, and its stability bound."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -263,6 +264,21 @@ class TestBetaBound:
         for period in (0.0, -1.0, math.inf, math.nan):
             with pytest.raises(ValueError, match="period"):
                 beta_bound_check(period)
+
+    @pytest.mark.parametrize("b", [8e307, 5e307])
+    def test_period_with_no_normal_grid_step_rejected(self, b):
+        # at 8e307 the fifth harmonic's rate 10 pi / T overflowed and cos(inf)
+        # raised; at 5e307 the grid step T / 511 was subnormal and a bound that
+        # holds read as failed
+        with pytest.raises(ValueError, match="normal grid step"):
+            beta_bound_check(4.0 * math.pi / b)
+
+    def test_shortest_period_with_a_normal_grid_step_runs(self):
+        period = 511.0 * sys.float_info.min
+        assert period / 511.0 == sys.float_info.min
+        assert math.isfinite(beta_bound_check(period).max_ratio)
+        with pytest.raises(ValueError, match="normal grid step"):
+            beta_bound_check(math.nextafter(period, 0.0))
 
     def test_check_attains_the_sharp_constant(self, lorentzian_params):
         T = lorentzian_params.period

@@ -7,7 +7,14 @@ import re
 import pytest
 
 from conveyor.errors import ConveyorError
-from conveyor.integrate import IntegratorConfig, _half_map, integrate, propagate, tight_period
+from conveyor.integrate import (
+    IntegratorConfig,
+    Trajectory,
+    _half_map,
+    integrate,
+    propagate,
+    tight_period,
+)
 from conveyor.model import (
     ConveyorParams,
     EnvelopeSpec,
@@ -106,6 +113,59 @@ class TestIdentities:
             rels.append(identity_energy(pseudo).rel_residual)
         assert rels[0] / rels[1] > 5.0
         assert rels[1] / rels[2] > 5.0
+
+
+class TestIdentityPassIsShared:
+    """Both identities read one cached pass of ``Trajectory.integral`` over
+    the orbit's stored run.  ``dataclasses.replace`` gives an equal orbit
+    with an empty cache, so each test starts from a fresh one."""
+
+    @staticmethod
+    def spy(monkeypatch):
+        calls = []
+        integral = Trajectory.integral
+
+        def counted(traj, fn):
+            calls.append(traj)
+            return integral(traj, fn)
+
+        monkeypatch.setattr(Trajectory, "integral", counted)
+        return calls
+
+    @pytest.mark.parametrize("orbit", ["lorentzian_orbit", "gaussian_orbit"])
+    def test_one_pass_per_orbit(self, orbit, request, monkeypatch):
+        o = dataclasses.replace(request.getfixturevalue(orbit))
+        calls = self.spy(monkeypatch)
+        identity_energy(o), identity_force(o)
+        assert calls == [o.trajectory]
+        identity_energy(o), identity_force(o)
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("orbit", ["lorentzian_orbit", "gaussian_orbit"])
+    def test_bits_match_an_uncached_pass(self, orbit, request):
+        o = dataclasses.replace(request.getfixturevalue(orbit))
+        p = o.trajectory.params
+        f2, dvdt, slope = o.trajectory.integral(field(p).identity_terms)
+        want = {"energy": (f2, -1.0 * dvdt), "force": (f2, -(p.b * p.f0) / (2.0 * p.k) * slope)}
+        for name, got in (("energy", identity_energy(o)), ("force", identity_force(o))):
+            lhs, rhs = want[name]
+            rel = abs(lhs - rhs) / (abs(lhs) + abs(rhs) + 1e-30)
+            assert [x.hex() for x in got] == [x.hex() for x in (lhs, rhs, rel)], name
+
+    def test_cache_is_not_a_field(self, lorentzian_orbit):
+        o = dataclasses.replace(lorentzian_orbit)
+        before = repr(o), hash(o)
+        identity_energy(o)
+        assert (repr(o), hash(o)) == before and o == dataclasses.replace(o)
+        assert "_identity_sums" not in vars(dataclasses.replace(o))
+
+    def test_uncertified_orbit_integrates_nothing(self, lorentzian_orbit, monkeypatch):
+        bad = dataclasses.replace(lorentzian_orbit, residual=2e-6)
+        calls = self.spy(monkeypatch)
+        for identity in (identity_energy, identity_force):
+            with pytest.raises(ConveyorError, match="not certified"):
+                identity(bad)
+        assert calls == []
 
 
 class TestFixedPointScan:
