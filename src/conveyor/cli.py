@@ -9,9 +9,12 @@ computing.  Flags must be spelled in full.  Exit codes: 0 success, 2 flag
 errors (an unwritable output path among them), 3 numerical failure.
 
 Every command runs in a fresh process, so importing this module loads only
-``conveyor``, ``errors``, ``model`` and ``integrate``; each command imports
-the solver modules it runs (``periodic``, ``homotopy``, ``verify``,
-``analytic``) when it starts computing, and ``verify`` checks ``--b`` then.
+``conveyor``, ``errors``, ``model`` and ``integrate``.  Each integrating
+command checks its longest run, and ``find-periodic`` its window, with the
+integrator's own checks at flag time, so ``--dry-run`` rejects what a run
+would; each imports the solver modules it runs (``periodic``, ``homotopy``,
+``verify``, ``analytic``) when it starts computing, and ``verify`` checks
+``--b`` then.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from pathlib import Path
 import conveyor
 from conveyor import model
 from conveyor.errors import ConveyorError, NoConvergence
-from conveyor.integrate import MAX_STEPS, IntegratorConfig, integrate
+from conveyor.integrate import IntegratorConfig, _check_run, _check_window, integrate
 from conveyor.model import (
     ENVELOPE_KINDS,
     F0_UNIT_NOTE,
@@ -57,48 +60,28 @@ def _json(obj: dict) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
+def _checked(parser: argparse.ArgumentParser, fn, *args, **kwargs):
+    """fn(*args, **kwargs), a library ValueError made a flag error (exit 2)."""
+    try:
+        return fn(*args, **kwargs)
+    except ValueError as exc:
+        parser.error(str(exc))
+
+
 def _params_from_args(parser: argparse.ArgumentParser, args, kind: str) -> ConveyorParams:
     if kind == "plane" and args.z0 is not None:
         parser.error("--z0 conflicts with --envelope plane (the plane envelope has no scale)")
     z0 = 0.37 if args.z0 is None else args.z0
-    try:
-        return ConveyorParams(
-            f0=args.f0,
-            b=args.b,
-            k=args.k_pi * math.pi,
-            envelope=EnvelopeSpec(kind, z0),
-            wavelength_nm=args.wavelength_nm,
-        )
-    except ValueError as exc:
-        parser.error(str(exc))
+    return _checked(parser, lambda: ConveyorParams(
+        f0=args.f0, b=args.b, k=args.k_pi * math.pi, envelope=EnvelopeSpec(kind, z0),
+        wavelength_nm=args.wavelength_nm))
 
 
 def _config_from_args(parser: argparse.ArgumentParser, args, period: float) -> IntegratorConfig:
-    try:
-        cfg = IntegratorConfig(
-            rtol=args.rtol,
-            atol=args.atol,
-            max_step=args.max_step,
-            initial_step=args.initial_step,
-        )
-        cfg.resolved(period)  # surface bad step bounds as flag errors
-        return cfg
-    except ValueError as exc:
-        parser.error(str(exc))
-
-
-def _check_phase(parser: argparse.ArgumentParser, p: ConveyorParams, names: str, zs, ts):
-    """Reject positions and times whose drive phase k*z - b*t/2 is not finite."""
-    if not all(p.phase_is_finite(z, t) for z in zs for t in ts):
-        parser.error(f"{names} must be finite and keep the drive phase k*z - b*t/2 finite")
-
-
-def _check_horizon(parser: argparse.ArgumentParser, p: ConveyorParams, cfg: IntegratorConfig,
-                   names: str, t0: float, t_end: float):
-    """Reject a span that needs more than MAX_STEPS steps at the step ceiling."""
-    if not cfg.span_fits(p.period, t0, t_end):
-        max_step = cfg.resolved(p.period)[2]
-        parser.error(f"{names} span more than {MAX_STEPS} steps of at most {max_step:.6g} s")
+    cfg = _checked(parser, IntegratorConfig, rtol=args.rtol, atol=args.atol,
+                   max_step=args.max_step, initial_step=args.initial_step)
+    _checked(parser, cfg.resolved, period)  # bad step bounds are flag errors
+    return cfg
 
 
 def _blocked(out: Path) -> bool:
@@ -165,10 +148,7 @@ def _run(args, manifest: dict, compute) -> int:
 def cmd_simulate(parser: argparse.ArgumentParser, args) -> int:
     p = _params_from_args(parser, args, args.envelope)
     cfg = _config_from_args(parser, args, p.period)
-    _check_phase(parser, p, "--zi, --t0 and --t-end", (args.zi,), (args.t0, args.t_end))
-    if args.t_end <= args.t0:
-        parser.error(f"--t-end must exceed --t0, got {args.t_end} <= {args.t0}")
-    _check_horizon(parser, p, cfg, "--t0 and --t-end", args.t0, args.t_end)
+    _checked(parser, _check_run, p, cfg, args.zi, args.t0, args.t_end)
     if args.stride < 1:
         parser.error(f"--stride must be >= 1, got {args.stride}")
     out = _out_path(parser, args.out)
@@ -199,15 +179,9 @@ def cmd_simulate(parser: argparse.ArgumentParser, args) -> int:
 def cmd_find_periodic(parser: argparse.ArgumentParser, args) -> int:
     p = _params_from_args(parser, args, args.envelope)
     cfg = _config_from_args(parser, args, p.period)
-    # the grid's largest offset (z_hi - z_lo) * (n_grid - 1) must be finite too
-    if not math.isfinite((args.z_hi - args.z_lo) * (args.n_grid - 1)):
-        parser.error(f"window [{args.z_lo}, {args.z_hi}], its width and its grid offsets "
-                     "must be finite")
-    if not args.z_lo < args.z_hi:
-        parser.error(f"--z-lo must be below --z-hi, got [{args.z_lo}, {args.z_hi}]")
-    _check_phase(parser, p, "--z-lo and --z-hi", (args.z_lo, args.z_hi), (0.0, p.period))
-    if args.n_grid < 2:
-        parser.error(f"--n-grid must be >= 2, got {args.n_grid}")
+    _checked(parser, _check_window, args.z_lo, args.z_hi, args.n_grid)
+    for z in (args.z_lo, args.z_hi):
+        _checked(parser, _check_run, p, cfg, z, 0.0, 0.5 * p.period)
     out = _out_path(parser, args.out)
     manifest = _manifest("find-periodic", p, cfg, out, {
         "z_lo_wavelengths": args.z_lo,
@@ -230,6 +204,7 @@ def cmd_find_periodic(parser: argparse.ArgumentParser, args) -> int:
 def cmd_continue(parser: argparse.ArgumentParser, args) -> int:
     p = _params_from_args(parser, args, args.envelope)
     cfg = _config_from_args(parser, args, p.period)
+    _checked(parser, _check_run, p, cfg, 0.0, 0.0, 0.5 * p.period)
     out = _out_path(parser, args.out)
 
     def compute():
@@ -267,13 +242,15 @@ def cmd_reproduce(parser: argparse.ArgumentParser, args) -> int:
     p = default_params("lorentzian" if fig in ("fig1", "fig2", "pot1") else
                        "gaussian" if fig in ("fig3", "fig4", "pot2") else "plane")
     cfg = _config_from_args(parser, args, p.period)
-    if not 0.0 < args.t_end < math.inf:
-        parser.error(f"--t-end must be finite and > 0, got {args.t_end}")
 
     extra: dict = {"figure": fig}
     if fig in ("fig1", "fig3"):
-        _check_horizon(parser, p, cfg, "0 and --t-end", 0.0, args.t_end)
+        _checked(parser, _check_run, p, cfg, 0.0, 0.0, args.t_end)
         extra["t_end_s"] = args.t_end
+    elif not 0.0 < args.t_end < math.inf:  # the range of a flag no run here reads
+        parser.error(f"--t-end must be finite and > 0, got {args.t_end}")
+    if fig in ("fig2", "fig4"):  # five periods near the orbit
+        _checked(parser, _check_run, p, cfg, 0.0, 0.0, 5.0 * p.period)
 
     def compute():
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -314,6 +291,7 @@ def cmd_verify(parser: argparse.ArgumentParser, args) -> int:
     # the manifest records the Lorentzian set; the battery runs every kind at --z0
     lorentzian = _params_from_args(parser, args, "lorentzian")
     cfg = _config_from_args(parser, args, lorentzian.period)
+    _checked(parser, _check_run, lorentzian, cfg, 0.0, 0.0, 0.5 * lorentzian.period)
     params = {kind: replace(lorentzian, envelope=EnvelopeSpec(kind, lorentzian.envelope.z0))
               for kind in ENVELOPE_KINDS}
     out = _out_path(parser, args.out)

@@ -11,7 +11,8 @@ class StepSizeUnderflow(ConveyorError):
     """The adaptive step controller drove the step size below its floor.
 
     Signals a pathological right-hand side (blow-up, discontinuity) rather
-    than a tolerance problem.
+    than a tolerance problem, or a step too short to move t where the span
+    lies: the floor is never below the spacing of doubles at its far end.
     """
 
     def __init__(self, t: float, h: float):

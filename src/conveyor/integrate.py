@@ -5,8 +5,9 @@ twentieth of the drive period and the ceiling is never allowed past a
 quarter period: a controller that skated over the fast phase factor while
 the solution is nearly constant would silently lose the forcing.
 
-One scalar stepper, run forward in time only, serves every caller.  For
-a scalar ODE the variational equation dw/dt = dF/dz(t, z(t)) * w has the
+One scalar stepper, run forward in time only, serves every caller; its
+rules for a run, ``_check_run``, and for a scan window, ``_check_window``,
+are also those the command line checks its flags with.  For a scalar ODE the variational equation dw/dt = dF/dz(t, z(t)) * w has the
 closed-form solution w(T) = exp(int_0^T dF/dz(t, z(t)) dt) (Liouville's
 formula), so the derivative of the period map needs no second
 integrator: the stepper sums the integral along its own accepted steps,
@@ -20,6 +21,7 @@ homotopy solver can reuse the engine with its own blend of force and decay.
 from __future__ import annotations
 
 import math
+import operator
 from bisect import bisect_right
 from dataclasses import dataclass, replace
 from itertools import repeat
@@ -115,10 +117,6 @@ class IntegratorConfig:
         if not 0.0 < h0 <= max_step:
             raise ValueError(f"initial_step must lie in (0, max_step], got {h0!r}")
         return self.rtol, self.atol, max_step, h0
-
-    def span_fits(self, period: float, t0: float, t1: float) -> bool:
-        """Whether t0 -> t1 takes at most MAX_STEPS steps of the step ceiling."""
-        return abs(t1 - t0) / self.resolved(period)[2] <= MAX_STEPS
 
 
 class Trajectory:
@@ -229,6 +227,52 @@ class Trajectory:
         return totals
 
 
+def _check_run(p: ConveyorParams, cfg: IntegratorConfig, z0: float, t0: float,
+               t1: float) -> tuple[float, float, float, float]:
+    """The stepper's rules for a run from (t0, z0) to t1, which the command
+    line applies at flag time to each command's longest run: ValueError
+    unless the drive phase at z0 is finite at t0 and t1, the span needs at
+    most MAX_STEPS steps of the step ceiling, t1 > t0, and the ceiling is no
+    finer than the spacing of doubles at the span's larger-magnitude end.
+    Returns ``cfg.resolved(p.period)``: (rtol, atol, max_step, initial_step)."""
+    resolved = cfg.resolved(p.period)
+    max_step = resolved[2]
+    if not (p.phase_is_finite(z0, t0) and p.phase_is_finite(z0, t1)):
+        raise ValueError(f"initial state z={z0!r} must be finite with a finite drive phase "
+                         f"k*z - b*t/2 at t={t0!r} and t={t1!r}")
+    if not abs(t1 - t0) / max_step <= MAX_STEPS:
+        raise ValueError(f"span t={t0!r} to t={t1!r} needs more than {MAX_STEPS} steps "
+                         f"of at most {max_step:.6g} s")
+    if not t1 > t0:
+        raise ValueError(f"integration runs forward only: need t1 > t0, got t0={t0!r}, t1={t1!r}")
+    far = max(abs(t0), abs(t1))
+    if max_step < math.ulp(far):
+        raise ValueError(f"a step of at most {max_step:.6g} s cannot move t at |t| = {far!r}")
+    return resolved
+
+
+def _check_window(z_lo: float, z_hi: float, n: int) -> None:
+    """ValueError unless n is an integer, at least 2, and z_lo < z_hi with
+    every grid offset (z_hi - z_lo) * i finite, the largest checked alone:
+    a finite window whose width overflows is rejected, and no grid is built."""
+    try:
+        n = operator.index(n)
+    except TypeError:
+        raise ValueError(f"need an integer number n of grid points, got {n!r}") from None
+    if not (z_lo < z_hi and (z_hi - z_lo) * (n - 1) < math.inf):
+        raise ValueError(f"need a finite window z_lo < z_hi with finite grid offsets "
+                         f"(z_hi - z_lo) * i, got [{z_lo!r}, {z_hi!r}]")
+    if n < 2:
+        raise ValueError(f"need n >= 2 grid points, got {n!r}")
+
+
+def _grid(z_lo: float, z_hi: float, n: int) -> list[float]:
+    """The n evenly spaced points from z_lo to z_hi, once ``_check_window``
+    accepts them, that ``periodic.scan_orbits`` and ``verify.fixed_point_scan`` read."""
+    _check_window(z_lo, z_hi, n)
+    return [z_lo + (z_hi - z_lo) * i / (n - 1) for i in range(n)]
+
+
 def _dp45_scalar(p: ConveyorParams, rhs: Callable[[float, float], float] | None, z0: float,
                  t0: float, t1: float, cfg: IntegratorConfig | None, collect: bool,
                  rhs_and_dz: Callable[[float, float], tuple[float, float]] | None = None):
@@ -236,9 +280,9 @@ def _dp45_scalar(p: ConveyorParams, rhs: Callable[[float, float], float] | None,
     Returns (z1, log_w, err_sum, knots_t, knots_z, seg_h, seg_c).
 
     ``rhs`` defaults to the force field of ``p`` and ``cfg`` to
-    ``IntegratorConfig()``, resolved against the period of ``p``.  The drive
-    phase at z0 must be finite at t0 and at t1, the span must fit in
-    MAX_STEPS steps of the step ceiling, and time runs forward: t1 > t0.
+    ``IntegratorConfig()``; ``_check_run`` checks the run and resolves the
+    config against the period of ``p``.  A step below the spacing of doubles
+    at the span's larger-magnitude end raises StepSizeUnderflow.
 
     With ``rhs_and_dz``, (t, z) -> (rhs, g = d rhs/dz), given, log_w is the
     integral of g along z(t) over the span (0.0 otherwise): stages 1 and 3-7
@@ -252,19 +296,10 @@ def _dp45_scalar(p: ConveyorParams, rhs: Callable[[float, float], float] | None,
     """
     if rhs is None:
         rhs = force_closure(p)
-    cfg = cfg or IntegratorConfig()
-    rtol, atol, max_step, h0 = cfg.resolved(p.period)
     z0, t0, t1 = float(z0), float(t0), float(t1)
-    if not (p.phase_is_finite(z0, t0) and p.phase_is_finite(z0, t1)):
-        raise ValueError(f"initial state z={z0!r} must be finite with a finite drive phase "
-                         f"k*z - b*t/2 at t={t0!r} and t={t1!r}")
-    if not cfg.span_fits(p.period, t0, t1):
-        raise ValueError(f"span t={t0!r} to t={t1!r} needs more than {MAX_STEPS} steps "
-                         f"of at most {max_step:.6g} s")
-    if not t1 > t0:
-        raise ValueError(f"integration runs forward only: need t1 > t0, got t0={t0!r}, t1={t1!r}")
+    rtol, atol, max_step, h0 = _check_run(p, cfg or IntegratorConfig(), z0, t0, t1)
     span = t1 - t0
-    h_floor = _STEP_FLOOR_REL * span
+    h_floor = max(_STEP_FLOOR_REL * span, math.ulp(max(abs(t0), abs(t1))))
     h = min(h0, max_step, span)
 
     t, y = t0, z0

@@ -14,11 +14,11 @@ solvers seek periodic orbits as fixed points of the map over 2*pi/b.
 ``field(p)`` serves the whole field of one parameter set as prebound
 callables: V, F, the pair (F, dF/dz), the envelope with its exact
 derivatives and the identity integrands (F^2, dV/dt, cos^2(kz - bt/2) f').
-Each envelope kind supplies two kernels, z -> f for V and z -> (f, f',
-f''), sharing one denominator or one exp, for the envelope; F, the pair and
-the identity integrands are fused per kind, with the envelope written
-inline, so one point costs one Python call.  ``force_closure`` is the name
-under which the solvers fetch F.  ``drive_bound`` bounds |F(t, z)| over all
+Each envelope kind supplies one kernel, z -> (f, f', f''), sharing one
+denominator or one exp, for the envelope and for V, which reads its f; F,
+the pair and the identity integrands are fused per kind, with the envelope
+written inline, so one point costs one Python call.  ``force_closure`` is
+the name under which the solvers fetch F.  ``drive_bound`` bounds |F(t, z)| over all
 t; no envelope vanishes, so F is zero at z for every t only when f0 = 0.
 
 All types are immutable and all operations are pure functions; they are safe
@@ -149,8 +149,8 @@ def default_params(kind: str = "lorentzian", **overrides) -> ConveyorParams:
 
 
 # ---------------------------------------------------------------------------
-# per envelope kind: kernels z -> f and z -> (f, f', f''), then F, (F, dF/dz)
-# and the identity terms (F^2, dV/dt, c^2 f'), each with one phase, one cos/sin
+# per envelope kind: the kernel z -> (f, f', f''), then F, (F, dF/dz) and
+# the identity terms (F^2, dV/dt, c^2 f'), each with one phase, one cos/sin
 # pair and the envelope inline, in this operation order, which fixes their bits:
 #     F     = -2k f0 f s c + f0 c^2 f',    c, s = cos, sin(kz - bt/2)
 #     dF/dz = -2k f0 f' sin(2kz - bt) - 2k^2 f0 f cos(2kz - bt) + f0 c^2 f''
@@ -177,16 +177,13 @@ def _plane_kernels(z0: float, k: float, half_b: float, f0: float, m2kf0: float, 
         c, s = cos(ph), sin(ph)
         return (m2kf0 * s * c + f0 * c * c * 0.0) ** 2, bf0 * s * c, c * c * 0.0
 
-    return (lambda z: 1.0), (lambda z: (1.0, 0.0, 0.0)), force, force_and_dz, identity_terms
+    return (lambda z: (1.0, 0.0, 0.0)), force, force_and_dz, identity_terms
 
 
 def _lorentzian_kernels(z0: float, k: float, half_b: float, f0: float, m2kf0: float, tkkf0: float,
                         bf0: float):
     z0sq = z0 * z0
     m2z0sq = -2.0 * z0sq
-
-    def f(z: float) -> float:
-        return z0sq / (z0sq + z * z)
 
     def fd2(z: float) -> tuple[float, float, float]:
         den = z0sq + z * z
@@ -219,7 +216,7 @@ def _lorentzian_kernels(z0: float, k: float, half_b: float, f0: float, m2kf0: fl
         fz, d1 = z0sq / den, m2z0sq * z / (den * den)
         return (m2kf0 * fz * s * c + f0 * c * c * d1) ** 2, bf0 * fz * s * c, c * c * d1
 
-    return f, fd2, force, force_and_dz, identity_terms
+    return fd2, force, force_and_dz, identity_terms
 
 
 def _gaussian_kernels(z0: float, k: float, half_b: float, f0: float, m2kf0: float, tkkf0: float,
@@ -227,9 +224,6 @@ def _gaussian_kernels(z0: float, k: float, half_b: float, f0: float, m2kf0: floa
     z0sq = z0 * z0
     c1 = -4.0 / z0sq
     c2 = 16.0 / (z0sq * z0sq)
-
-    def f(z: float) -> float:
-        return exp(-2.0 * z * z / z0sq)
 
     # where exp underflows f' is the signed 0 of c1 z * 0 and f'' is 0, even
     # where c1 z or c2 z^2 overflows (inf * 0)
@@ -262,7 +256,7 @@ def _gaussian_kernels(z0: float, k: float, half_b: float, f0: float, m2kf0: floa
         d1 = c1 * z * g if g else copysign(0.0, c1 * z)
         return (m2kf0 * g * s * c + f0 * c * c * d1) ** 2, bf0 * g * s * c, c * c * d1
 
-    return f, fd2, force, force_and_dz, identity_terms
+    return fd2, force, force_and_dz, identity_terms
 
 
 _KERNELS = {
@@ -291,12 +285,12 @@ def field(p: ConveyorParams) -> Field:
     """The field of ``p``, built once per parameter set."""
     f0, b, k = p.f0, p.b, p.k
     half_b = 0.5 * b
-    f, fd2, force, force_and_dz, identity_terms = _KERNELS[p.envelope.kind](
+    fd2, force, force_and_dz, identity_terms = _KERNELS[p.envelope.kind](
         p.envelope.z0, k, half_b, f0, -2.0 * k * f0, 2.0 * k * k * f0, b * f0)
 
     def potential(t: float, z: float) -> float:
         c = cos(k * z - half_b * t)
-        return f0 * f(z) * c * c
+        return f0 * fd2(z)[0] * c * c
 
     return Field(potential, force, force_and_dz, fd2, identity_terms)
 

@@ -24,7 +24,6 @@ trusts a sign only beyond ``SIGN_MARGIN`` times the run's error gauge.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Iterable, NamedTuple, Sequence
@@ -35,6 +34,7 @@ from conveyor.integrate import (
     IntegratorConfig,
     Trajectory,
     _dp45_scalar,
+    _grid,
     _half_map,
     propagate,
     tight_period,
@@ -157,26 +157,6 @@ def _hidden_pair_seeds(grid: Sequence[float], resid: Sequence[float]) -> list[fl
                 and curv != 0.0 and slope * slope - 4.0 * mid * curv >= 0.0):
             seeds.append(grid[i] - slope / (2.0 * curv) * (grid[i + 1] - grid[i]))
     return seeds
-
-
-def _grid(z_lo: float, z_hi: float, n: int) -> list[float]:
-    """The n evenly spaced points from z_lo to z_hi that both window scans,
-    this module's and ``verify.fixed_point_scan``, evaluate.
-
-    n must be an integer, at least 2.  The window must be finite and so
-    must every offset (z_hi - z_lo) * i, or the grid would hold inf or nan;
-    that covers a finite window whose width overflows.
-    """
-    try:
-        n = operator.index(n)
-    except TypeError:
-        raise ValueError(f"need an integer number n of grid points, got {n!r}") from None
-    if not (z_lo < z_hi and (z_hi - z_lo) * (n - 1) < math.inf):
-        raise ValueError(f"need a finite window z_lo < z_hi with finite grid offsets "
-                         f"(z_hi - z_lo) * i, got [{z_lo!r}, {z_hi!r}]")
-    if n < 2:
-        raise ValueError(f"need n >= 2 grid points, got {n!r}")
-    return [z_lo + (z_hi - z_lo) * i / (n - 1) for i in range(n)]
 
 
 def _grid_config(cfg: IntegratorConfig | None, period: float) -> IntegratorConfig:

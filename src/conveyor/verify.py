@@ -27,9 +27,9 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from conveyor.errors import ConveyorError
-from conveyor.integrate import IntegratorConfig, _half_map, _tight_config
+from conveyor.integrate import IntegratorConfig, _grid, _half_map, _tight_config
 from conveyor.model import ConveyorParams, force_closure
-from conveyor.periodic import PeriodicOrbit, _grid
+from conveyor.periodic import PeriodicOrbit
 
 _FD_STEP = 1e-4
 _RESIDUAL_EPS = 1e-30

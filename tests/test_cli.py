@@ -149,6 +149,24 @@ class TestFindPeriodic:
         assert info.value.code == 2
         assert not (tmp_path / "o.csv").exists()
 
+    def test_huge_grid_is_checked_without_building_it(self, tmp_path):
+        # the window check must not build the grid: a billion floats would
+        # take gigabytes, which the child's address-space limit refuses
+        script = (
+            "import resource, sys, time\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (2 ** 31, 2 ** 31))\n"
+            "from conveyor.cli import main\n"
+            "start = time.perf_counter()\n"
+            "assert main(['find-periodic', '--n-grid', '1000000000', '--out',\n"
+            "             sys.argv[1], '--dry-run']) == 0\n"
+            "assert time.perf_counter() - start < 1.0, time.perf_counter() - start\n"
+        )
+        src = str(Path(conveyor.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONPATH": src}
+        subprocess.run([sys.executable, "-c", script, str(tmp_path / "o.csv")], env=env,
+                       check=True, stdout=subprocess.DEVNULL, timeout=30)
+        assert list(tmp_path.iterdir()) == []
+
     def test_manifest_written(self, tmp_path):
         out = tmp_path / "orbits.csv"
         assert run(["find-periodic", "--n-grid", "9", "--out", str(out)]) == 0
@@ -386,6 +404,16 @@ class TestFreshInterpreters:
             assert (dirs[0] / name).read_bytes() == (dirs[1] / name).read_bytes()
 
 
+def ceiling(max_step: str) -> list[str]:
+    """Step flags with the first trial step at the ceiling."""
+    return ["--max-step", max_step, "--initial-step", max_step]
+
+
+# commands whose longest run is one map over 2*pi/b, then fig2 and fig4
+SHORT_CEILING = [["find-periodic", "--out", "x.csv"], ["continue", "--out", "x.csv"],
+                 ["verify", "--out", "x.csv"], ["reproduce", "fig2"], ["reproduce", "fig4"]]
+
+
 class TestStepBudget:
     # 10^5 steps of the default ceiling period/20 is 628.3 s at the reference
     # set; --dry-run keeps an accepted horizon from computing
@@ -395,11 +423,35 @@ class TestStepBudget:
          ["--t0", "-1", "--t-end", "628"]),
         (["reproduce", "fig1"], ["--t-end", "628"], ["--t-end", "629"]),
         (["reproduce", "fig3"], ["--t-end", "628"], ["--t-end", "629"]),
+        # one map over 2*pi/b = 0.0628 s: a ceiling of 6.28e-7 s at the edge
+        *[(argv, ceiling("6.3e-7"), ceiling("6.2e-7")) for argv in SHORT_CEILING[:3]],
+        # five periods of 4*pi/b = 0.628 s: a ceiling of 6.28e-6 s at the edge
+        *[(argv, ceiling("6.3e-6"), ceiling("6.2e-6")) for argv in SHORT_CEILING[3:]],
     ])
     def test_budget_edge(self, argv, accepted, rejected):
         assert run(argv + accepted + ["--dry-run"]) == 0
         with pytest.raises(SystemExit) as info:
             run(argv + rejected + ["--dry-run"])
+        assert info.value.code == 2
+
+    @pytest.mark.parametrize("argv", SHORT_CEILING,
+                             ids=lambda argv: argv[1 if argv[0] == "reproduce" else 0])
+    def test_short_ceiling_exits_2_before_computing(self, tmp_path, capsys, argv):
+        # each command's longest run is checked with the stepper's own check
+        # at flag time, so a ceiling below its edge writes nothing
+        argv = [a.replace("x.csv", str(tmp_path / "x.csv")) for a in argv]
+        argv += ["--out-dir", str(tmp_path)] if argv[0] == "reproduce" else []
+        with pytest.raises(SystemExit) as info:
+            run(argv + ceiling("1e-7"))
+        assert info.value.code == 2
+        assert "steps" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_late_start_exits_2(self):
+        # doubles near 1e17 are 16 s apart: no step of the ceiling moves t
+        with pytest.raises(SystemExit) as info:
+            run(["simulate", "--zi", "0", "--t0", "1e17", "--t-end", "1.000000000000001e17",
+                 "--out", "x.csv", "--dry-run"])
         assert info.value.code == 2
 
     def test_long_horizons_exit_2_at_once(self, tmp_path):

@@ -18,6 +18,7 @@ from conveyor.integrate import (
     MAX_STEPS,
     IntegratorConfig,
     Trajectory,
+    _check_run,
     _half_map,
     integrate,
     propagate,
@@ -165,14 +166,46 @@ class TestIntegrate:
 
 class TestStepBudget:
     def test_span_fits_edge(self):
+        # the stepper's run check, which the command line applies at flag time
         cfg = IntegratorConfig()
-        period = default_params("lorentzian").period
+        p = default_params("lorentzian")
+        period = p.period
         edge = MAX_STEPS * period / 20.0
-        assert cfg.span_fits(period, 0.0, edge) and cfg.span_fits(period, edge, 0.0)
-        assert not cfg.span_fits(period, 0.0, 1.001 * edge)
-        assert not cfg.span_fits(period, 1.001 * edge, 0.0)
+        assert _check_run(p, cfg, 0.0, 0.0, edge) == cfg.resolved(period)
+        with pytest.raises(ValueError, match="forward only"):
+            _check_run(p, cfg, 0.0, edge, 0.0)
+        with pytest.raises(ValueError, match="steps"):
+            _check_run(p, cfg, 0.0, 0.0, 1.001 * edge)
+        # the budget is checked before the direction
+        with pytest.raises(ValueError, match="steps"):
+            _check_run(p, cfg, 0.0, 1.001 * edge, 0.0)
         # a quarter-period ceiling stretches the same budget five times
-        assert IntegratorConfig(max_step=period / 4.0).span_fits(period, 0.0, 4.0 * edge)
+        assert _check_run(p, IntegratorConfig(max_step=period / 4.0), 0.0, 0.0, 4.0 * edge)
+
+    def test_late_start_cannot_hang(self):
+        # at t ~ 1e17 doubles are 16 s apart, so no step of the 6.3e-3 s
+        # ceiling moves t: the run check rejects the span.  At 1e13 they are
+        # 2e-3 s apart, below the ceiling but above the first trial step,
+        # which the stepper's floor turns into StepSizeUnderflow.  Without
+        # either each call loops without moving t; the timeout fails it
+        script = (
+            "from conveyor.errors import StepSizeUnderflow\n"
+            "from conveyor.integrate import propagate\n"
+            "from conveyor.model import default_params, force_closure\n"
+            "p = default_params('lorentzian'); rhs = force_closure(p)\n"
+            "for t0, error, words in ((1e17, ValueError, 'cannot move t'),\n"
+            "                         (-1e17 - 100.0, ValueError, 'cannot move t'),\n"
+            "                         (1e13, StepSizeUnderflow, 'step size')):\n"
+            "    try:\n"
+            "        propagate(p, rhs, 0.0, t0, t0 + 100.0)\n"
+            "    except error as exc:\n"
+            "        assert words in str(exc), exc\n"
+            "    else:\n"
+            "        raise AssertionError(f'a start at t={t0} was accepted')\n"
+        )
+        src = str(Path(conveyor.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONPATH": src}
+        subprocess.run([sys.executable, "-c", script], env=env, check=True, timeout=10)
 
     def test_library_horizons_raise_at_once(self):
         # without the budget each call runs ~1.6e11 steps while its knots grow;

@@ -447,8 +447,8 @@ def _product_rule(p):
 
 
 class TestFusedKernels:
-    """Each kind's F, (F, dF/dz) and identity terms write the envelope
-    inline, and V and dV/dt read f from their own kernel; all must equal
+    """Each kind's F, (F, dF/dz) and identity terms (dV/dt among them) write
+    the envelope inline, and V reads f from the envelope triple; all must equal
     their forms over the envelope triple bit for bit, signed zeros included
     (``float.hex`` tells -0.0 from 0.0).  The pair's F is ``force`` and the
     identity terms are ``force``'s square, dV/dt and cos^2(kz - bt/2) f'."""
