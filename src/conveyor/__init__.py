@@ -11,7 +11,6 @@ identities any true periodic solution must satisfy.
 from conveyor.errors import (
     ContinuationStall,
     ConveyorError,
-    EmptyAudit,
     NoConvergence,
     StepSizeUnderflow,
     WrongEnvelope,
@@ -29,6 +28,5 @@ __all__ = [
     "NoConvergence",
     "ContinuationStall",
     "WrongEnvelope",
-    "EmptyAudit",
     "__version__",
 ]

@@ -25,6 +25,7 @@ import math
 import sys
 import time
 from dataclasses import replace
+from functools import partial
 from pathlib import Path
 
 import conveyor
@@ -40,7 +41,7 @@ from conveyor.model import (
     force_closure,
 )
 
-FIGURE_IDS = ("fig1", "fig2", "fig3", "fig4", "pot1", "pot2", "plane-limit")
+_FIGURE_IDS = ("fig1", "fig2", "fig3", "fig4", "pot1", "pot2", "plane-limit")
 
 
 def _linspace(a: float, b: float, n: int) -> list[float]:
@@ -145,7 +146,7 @@ def _run(args, manifest: dict, compute) -> int:
 # commands
 
 
-def cmd_simulate(parser: argparse.ArgumentParser, args) -> int:
+def _cmd_simulate(parser: argparse.ArgumentParser, args) -> int:
     p = _params_from_args(parser, args, args.envelope)
     cfg = _config_from_args(parser, args, p.period)
     _checked(parser, _check_run, p, cfg, args.zi, args.t0, args.t_end)
@@ -176,7 +177,7 @@ def cmd_simulate(parser: argparse.ArgumentParser, args) -> int:
     return _run(args, manifest, compute)
 
 
-def cmd_find_periodic(parser: argparse.ArgumentParser, args) -> int:
+def _cmd_find_periodic(parser: argparse.ArgumentParser, args) -> int:
     p = _params_from_args(parser, args, args.envelope)
     cfg = _config_from_args(parser, args, p.period)
     _checked(parser, _check_window, args.z_lo, args.z_hi, args.n_grid)
@@ -201,7 +202,7 @@ def cmd_find_periodic(parser: argparse.ArgumentParser, args) -> int:
     return _run(args, manifest, compute)
 
 
-def cmd_continue(parser: argparse.ArgumentParser, args) -> int:
+def _cmd_continue(parser: argparse.ArgumentParser, args) -> int:
     p = _params_from_args(parser, args, args.envelope)
     cfg = _config_from_args(parser, args, p.period)
     _checked(parser, _check_run, p, cfg, 0.0, 0.0, 0.5 * p.period)
@@ -230,7 +231,7 @@ def _trajectory_series(p: ConveyorParams, cfg: IntegratorConfig, z_list, t0: flo
     return rows
 
 
-def cmd_reproduce(parser: argparse.ArgumentParser, args) -> int:
+def _cmd_reproduce(parser: argparse.ArgumentParser, args) -> int:
     fig = args.figure
     out_dir = Path(args.out_dir)
     out = out_dir / f"{fig.replace('-', '_')}.csv"
@@ -287,7 +288,7 @@ def cmd_reproduce(parser: argparse.ArgumentParser, args) -> int:
     return _run(args, _manifest(f"reproduce {fig}", p, cfg, out, extra), compute)
 
 
-def cmd_verify(parser: argparse.ArgumentParser, args) -> int:
+def _cmd_verify(parser: argparse.ArgumentParser, args) -> int:
     # the manifest records the Lorentzian set; the battery runs every kind at --z0
     lorentzian = _params_from_args(parser, args, "lorentzian")
     cfg = _config_from_args(parser, args, lorentzian.period)
@@ -374,7 +375,7 @@ _SHARED_FLAGS = (  # every command takes these
 _OUT = ("--out", dict(required=True, help="output CSV path"))
 
 _COMMANDS = {  # name: (function, help, flags besides the shared ones)
-    "simulate": (cmd_simulate, "integrate one trajectory and write CSV", (
+    "simulate": (_cmd_simulate, "integrate one trajectory and write CSV", (
         _ENVELOPE, *_PARAM_FLAGS,
         ("--zi", dict(type=float, required=True, help="release position, wavelengths")),
         ("--t0", dict(type=float, default=0.0)),
@@ -382,28 +383,28 @@ _COMMANDS = {  # name: (function, help, flags besides the shared ones)
         ("--stride", dict(type=int, default=1,
                           help="emit every Nth dense-output sample (default 1)")),
         _OUT)),
-    "find-periodic": (cmd_find_periodic, "scan a window for certified periodic orbits", (
+    "find-periodic": (_cmd_find_periodic, "scan a window for certified periodic orbits", (
         _ENVELOPE, *_PARAM_FLAGS,
         ("--z-lo", dict(type=float, default=-4.5)),
         ("--z-hi", dict(type=float, default=4.5)),
         ("--n-grid", dict(type=int, default=64)),
         _OUT)),
-    "continue": (cmd_continue, "follow the homotopy branch to the full equation",
+    "continue": (_cmd_continue, "follow the homotopy branch to the full equation",
                  (_ENVELOPE, *_PARAM_FLAGS, _OUT)),
-    "reproduce": (cmd_reproduce, "emit the data series behind a named figure", (
-        ("figure", dict(choices=FIGURE_IDS)),
+    "reproduce": (_cmd_reproduce, "emit the data series behind a named figure", (
+        ("figure", dict(choices=_FIGURE_IDS)),
         ("--t-end", dict(type=float, default=5.0,
                          help="horizon for the trajectory figures (default 5 s)")),
         ("--out-dir", dict(default=".")))),
-    "verify": (cmd_verify, "run the certificate battery on all three envelopes; "
-                           "exit 0 iff all pass", (
+    "verify": (_cmd_verify, "run the certificate battery on all three envelopes; "
+                            "exit 0 iff all pass", (
         *_PARAM_FLAGS,
         ("--out", dict(default="verify_report.json",
                        help="JSON report path (default verify_report.json)")))),
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="conveyor",
         description="Optical conveyor-belt particle dynamics, periodic orbits, "
@@ -415,15 +416,15 @@ def build_parser() -> argparse.ArgumentParser:
         ap = sub.add_parser(name, help=help_, allow_abbrev=False)
         for flag, kwargs in flags + _SHARED_FLAGS:
             ap.add_argument(flag, **kwargs)
-        ap.set_defaults(func=func)
+        # the command's own flag errors print its usage, as argparse's do
+        ap.set_defaults(func=partial(func, ap))
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        return args.func(parser, args)
+        return args.func(args)
     except ConveyorError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -47,7 +47,3 @@ class ContinuationStall(ConveyorError):
 
 class WrongEnvelope(ConveyorError):
     """A plane-wave-only operation was called with a non-plane envelope."""
-
-
-class EmptyAudit(ConveyorError):
-    """An audit over orbits or branch steps was given nothing to audit."""

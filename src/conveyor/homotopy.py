@@ -9,9 +9,10 @@ for lam in (0, 1].  At lam -> 0 the unique periodic solution is z == 0; the
 branch z0(lam) of periodic initial conditions is followed with adaptive
 steps up to lam = 1, where it must land on a fixed point of the plain
 period map.  The blend, like F, repeats after T/2 = 2*pi/b, so each branch
-point solves |z(T/2) - z(0)| < ``BVP_TOL`` on the map over that period.
-This realises constructively the existence argument that the shooting
-solver certifies independently, so the two endpoints agreeing is a
+point solves |z(T/2) - z(0)| < ``BVP_TOL`` on the map over that period; this
+module builds the blend, and ``periodic._solve`` solves and certifies it as
+it does F.  This realises constructively the existence argument that the
+shooting solver certifies independently, so the two endpoints agreeing is a
 meaningful cross-check, not a tautology.
 
 Also here: ``linear_bvp``, the closed-form solver on plain floats for the
@@ -28,10 +29,10 @@ import operator
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
-from conveyor._newton import solve_fixed_point
-from conveyor.errors import ContinuationStall, EmptyAudit, NoConvergence
-from conveyor.integrate import IntegratorConfig, Trajectory, _half_map, tight_period
+from conveyor.errors import ContinuationStall, NoConvergence
+from conveyor.integrate import IntegratorConfig
 from conveyor.model import ConveyorParams, field, force_closure
+from conveyor.periodic import PeriodicOrbit, _certify, _solve
 
 LAMBDA_START = 0.01
 LAMBDA_STEP_INIT = 0.05
@@ -58,24 +59,23 @@ class ContinuationTrace:
 
     @property
     def final(self) -> ContinuationStep:
-        if not self.steps:
-            raise EmptyAudit("continuation trace has no accepted steps")
-        return self.steps[-1]
+        return self.steps[-1]   # ``continue_to_one`` accepts at least one step
 
 
 def solve_at_lambda(p: ConveyorParams, lambda_h: float, z_guess: float,
-                    cfg: IntegratorConfig | None = None) -> tuple[float, float, Trajectory]:
-    """Periodic initial condition of the blended problem at one lambda.
-
-    Newton shooting on the lambda-flow's map P_h over 2*pi/b, certified to
-    |z(T/2) - z(0)| < ``BVP_TOL``; returns the fixed point, P_h's slope mu_h
-    there and the lambda-flow from it over [0, 2*pi/b] at a hundredth of the
-    tolerances, whose seam gap e makes the step's residual (1 + mu_h) * e.  Raises
-    NoConvergence like the plain orbit solver, ValueError for lambda outside
-    [0, 1].
+                    cfg: IntegratorConfig | None = None) -> PeriodicOrbit:
+    """Periodic orbit of the blended problem at one lambda, solved to
+    |z(T/2) - z(0)| < ``BVP_TOL`` and certified as ``periodic.find_periodic``
+    certifies one.  The orbit belongs to the blend: its multiplier, residual,
+    sup-norm and stored run are the lambda-flow's, so ``verify``'s identities
+    apply to it only at lambda = 1, where the blend is F bit for bit and the
+    solve is ``find_periodic``'s own, force-free parking included.  Raises
+    NoConvergence like it, ValueError for lambda outside [0, 1].
     """
     if not 0.0 <= lambda_h <= 1.0:
         raise ValueError(f"lambda must lie in [0, 1], got {lambda_h!r}")
+    if lambda_h == 1.0:
+        return _certify(p, z_guess, cfg)
     force, force_and_dz = force_closure(p), field(p).force_and_dz
     decay = 1.0 - lambda_h
 
@@ -86,8 +86,7 @@ def solve_at_lambda(p: ConveyorParams, lambda_h: float, z_guess: float,
         f, f_dz = force_and_dz(t, z)
         return -decay * z + lambda_h * f, -decay + lambda_h * f_dz
 
-    res = solve_fixed_point(lambda z: _half_map(p, z, cfg, rhs, rhs_and_dz), z_guess, BVP_TOL)
-    return res.z_star, res.derivative, tight_period(p, res.z_star, cfg, rhs)
+    return _solve(p, rhs, rhs_and_dz, z_guess, BVP_TOL, cfg)
 
 
 def continue_to_one(p: ConveyorParams, cfg: IntegratorConfig | None = None) -> ContinuationTrace:
@@ -95,8 +94,8 @@ def continue_to_one(p: ConveyorParams, cfg: IntegratorConfig | None = None) -> C
 
     Starts at lambda = 0.01 seeded with z = 0 (the analytic solution of the
     pure-decay endpoint); each step solves to ``BVP_TOL`` and steps adapt by
-    halving on failure and growing 1.5x on success, capped at 0.1; residual
-    and sup-norm come from ``solve_at_lambda``'s run over 2*pi/b.  Raises
+    halving on failure and growing 1.5x on success, capped at 0.1; each
+    step's z0, residual and sup-norm are ``solve_at_lambda``'s orbit's.  Raises
     ContinuationStall, carrying the partial trace, if the step underflows
     below 1e-6 before reaching 1, and NoConvergence before any solve for a
     driven plane envelope, which has no periodic orbit at lambda = 1 (see
@@ -111,7 +110,7 @@ def continue_to_one(p: ConveyorParams, cfg: IntegratorConfig | None = None) -> C
 
     while True:
         try:
-            z0, mu_h, traj = solve_at_lambda(p, lam, z_prev, cfg)
+            orbit = solve_at_lambda(p, lam, z_prev, cfg)
         except NoConvergence:
             if not steps:
                 raise  # could not even start the branch
@@ -120,9 +119,8 @@ def continue_to_one(p: ConveyorParams, cfg: IntegratorConfig | None = None) -> C
                 raise ContinuationStall(ContinuationTrace(tuple(steps), False))
             lam = min(steps[-1].lambda_h + dlam, 1.0)
             continue
-        residual = (1.0 + mu_h) * abs(traj.interp(traj.t1) - z0)
-        steps.append(ContinuationStep(lam, z0, residual, traj.sup_norm()))
-        z_prev = z0
+        steps.append(ContinuationStep(lam, orbit.z_star, orbit.residual, orbit.sup_norm))
+        z_prev = orbit.z_star
         if lam >= 1.0:
             return ContinuationTrace(tuple(steps), True)
         dlam = min(dlam * 1.5, LAMBDA_STEP_MAX)

@@ -28,7 +28,7 @@ from itertools import repeat
 from typing import TYPE_CHECKING, Callable
 
 from conveyor.errors import StepSizeUnderflow
-from conveyor.model import ConveyorParams, force_closure
+from conveyor.model import ConveyorParams
 
 if TYPE_CHECKING:
     import numpy as np
@@ -232,8 +232,9 @@ def _check_run(p: ConveyorParams, cfg: IntegratorConfig, z0: float, t0: float,
     """The stepper's rules for a run from (t0, z0) to t1, which the command
     line applies at flag time to each command's longest run: ValueError
     unless the drive phase at z0 is finite at t0 and t1, the span needs at
-    most MAX_STEPS steps of the step ceiling, t1 > t0, and the ceiling is no
-    finer than the spacing of doubles at the span's larger-magnitude end.
+    most MAX_STEPS steps of the step ceiling, t1 > t0, the ceiling is no
+    finer than the spacing of doubles at the span's larger-magnitude end, and
+    the first trial step, min(initial_step, t1 - t0), not below ``_step_floor``.
     Returns ``cfg.resolved(p.period)``: (rtol, atol, max_step, initial_step)."""
     resolved = cfg.resolved(p.period)
     max_step = resolved[2]
@@ -248,7 +249,15 @@ def _check_run(p: ConveyorParams, cfg: IntegratorConfig, z0: float, t0: float,
     far = max(abs(t0), abs(t1))
     if max_step < math.ulp(far):
         raise ValueError(f"a step of at most {max_step:.6g} s cannot move t at |t| = {far!r}")
+    h_first, h_floor = min(resolved[3], t1 - t0), _step_floor(t0, t1)
+    if h_first < h_floor:
+        raise ValueError(f"first trial step {h_first:.6g} s below the step floor {h_floor:.6g} s")
     return resolved
+
+
+def _step_floor(t0: float, t1: float) -> float:
+    """The stepper's least step on [t0, t1]: 1e-14 of it, at least ulp(far end)."""
+    return max(_STEP_FLOOR_REL * (t1 - t0), math.ulp(max(abs(t0), abs(t1))))
 
 
 def _check_window(z_lo: float, z_hi: float, n: int) -> None:
@@ -273,16 +282,15 @@ def _grid(z_lo: float, z_hi: float, n: int) -> list[float]:
     return [z_lo + (z_hi - z_lo) * i / (n - 1) for i in range(n)]
 
 
-def _dp45_scalar(p: ConveyorParams, rhs: Callable[[float, float], float] | None, z0: float,
+def _dp45_scalar(p: ConveyorParams, rhs: Callable[[float, float], float], z0: float,
                  t0: float, t1: float, cfg: IntegratorConfig | None, collect: bool,
                  rhs_and_dz: Callable[[float, float], tuple[float, float]] | None = None):
     """The one entry into the stepper.
     Returns (z1, log_w, err_sum, knots_t, knots_z, seg_h, seg_c).
 
-    ``rhs`` defaults to the force field of ``p`` and ``cfg`` to
-    ``IntegratorConfig()``; ``_check_run`` checks the run and resolves the
-    config against the period of ``p``.  A step below the spacing of doubles
-    at the span's larger-magnitude end raises StepSizeUnderflow.
+    ``cfg`` defaults to ``IntegratorConfig()``; ``_check_run`` checks the run
+    and resolves it against the period of ``p``.  A step below ``_step_floor``
+    raises StepSizeUnderflow.
 
     With ``rhs_and_dz``, (t, z) -> (rhs, g = d rhs/dz), given, log_w is the
     integral of g along z(t) over the span (0.0 otherwise): stages 1 and 3-7
@@ -294,13 +302,10 @@ def _dp45_scalar(p: ConveyorParams, rhs: Callable[[float, float], float] | None,
     y5 - y4, over the accepted steps: a gauge of the run's error in z1 that
     ``periodic.scan_orbits`` reads its loose grid's signs against.
     """
-    if rhs is None:
-        rhs = force_closure(p)
     z0, t0, t1 = float(z0), float(t0), float(t1)
     rtol, atol, max_step, h0 = _check_run(p, cfg or IntegratorConfig(), z0, t0, t1)
-    span = t1 - t0
-    h_floor = max(_STEP_FLOOR_REL * span, math.ulp(max(abs(t0), abs(t1))))
-    h = min(h0, max_step, span)
+    h_floor = _step_floor(t0, t1)
+    h = min(h0, t1 - t0)   # h0 <= max_step, as ``cfg.resolved`` checks
 
     t, y = t0, z0
     k1, g1 = (rhs(t, y), 0.0) if rhs_and_dz is None else rhs_and_dz(t, y)
@@ -409,18 +414,6 @@ def _half_map(p: ConveyorParams, z0: float, cfg: IntegratorConfig | None,
     P_h increasing, so P_h has exactly P's fixed points, and mu = mu_h**2."""
     z1, log_w, *_ = _dp45_scalar(p, rhs, z0, 0.0, 0.5 * p.period, cfg, False, rhs_and_dz)
     return z1, math.exp(log_w)
-
-
-def tight_period(p: ConveyorParams, z0: float, cfg: IntegratorConfig | None = None,
-                 rhs: Callable[[float, float], float] | None = None) -> Trajectory:
-    """z from z0 over the minimal drive period [0, 2*pi/b] = [0, p.period/2],
-    dense, at a hundredth of the tolerances, with ``p.period``'s step bounds.
-
-    A fixed point reads |P_h(z*) - z*| at roundoff on the stepper that solved
-    it; this tighter run's seam gap e shows the solving tolerance's own error,
-    and (1 + mu_h) * e is the full-period gap |P(z*) - z*| to first order.
-    """
-    return integrate(p, rhs, z0, 0.0, 0.5 * p.period, _tight_config(cfg))
 
 
 def _tight_config(cfg: IntegratorConfig | None) -> IntegratorConfig:

@@ -11,10 +11,10 @@ is below ``FORCE_FREE_SUP`` (flagged ``force_free``: every point looks
 fixed); ``scan_orbits`` solves in every grid cell where R changes sign,
 repelling orbits included, reading the grid's signs from loose runs and
 evaluating at the solve's tolerance only the values its seeds, brackets
-and probes are built from; ``basin_probe`` measures which initial
-conditions have reached one of a given list of orbits by a given horizon;
-and ``boundedness_audit`` reports the largest amplitude over a set of
-certified orbits, the empirical stand-in for the theoretical bound.
+and probes are built from; and ``basin_probe`` measures which initial
+conditions have reached one of a given list of orbits by a given horizon.
+``_solve`` solves and certifies every orbit, the homotopy's too, on one
+run over 2*pi/b at a hundredth of the tolerances that the orbit stores.
 The thresholds are module constants, not parameters: a solve certifies at
 |P_h(z) - z| < ``CERTIFICATION_TOL``, a scan merges orbits closer than
 ``DEDUPE_TOL``, and its grid runs at ``GRID_RTOL`` and ``GRID_ATOL`` and
@@ -26,18 +26,19 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import Iterable, NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from conveyor._newton import NEUTRAL, solve_fixed_point
-from conveyor.errors import EmptyAudit, NoConvergence
+from conveyor.errors import NoConvergence
 from conveyor.integrate import (
     IntegratorConfig,
     Trajectory,
     _dp45_scalar,
     _grid,
     _half_map,
+    _tight_config,
+    integrate,
     propagate,
-    tight_period,
 )
 from conveyor.model import ConveyorParams, drive_bound, field, force_closure
 
@@ -67,10 +68,6 @@ class PeriodicOrbit:
     trajectory: Trajectory
     force_free: bool = False
 
-    @property
-    def attracting(self) -> bool:
-        return 0.0 < self.multiplier < 1.0
-
     @cached_property
     def _identity_sums(self) -> tuple[float, ...]:
         # both of ``verify``'s identities read this; not a field, so replace() drops it
@@ -83,12 +80,12 @@ class BasinPoint(NamedTuple):
     converged: bool
 
 
-def _build_orbit(p: ConveyorParams, z_star: float, mu_h: float,
-                 cfg: IntegratorConfig | None, force_free: bool = False) -> PeriodicOrbit:
-    traj = tight_period(p, z_star, cfg)
+def _build_orbit(p: ConveyorParams, z_star: float, mu_h: float, cfg: IntegratorConfig | None,
+                 rhs: Callable[[float, float], float], force_free: bool = False) -> PeriodicOrbit:
     # the run over 2*pi/b at a hundredth of the solve's tolerances shows, in its
     # seam gap e, the error that the solve, reading its own stepper, cannot see;
     # the certificate is P(z*) - z* = P_h(z* + e) - z* = (1 + mu_h) e + O(e^2)
+    traj = integrate(p, rhs, z_star, 0.0, 0.5 * p.period, _tight_config(cfg))
     return PeriodicOrbit(
         z_star=z_star,
         period=p.period,
@@ -126,19 +123,28 @@ def find_periodic(p: ConveyorParams, z_guess: float,
 def _certify(p: ConveyorParams, z_guess: float, cfg: IntegratorConfig | None,
              bracket: Sequence[tuple[float, float]] = ()) -> PeriodicOrbit:
     """``find_periodic`` with known (z, R) points for ``solve_fixed_point``."""
+    rhs = force_closure(p)
     if drive_bound(p, z_guess) < FORCE_FREE_SUP:
-        return _build_orbit(p, z_guess, 1.0, cfg, force_free=True)
+        return _build_orbit(p, z_guess, 1.0, cfg, rhs, force_free=True)
     if p.envelope.kind == "plane":
         # f' == 0 turns the force identity into int F^2 dt = 0 over a period
         raise NoConvergence(0, math.nan, "a plane drive has no periodic orbit")
-    rhs, rhs_and_dz = force_closure(p), field(p).force_and_dz
-    res = solve_fixed_point(lambda z: _half_map(p, z, cfg, rhs, rhs_and_dz),
-                            z_guess, CERTIFICATION_TOL, bracket)
+    return _solve(p, rhs, field(p).force_and_dz, z_guess, CERTIFICATION_TOL, cfg, bracket)
+
+
+def _solve(p: ConveyorParams, rhs: Callable[[float, float], float],
+           rhs_and_dz: Callable[[float, float], tuple[float, float]], z_guess: float,
+           tol: float, cfg: IntegratorConfig | None,
+           bracket: Sequence[tuple[float, float]] = ()) -> PeriodicOrbit:
+    """The orbit of dz/dt = rhs(t, z), F's or a homotopy blend's, that captures
+    z_guess: |P_h(z) - z| < tol, then ``_build_orbit``.  NoConvergence, with
+    the solve's map count, when the solve fails or its slope is neutral."""
+    res = solve_fixed_point(lambda z: _half_map(p, z, cfg, rhs, rhs_and_dz), z_guess, tol, bracket)
     if abs(res.derivative * res.derivative - 1.0) < NEUTRAL:
         raise NoConvergence(res.iterations, res.residual,
                             f"only a neutral-multiplier candidate near z={res.z_star:.6g} "
                             "(period map is locally indistinguishable from the identity)")
-    return _build_orbit(p, res.z_star, res.derivative, cfg)
+    return _build_orbit(p, res.z_star, res.derivative, cfg, rhs)
 
 
 def _hidden_pair_seeds(grid: Sequence[float], resid: Sequence[float]) -> list[float]:
@@ -290,15 +296,3 @@ def basin_probe(p: ConveyorParams, initial_conditions: Sequence[float], horizon:
         out.append(BasinPoint(float(z_i), z_final, converged))
     return out
 
-
-def boundedness_audit(orbits: Iterable[PeriodicOrbit]) -> float:
-    """Largest sup-norm over the given certified orbits.
-
-    Empirical counterpart of the theoretical statement that the set of
-    periodic solutions is bounded; the theory's constant is not
-    constructive, so the audit reports the observed maximum.
-    """
-    sups = [o.sup_norm for o in orbits]
-    if not sups:
-        raise EmptyAudit("boundedness audit needs at least one orbit")
-    return max(sups)

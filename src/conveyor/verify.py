@@ -16,7 +16,7 @@ relative residuals certify that a computed orbit behaves like a genuine
 periodic solution rather than a numerical coincidence.
 ``multiplier_cross_check`` compares the Liouville multiplier mu = mu_h**2
 with the square of a central difference of the half-period map P_h, run at
-``tight_period``'s tolerances, at the fixed step 1e-4.  The fixed-point
+the tolerances of the orbit's stored run, at the fixed step 1e-4.  The fixed-point
 scan certifies that the flow has no rest points, points where F(t, z) = 0
 for every t: since no envelope vanishes, it flags every grid point when
 f0 = 0 and none otherwise.
@@ -97,8 +97,8 @@ def multiplier_cross_check(p: ConveyorParams, orbit: PeriodicOrbit,
     """Liouville multiplier vs the squared central finite difference of the
     half-period map P_h, mu = mu_h**2.
 
-    P_h runs over 2*pi/b at a hundredth of ``cfg``'s tolerances, as
-    ``tight_period`` does, so its noise over the fixed step ``_FD_STEP`` =
+    P_h runs over 2*pi/b at a hundredth of ``cfg``'s tolerances, as the
+    orbit's stored run does, so its noise over the fixed step ``_FD_STEP`` =
     1e-4 stays below 1e-4 of a multiplier as small as the 8e-6 of f0 = 10.
     Squared, the half-period difference carries, relative to mu, at most the
     noise of a full-period one where mu <= 1, and far less where mu is small.

@@ -13,7 +13,7 @@ import pytest
 
 import conveyor
 from conveyor import homotopy, periodic, verify
-from conveyor.cli import _linspace, _write_csv, build_parser, main
+from conveyor.cli import _build_parser, _linspace, _write_csv, main
 from conveyor.errors import ContinuationStall
 from conveyor.homotopy import ContinuationTrace
 from conveyor.model import default_params
@@ -447,6 +447,20 @@ class TestStepBudget:
         assert "steps" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("flags", [
+        ["--zi", "0", "--t0", "1e13", "--t-end", "1.0000000000001e13"],
+        ["--zi", "0.5", "--t-end", "5", "--initial-step", "1e-20"],
+        ["--zi", "0.5", "--t-end", "5", "--initial-step", "1e-16"],
+    ], ids=["late-start", "step-1e-20", "step-1e-16"])
+    @pytest.mark.parametrize("dry_run", [[], ["--dry-run"]], ids=["run", "dry-run"])
+    def test_first_step_below_floor_exits_2(self, tmp_path, capsys, flags, dry_run):
+        # the stepper's floor would end each run on its first step (exit 3)
+        with pytest.raises(SystemExit) as info:
+            run(["simulate", *flags, "--out", str(tmp_path / "x.csv"), *dry_run])
+        assert info.value.code == 2
+        assert "first trial step" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_late_start_exits_2(self):
         # doubles near 1e17 are 16 s apart: no step of the ceiling moves t
         with pytest.raises(SystemExit) as info:
@@ -499,7 +513,6 @@ class TestNumpyFreeCommands:
             "assert len(orbits) == 1, orbits\n"
             "assert abs(orbits[0].z_star - orbit.z_star) < periodic.DEDUPE_TOL\n"
             "assert periodic.basin_probe(p, [orbit.z_star], 10 * p.period, orbits)[0].converged\n"
-            "assert periodic.boundedness_audit(orbits) == orbits[0].sup_norm\n"
             "assert homotopy.continue_to_one(p).converged\n"
             "assert verify.identity_energy(orbit).rel_residual < 1e-6\n"
             "assert verify.identity_force(orbit).rel_residual < 1e-6\n"
@@ -621,6 +634,14 @@ class TestLinspace:
 
 
 class TestParser:
+    def test_own_flag_error_prints_command_usage(self, capsys):
+        # the program's own flag checks, like argparse's, print the command's usage
+        with pytest.raises(SystemExit) as info:
+            run(["simulate", "--zi", "0", "--t0=-1e17", "--t-end", "0", "--out", "x.csv",
+                 "--dry-run"])
+        assert info.value.code == 2
+        assert capsys.readouterr().err.startswith("usage: conveyor simulate")
+
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as info:
             run(["--version"])
@@ -645,7 +666,7 @@ class TestParser:
             "reproduce": shared | {"--t-end", "--out-dir"},
             "verify": shared | params | {"--out"},
         }
-        sub = next(a for a in build_parser()._actions
+        sub = next(a for a in _build_parser()._actions
                    if isinstance(a, argparse._SubParsersAction))
         found = {name: {s for a in ap._actions for s in a.option_strings}
                  for name, ap in sub.choices.items()}

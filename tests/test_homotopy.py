@@ -6,8 +6,8 @@ import sys
 import numpy as np
 import pytest
 
-from conveyor import homotopy
-from conveyor.errors import ContinuationStall, EmptyAudit, NoConvergence
+from conveyor import homotopy, periodic
+from conveyor.errors import ContinuationStall, NoConvergence
 from conveyor.homotopy import (
     BetaBoundReport,
     ContinuationTrace,
@@ -24,25 +24,40 @@ class TestSolveAtLambda:
     def test_pure_decay_has_origin(self, lorentzian_params):
         # at lam = 0 the problem is z' = -z: unique periodic solution z == 0
         for guess in (-2.0, 0.0, 3.0):
-            z0, _, traj = solve_at_lambda(lorentzian_params, 0.0, guess)
-            assert abs(z0) < 1e-12
-            assert traj.sup_norm() < 1e-12
+            o = solve_at_lambda(lorentzian_params, 0.0, guess)
+            assert abs(o.z_star) < 1e-12
+            assert o.trajectory.sup_norm() < 1e-12
 
     def test_endpoint_matches_shooting(self, lorentzian_params, lorentzian_orbit):
-        z0, _, _ = solve_at_lambda(lorentzian_params, 1.0, 0.5)
-        assert abs(z0 - lorentzian_orbit.z_star) < 1e-8
+        o = solve_at_lambda(lorentzian_params, 1.0, 0.5)
+        assert abs(o.z_star - lorentzian_orbit.z_star) < 1e-8
 
     def test_midpoint_certified_and_continuous(self, lorentzian_params):
-        z_half, _, traj = solve_at_lambda(lorentzian_params, 0.5, 0.2)
-        assert abs(traj.knots[1][-1] - z_half) < 1e-9
-        z_next, _, _ = solve_at_lambda(lorentzian_params, 0.501, z_half)
-        assert abs(z_next - z_half) < 1e-2
+        half = solve_at_lambda(lorentzian_params, 0.5, 0.2)
+        assert abs(half.trajectory.knots[1][-1] - half.z_star) < 1e-9
+        nxt = solve_at_lambda(lorentzian_params, 0.501, half.z_star)
+        assert abs(nxt.z_star - half.z_star) < 1e-2
 
     def test_lambda_range_checked(self, lorentzian_params):
         with pytest.raises(ValueError):
             solve_at_lambda(lorentzian_params, -0.1, 0.0)
         with pytest.raises(ValueError):
             solve_at_lambda(lorentzian_params, 1.1, 0.0)
+
+    @pytest.mark.parametrize("kind", ["lorentzian", "gaussian"])
+    def test_lambda_one_is_find_periodic(self, kind):
+        # the blend -0 z + 1 F is F bit for bit, and at lambda = 1 the solve
+        # runs through find_periodic's own lines
+        p = default_params(kind)
+        o, ref = solve_at_lambda(p, 1.0, 0.3), periodic.find_periodic(p, 0.3)
+        assert (o.z_star, o.multiplier, o.residual, o.sup_norm) == (
+            ref.z_star, ref.multiplier, ref.residual, ref.sup_norm)
+
+    def test_undriven_endpoint_is_parked(self):
+        # with f0 = 0 the lambda = 1 map is the identity: the step parks the
+        # guess as find_periodic does, and the neutral rule never sees it
+        o = solve_at_lambda(default_params("plane", f0=0.0), 1.0, 0.0)
+        assert o.force_free and o.z_star == 0.0 and o.multiplier == 1.0
 
 
 class TestContinueToOne:
@@ -61,16 +76,16 @@ class TestContinueToOne:
     @pytest.mark.parametrize("kind", ["lorentzian", "gaussian"])
     def test_residual_is_the_returned_seam_gap(self, kind, monkeypatch):
         # each step's residual and sup-norm are read off the one tight run
-        # over 2*pi/b that solve_at_lambda returns, with no second
-        # integration: the residual is (1 + mu_h) times its seam gap
-        solve, runs = homotopy.solve_at_lambda, []
+        # over 2*pi/b stored in the orbit solve_at_lambda returns, with no
+        # second integration: the residual is (1 + mu_h) times its seam gap
+        build, runs = periodic._build_orbit, []
 
-        def spy(*args, **kwargs):
-            z0, mu_h, traj = solve(*args, **kwargs)
-            runs.append((mu_h, traj))
-            return z0, mu_h, traj
+        def spy(p, z_star, mu_h, *args, **kwargs):
+            orbit = build(p, z_star, mu_h, *args, **kwargs)
+            runs.append((mu_h, orbit.trajectory))
+            return orbit
 
-        monkeypatch.setattr(homotopy, "solve_at_lambda", spy)
+        monkeypatch.setattr(periodic, "_build_orbit", spy)
         p = default_params(kind)
         trace = continue_to_one(p)
         assert len(runs) == len(trace.steps)
@@ -93,10 +108,6 @@ class TestContinueToOne:
         assert rho < 10.0
         # the family's amplitudes grow monotonically toward the full problem
         assert rho == pytest.approx(trace.final.sup_norm, rel=1e-6)
-
-    def test_empty_trace_has_no_final(self):
-        with pytest.raises(EmptyAudit):
-            ContinuationTrace((), False).final
 
     def test_zero_drive_branch_is_origin(self):
         p = default_params("lorentzian", f0=0.0)

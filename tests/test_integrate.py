@@ -22,7 +22,6 @@ from conveyor.integrate import (
     _half_map,
     integrate,
     propagate,
-    tight_period,
 )
 from conveyor.model import default_params, field, force_closure
 from tests.conftest import Z_STAR_LORENTZIAN
@@ -147,7 +146,8 @@ class TestIntegrate:
         lambda p, rhs: propagate(p, rhs, 0.0, 0.0, 1e308),
         lambda p, rhs: period_map(p, 1e308),
         lambda p, rhs: sensitivity_map(p, -1e308),
-        lambda p, rhs: tight_period(p, 1e308),
+        # the orbit's tight run over one period, which periodic._build_orbit makes
+        lambda p, rhs: periodic._build_orbit(p, 1e308, 1.0, None, rhs),
     ], ids=["integrate", "propagate", "propagate-end", "period-map", "_half_map", "tight_period"])
     def test_unrepresentable_drive_phase_rejected(self, lorentzian_params, call):
         with pytest.raises(ValueError, match="drive phase"):
@@ -182,20 +182,28 @@ class TestStepBudget:
         # a quarter-period ceiling stretches the same budget five times
         assert _check_run(p, IntegratorConfig(max_step=period / 4.0), 0.0, 0.0, 4.0 * edge)
 
+    def test_first_step_at_the_floor(self):
+        # the run check and the stepper share one floor, so a first trial
+        # step one ulp below it is rejected before the stepper would raise
+        p, floor = default_params("lorentzian"), integrate_module._step_floor(0.0, 5.0)
+        assert _check_run(p, IntegratorConfig(initial_step=floor), 0.5, 0.0, 5.0)
+        with pytest.raises(ValueError, match="first trial step"):
+            _check_run(p, IntegratorConfig(initial_step=math.nextafter(floor, 0.0)), 0.5, 0.0, 5.0)
+
     def test_late_start_cannot_hang(self):
         # at t ~ 1e17 doubles are 16 s apart, so no step of the 6.3e-3 s
         # ceiling moves t: the run check rejects the span.  At 1e13 they are
         # 2e-3 s apart, below the ceiling but above the first trial step,
-        # which the stepper's floor turns into StepSizeUnderflow.  Without
-        # either each call loops without moving t; the timeout fails it
+        # which the run check rejects too, as the stepper's floor would end
+        # the run at once.  Without either each call loops without moving t;
+        # the timeout fails it
         script = (
-            "from conveyor.errors import StepSizeUnderflow\n"
             "from conveyor.integrate import propagate\n"
             "from conveyor.model import default_params, force_closure\n"
             "p = default_params('lorentzian'); rhs = force_closure(p)\n"
             "for t0, error, words in ((1e17, ValueError, 'cannot move t'),\n"
             "                         (-1e17 - 100.0, ValueError, 'cannot move t'),\n"
-            "                         (1e13, StepSizeUnderflow, 'step size')):\n"
+            "                         (1e13, ValueError, 'first trial step')):\n"
             "    try:\n"
             "        propagate(p, rhs, 0.0, t0, t0 + 100.0)\n"
             "    except error as exc:\n"

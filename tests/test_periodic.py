@@ -1,4 +1,4 @@
-"""Periodic-orbit shooting, scanning, basin probing and audits."""
+"""Periodic-orbit shooting, scanning and basin probing."""
 
 import dataclasses
 import math
@@ -9,7 +9,7 @@ import pytest
 
 from conveyor import integrate as integrator
 from conveyor import periodic
-from conveyor.errors import EmptyAudit, NoConvergence
+from conveyor.errors import NoConvergence
 from conveyor.integrate import IntegratorConfig, integrate, propagate
 from conveyor.model import (
     ConveyorParams,
@@ -23,7 +23,6 @@ from conveyor.periodic import (
     BasinPoint,
     _hidden_pair_seeds,
     basin_probe,
-    boundedness_audit,
     find_periodic,
     scan_orbits,
 )
@@ -85,7 +84,7 @@ class TestFindPeriodic:
         assert o.residual < 1e-9
         assert abs(o.z_star - Z_STAR_GAUSSIAN) < 1e-6
         assert o.multiplier == pytest.approx(MU_GAUSSIAN, abs=1e-5)
-        assert o.attracting
+        assert 0.0 < o.multiplier < 1.0
 
     def test_orbit_samples_close_up(self, lorentzian_orbit):
         # the stored run spans the drive's minimal period 2*pi/b = period/2
@@ -187,12 +186,23 @@ class TestFindPeriodic:
         assert info.value.iterations == 0
         assert math.isnan(info.value.last_residual)
 
+    def test_neutral_candidate_refused(self, monkeypatch):
+        # 50 wavelengths out in the Lorentzian tail at f0 = 1e-3 the drive is
+        # 1e-6, so P_h is the identity to within the tolerance: the solve ends
+        # on a neutral candidate after two maps, refused before any tight run
+        builds = []
+        monkeypatch.setattr(periodic, "_build_orbit", lambda *a, **k: builds.append(a))
+        with pytest.raises(NoConvergence, match="neutral-multiplier") as info:
+            find_periodic(default_params("lorentzian", f0=1e-3), 50.0)
+        assert info.value.iterations == 2
+        assert builds == []
+
     @pytest.mark.parametrize("b", [100.0, 200.0])
     def test_plane_drive_costs_one_map(self, monkeypatch, b):
         # f' == 0 makes int F^2 dt vanish over any period, so no orbit exists
         # in either plane regime, and the refusal runs no map at all
         calls = count_map_evaluations(monkeypatch)
-        monkeypatch.setattr(periodic, "tight_period", lambda *a: calls.append("tight"))
+        monkeypatch.setattr(periodic, "integrate", lambda *a: calls.append("tight"))
         p = default_params("plane", b=b)
         with pytest.raises(NoConvergence) as info:
             find_periodic(p, 0.3)
@@ -286,9 +296,9 @@ class TestScanOrbits:
         # the half-period map, is the certificate, bit for bit
         build, slopes = periodic._build_orbit, {}
 
-        def spy(p, z_star, mu_h, cfg, force_free=False):
+        def spy(p, z_star, mu_h, cfg, rhs, force_free=False):
             slopes[z_star] = mu_h
-            return build(p, z_star, mu_h, cfg, force_free)
+            return build(p, z_star, mu_h, cfg, rhs, force_free)
 
         monkeypatch.setattr(periodic, "_build_orbit", spy)
         p = default_params(kind)
@@ -425,10 +435,8 @@ class TestScanFindsEveryOrbit:
             return c * sum(math.prod(z - s for s in roots[:i] + roots[i + 1:])
                            for i in range(len(roots)))
 
-        # periodic builds the solves' right-hand sides; integrate's default
-        # field is the one each orbit's stored run integrates
-        for module in (periodic, integrator):
-            monkeypatch.setattr(module, "force_closure", lambda p: g)
+        # periodic builds every right-hand side, each orbit's stored run's too
+        monkeypatch.setattr(periodic, "force_closure", lambda p: g)
         monkeypatch.setattr(periodic, "field", lambda p: field(p)._replace(
             force_and_dz=lambda t, z: (g(t, z), g_dz(t, z))))
         return g_dz
@@ -567,7 +575,7 @@ class TestOffReferenceParameters:
 
         p = default_params("gaussian", b=80.0, z0=0.6)
         orbit = find_periodic(p, 0.0)
-        assert orbit.residual < 1e-9 and orbit.attracting
+        assert orbit.residual < 1e-9 and 0.0 < orbit.multiplier < 1.0
         trace = continue_to_one(p)
         assert abs(trace.final.z0 - orbit.z_star) < 1e-8
         assert identity_energy(orbit).rel_residual < 1e-6
@@ -608,15 +616,3 @@ class TestResidualAgainstScipy:
         assert o.multiplier == pytest.approx(0.99749, abs=1e-5)
         assert self.reference_gap(NEAR_NEUTRAL, o.z_star) <= 2.0 * o.residual
 
-
-class TestBoundednessAudit:
-    def test_single_orbit(self, lorentzian_orbit):
-        assert boundedness_audit([lorentzian_orbit]) == lorentzian_orbit.sup_norm
-
-    def test_reference_scan_is_small(self, lorentzian_params):
-        orbits = scan_orbits(lorentzian_params, -4.5, 4.5, 17)
-        assert boundedness_audit(orbits) < 10.0  # the trap sits well inside 10 wavelengths
-
-    def test_empty_is_an_error(self):
-        with pytest.raises(EmptyAudit):
-            boundedness_audit([])

@@ -11,9 +11,9 @@ from conveyor.integrate import (
     IntegratorConfig,
     Trajectory,
     _half_map,
+    _tight_config,
     integrate,
     propagate,
-    tight_period,
 )
 from conveyor.model import (
     ConveyorParams,
@@ -82,7 +82,8 @@ class TestIdentities:
         # its certified residual is kept, so only the identities can tell
         o = request.getfixturevalue(orbit)
         z0 = o.z_star + 1e-5
-        traj = tight_period(o.trajectory.params, z0)
+        p = o.trajectory.params
+        traj = integrate(p, force_closure(p), z0, 0.0, 0.5 * p.period, _tight_config(None))
         shifted = dataclasses.replace(o, z_star=z0, trajectory=traj)
         assert identity_energy(shifted).rel_residual > 1e-6
         assert identity_force(shifted).rel_residual > 1e-6
