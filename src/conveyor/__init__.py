@@ -13,7 +13,6 @@ from conveyor.errors import (
     ConveyorError,
     NoConvergence,
     StepSizeUnderflow,
-    WrongEnvelope,
 )
 from conveyor.model import ConveyorParams, EnvelopeSpec, default_params
 
@@ -27,6 +26,5 @@ __all__ = [
     "StepSizeUnderflow",
     "NoConvergence",
     "ContinuationStall",
-    "WrongEnvelope",
     "__version__",
 ]

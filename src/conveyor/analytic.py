@@ -24,7 +24,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from conveyor.errors import WrongEnvelope
 from conveyor.model import (
     DEGENERATE,
     OSCILLATORY,
@@ -44,7 +43,7 @@ class PlaneSolution:
 
     def __post_init__(self):
         if self.params.envelope.kind != "plane":
-            raise WrongEnvelope(
+            raise ValueError(
                 f"plane-wave solution requires the plane envelope, got "
                 f"{self.params.envelope.kind!r}"
             )
@@ -61,9 +60,6 @@ class PlaneSolution:
         p = self.params
         a = 2.0 * p.f0 * p.k * p.k
         return p.b * p.b - a * a
-
-    def __call__(self, t: float) -> float:
-        return plane_solution(self, t)
 
 
 def plane_solution(s: PlaneSolution, t: float) -> float:
@@ -132,7 +128,7 @@ def drift_velocity(p: ConveyorParams) -> tuple[float, float]:
     v_asym = v_c.
     """
     if p.envelope.kind != "plane":
-        raise WrongEnvelope(
+        raise ValueError(
             f"drift velocities are defined for the plane envelope, got "
             f"{p.envelope.kind!r}"
         )

@@ -330,7 +330,7 @@ def _cmd_verify(parser: argparse.ArgumentParser, args) -> int:
             if_ = verify.identity_force(orbit)
             record(f"identity_force[{kind}]", live and if_.rel_residual < 1e-6,
                    lhs=if_.lhs, rhs=if_.rhs, rel_residual=if_.rel_residual)
-            mc = verify.multiplier_cross_check(p, orbit, cfg)
+            mc = verify.multiplier_cross_check(p, orbit)
             record(f"multiplier_cross_check[{kind}]", live and mc.rel_error < 1e-4,
                    variational=mc.variational, finite_difference=mc.finite_difference,
                    rel_error=mc.rel_error)

@@ -43,7 +43,3 @@ class ContinuationStall(ConveyorError):
     def __init__(self, trace):
         self.trace = trace
         super().__init__("continuation stalled: step underflow before endpoint")
-
-
-class WrongEnvelope(ConveyorError):
-    """A plane-wave-only operation was called with a non-plane envelope."""

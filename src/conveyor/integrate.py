@@ -7,7 +7,9 @@ the solution is nearly constant would silently lose the forcing.
 
 One scalar stepper, run forward in time only, serves every caller; its
 rules for a run, ``_check_run``, and for a scan window, ``_check_window``,
-are also those the command line checks its flags with.  For a scalar ODE the variational equation dw/dt = dF/dz(t, z(t)) * w has the
+are also those the command line checks its flags with.
+
+For a scalar ODE the variational equation dw/dt = dF/dz(t, z(t)) * w has the
 closed-form solution w(T) = exp(int_0^T dF/dz(t, z(t)) dt) (Liouville's
 formula), so the derivative of the period map needs no second
 integrator: the stepper sums the integral along its own accepted steps,
@@ -22,8 +24,10 @@ from __future__ import annotations
 
 import math
 import operator
+import sys
 from bisect import bisect_right
-from dataclasses import dataclass, replace
+from copy import copy
+from dataclasses import dataclass
 from itertools import repeat
 from typing import TYPE_CHECKING, Callable
 
@@ -72,6 +76,7 @@ _MIN_FACTOR = 0.2
 _MAX_FACTOR = 10.0
 
 _STEP_FLOOR_REL = 1e-14
+_TIGHT = 100.0   # an orbit's stored run is this much tighter than its solve
 # a span costs at least |t1 - t0| / max_step accepted steps, each kept as a
 # knot by a dense run; 10^5 allows 628 s at the reference ceiling of period/20
 MAX_STEPS = 100_000
@@ -92,7 +97,8 @@ class IntegratorConfig:
 
     ``max_step`` and ``initial_step`` default to period/20 and period/1000
     when left as None; a ``max_step`` beyond period/4 is rejected because
-    the drive would then go unresolved on near-constant stretches.
+    the drive would then go unresolved on near-constant stretches.  Each
+    tolerance's hundredth (``_tight_config``) must be a positive normal double.
     """
 
     rtol: float = 1e-10
@@ -101,10 +107,10 @@ class IntegratorConfig:
     initial_step: float | None = None
 
     def __post_init__(self):
-        if not 0.0 < self.rtol < math.inf:
-            raise ValueError(f"rtol must be finite and > 0, got {self.rtol!r}")
-        if not 0.0 < self.atol < math.inf:
-            raise ValueError(f"atol must be finite and > 0, got {self.atol!r}")
+        for name, tol in (("rtol", self.rtol), ("atol", self.atol)):
+            if not sys.float_info.min <= tol / _TIGHT < math.inf:
+                raise ValueError(f"{name} must be finite with {name}/{_TIGHT:g} a positive "
+                                 f"normal double, got {tol!r}")
 
     def resolved(self, period: float) -> tuple[float, float, float, float]:
         """Concrete (rtol, atol, max_step, initial_step) for a drive period."""
@@ -126,24 +132,22 @@ class Trajectory:
     returns the stored knot value exactly, and queries anywhere between the
     endpoints evaluate the per-step dense polynomial.  Knots are lists of
     floats (``knots``), ascending in t, so interpolation needs no numpy;
-    only the array getters ``times`` and ``sample`` import it.
+    only the array getters ``times`` and ``sample`` import it.  The run's
+    ``params`` and ``cfg`` are kept.
     """
 
-    __slots__ = ("params", "_kt", "_kz", "_seg_h", "_seg_c", "_lo", "_hi")
+    __slots__ = ("params", "cfg", "_kt", "_kz", "_seg_h", "_seg_c", "_lo", "_hi")
 
-    def __init__(self, params: ConveyorParams, knot_t: list[float], knot_z: list[float],
-                 seg_h: list[float], seg_c: list[tuple]):
+    def __init__(self, params: ConveyorParams, cfg: IntegratorConfig, knot_t: list[float],
+                 knot_z: list[float], seg_h: list[float], seg_c: list[tuple]):
         self.params = params
+        self.cfg = cfg
         self._kt = knot_t
         self._kz = knot_z
         self._seg_h = seg_h
         self._seg_c = seg_c
         self._lo = knot_t[0]
         self._hi = knot_t[-1]
-
-    @property
-    def t0(self) -> float:
-        return self._lo
 
     @property
     def t1(self) -> float:
@@ -232,9 +236,9 @@ def _check_run(p: ConveyorParams, cfg: IntegratorConfig, z0: float, t0: float,
     """The stepper's rules for a run from (t0, z0) to t1, which the command
     line applies at flag time to each command's longest run: ValueError
     unless the drive phase at z0 is finite at t0 and t1, the span needs at
-    most MAX_STEPS steps of the step ceiling, t1 > t0, the ceiling is no
-    finer than the spacing of doubles at the span's larger-magnitude end, and
-    the first trial step, min(initial_step, t1 - t0), not below ``_step_floor``.
+    most MAX_STEPS steps of the step ceiling, t1 > t0, and the first trial
+    step, min(initial_step, t1 - t0), not below ``_step_floor``, which no
+    ceiling too fine to move t at the span's far end can meet.
     Returns ``cfg.resolved(p.period)``: (rtol, atol, max_step, initial_step)."""
     resolved = cfg.resolved(p.period)
     max_step = resolved[2]
@@ -246,9 +250,6 @@ def _check_run(p: ConveyorParams, cfg: IntegratorConfig, z0: float, t0: float,
                          f"of at most {max_step:.6g} s")
     if not t1 > t0:
         raise ValueError(f"integration runs forward only: need t1 > t0, got t0={t0!r}, t1={t1!r}")
-    far = max(abs(t0), abs(t1))
-    if max_step < math.ulp(far):
-        raise ValueError(f"a step of at most {max_step:.6g} s cannot move t at |t| = {far!r}")
     h_first, h_floor = min(resolved[3], t1 - t0), _step_floor(t0, t1)
     if h_first < h_floor:
         raise ValueError(f"first trial step {h_first:.6g} s below the step floor {h_floor:.6g} s")
@@ -395,9 +396,10 @@ def integrate(p: ConveyorParams, rhs: Callable[[float, float], float], z_i: floa
     dense output.
 
     Raises StepSizeUnderflow when the controller cannot make progress.
+    The trajectory keeps ``cfg``, the default config when it is None.
     """
     _, _, _, *path = _dp45_scalar(p, rhs, z_i, t0, t1, cfg, collect=True)
-    return Trajectory(p, *path)
+    return Trajectory(p, cfg or IntegratorConfig(), *path)
 
 
 def propagate(p: ConveyorParams, rhs: Callable[[float, float], float], z_i: float,
@@ -411,12 +413,20 @@ def _half_map(p: ConveyorParams, z0: float, cfg: IntegratorConfig | None,
               rhs_and_dz: Callable[[float, float], tuple] | None = None) -> tuple[float, float]:
     """(P_h(z0), dP_h/dz0) over the minimal period 2*pi/b, with ``p.period``'s
     step bounds; the slope is 1.0 without ``rhs_and_dz``.  P = P_h o P_h with
-    P_h increasing, so P_h has exactly P's fixed points, and mu = mu_h**2."""
+    P_h increasing, so P_h has exactly P's fixed points, and mu = mu_h**2.
+    A slope beyond the double range is inf, as IEEE arithmetic rounds it."""
     z1, log_w, *_ = _dp45_scalar(p, rhs, z0, 0.0, 0.5 * p.period, cfg, False, rhs_and_dz)
-    return z1, math.exp(log_w)
+    try:
+        return z1, math.exp(log_w)
+    except OverflowError:
+        return z1, math.inf
 
 
 def _tight_config(cfg: IntegratorConfig | None) -> IntegratorConfig:
-    """``cfg``, or the default config, at a hundredth of its tolerances."""
-    cfg = cfg or IntegratorConfig()
-    return replace(cfg, rtol=cfg.rtol / 100.0, atol=cfg.atol / 100.0)
+    """``cfg``, or the default config, at a hundredth of its tolerances: the
+    config of an orbit's stored run, which its certificates read back; built
+    past ``IntegratorConfig``'s check, which keeps these hundredths normal."""
+    tight = copy(cfg or IntegratorConfig())
+    object.__setattr__(tight, "rtol", tight.rtol / _TIGHT)
+    object.__setattr__(tight, "atol", tight.atol / _TIGHT)
+    return tight

@@ -13,8 +13,8 @@ repelling orbits included, reading the grid's signs from loose runs and
 evaluating at the solve's tolerance only the values its seeds, brackets
 and probes are built from; and ``basin_probe`` measures which initial
 conditions have reached one of a given list of orbits by a given horizon.
-``_solve`` solves and certifies every orbit, the homotopy's too, on one
-run over 2*pi/b at a hundredth of the tolerances that the orbit stores.
+``_solve`` solves and certifies every orbit, the homotopy's too, on the
+run over 2*pi/b at ``_tight_config`` that the orbit stores.
 The thresholds are module constants, not parameters: a solve certifies at
 |P_h(z) - z| < ``CERTIFICATION_TOL``, a scan merges orbits closer than
 ``DEDUPE_TOL``, and its grid runs at ``GRID_RTOL`` and ``GRID_ATOL`` and
@@ -82,7 +82,7 @@ class BasinPoint(NamedTuple):
 
 def _build_orbit(p: ConveyorParams, z_star: float, mu_h: float, cfg: IntegratorConfig | None,
                  rhs: Callable[[float, float], float], force_free: bool = False) -> PeriodicOrbit:
-    # the run over 2*pi/b at a hundredth of the solve's tolerances shows, in its
+    # the run over 2*pi/b at tighter tolerances than the solve's shows, in its
     # seam gap e, the error that the solve, reading its own stepper, cannot see;
     # the certificate is P(z*) - z* = P_h(z* + e) - z* = (1 + mu_h) e + O(e^2)
     traj = integrate(p, rhs, z_star, 0.0, 0.5 * p.period, _tight_config(cfg))

@@ -27,7 +27,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from conveyor.errors import ConveyorError
-from conveyor.integrate import IntegratorConfig, _grid, _half_map, _tight_config
+from conveyor.integrate import _grid, _half_map
 from conveyor.model import ConveyorParams, force_closure
 from conveyor.periodic import PeriodicOrbit
 
@@ -92,13 +92,12 @@ def fixed_point_scan(p: ConveyorParams, z_lo: float, z_hi: float, n: int) -> lis
     return grid if p.f0 == 0.0 else []
 
 
-def multiplier_cross_check(p: ConveyorParams, orbit: PeriodicOrbit,
-                           cfg: IntegratorConfig | None = None) -> MultiplierCheck:
+def multiplier_cross_check(p: ConveyorParams, orbit: PeriodicOrbit) -> MultiplierCheck:
     """Liouville multiplier vs the squared central finite difference of the
     half-period map P_h, mu = mu_h**2.
 
-    P_h runs over 2*pi/b at a hundredth of ``cfg``'s tolerances, as the
-    orbit's stored run does, so its noise over the fixed step ``_FD_STEP`` =
+    P_h runs over 2*pi/b at ``orbit.trajectory.cfg``, the tight config of
+    the orbit's stored run, so its noise over the fixed step ``_FD_STEP`` =
     1e-4 stays below 1e-4 of a multiplier as small as the 8e-6 of f0 = 10.
     Squared, the half-period difference carries, relative to mu, at most the
     noise of a full-period one where mu <= 1, and far less where mu is small.
@@ -106,7 +105,7 @@ def multiplier_cross_check(p: ConveyorParams, orbit: PeriodicOrbit,
     """
     if p != orbit.trajectory.params:
         raise ValueError("p is not the parameter set of the orbit")
-    h, tight, rhs = _FD_STEP, _tight_config(cfg), force_closure(p)
+    h, tight, rhs = _FD_STEP, orbit.trajectory.cfg, force_closure(p)
     plus = _half_map(p, orbit.z_star + h, tight, rhs)[0]
     minus = _half_map(p, orbit.z_star - h, tight, rhs)[0]
     fd_h = (plus - minus) / (2.0 * h)

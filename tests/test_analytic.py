@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from conveyor.analytic import PlaneSolution, drift_velocity, plane_solution, taylor_small_f0
-from conveyor.errors import WrongEnvelope
 from conveyor.integrate import IntegratorConfig, integrate
 from conveyor.model import DEGENERATE, OSCILLATORY, RECTILINEAR, default_params, force_closure
 
@@ -42,7 +41,7 @@ class TestPlaneSolution:
                 assert abs(sol.discriminant) < 1e-6 * sol.params.b ** 2
 
     def test_wrong_envelope_rejected(self, lorentzian_params):
-        with pytest.raises(WrongEnvelope):
+        with pytest.raises(ValueError, match="plane envelope"):
             PlaneSolution(0.0, lorentzian_params)
 
     def test_reference_drift_value(self):
@@ -145,7 +144,7 @@ class TestDriftVelocity:
         assert abs(v_asym) < 1e-10
 
     def test_wrong_envelope(self, gaussian_params):
-        with pytest.raises(WrongEnvelope):
+        with pytest.raises(ValueError, match="plane envelope"):
             drift_velocity(gaussian_params)
 
 

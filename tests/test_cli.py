@@ -482,6 +482,32 @@ class TestStepBudget:
         assert list(tmp_path.iterdir()) == []
 
 
+class TestTolerances:
+    @pytest.mark.parametrize("argv", [["find-periodic", "--rtol=5e-324"],
+                                      ["continue", "--atol=5e-324"],
+                                      ["reproduce", "fig2", "--rtol=5e-324"]],
+                             ids=["find-periodic", "continue", "fig2"])
+    @pytest.mark.parametrize("dry_run", [[], ["--dry-run"]], ids=["run", "dry-run"])
+    def test_vanishing_hundredth_exits_2(self, tmp_path, capsys, argv, dry_run):
+        # each orbit's stored run divides the tolerances by 100, which made
+        # 5e-324 a zero tolerance: the run ended in a ValueError traceback
+        out = (["--out-dir", str(tmp_path)] if argv[0] == "reproduce"
+               else ["--out", str(tmp_path / "x.csv")])
+        with pytest.raises(SystemExit) as info:
+            run(argv + out + dry_run)
+        assert info.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage: conveyor {argv[0]}") and "normal double" in err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_overflowing_multiplier_exits_3(self, tmp_path, capsys):
+        # the half-period map's slope passes the double range here; math.exp
+        # raised OverflowError, a traceback and exit 1
+        assert run(["continue", "--atol=1e17", "--z0=1e-5",
+                    "--out", str(tmp_path / "x.csv")]) == 3
+        assert capsys.readouterr().err.startswith("error: no convergence")
+
+
 class TestNumpyFreeCommands:
     def test_commands_run_without_numpy(self, tmp_path):
         # numpy comes only with the test extra: in one fresh interpreter where
@@ -524,8 +550,7 @@ class TestNumpyFreeCommands:
             "assert max(abs(v - 2.5) for v in y) < 1e-12, y\n"
             "assert abs(homotopy.piecewise_linear_l1(ts, [2.5] * 4) - 2.5) < 1e-12\n"
             "q = default_params('plane')\n"
-            "assert analytic.PlaneSolution(0.2, q)(0.0) == analytic.plane_solution(\n"
-            "    analytic.PlaneSolution(0.2, q), 0.0)\n"
+            "assert abs(analytic.plane_solution(analytic.PlaneSolution(0.2, q), 0.0) - 0.2) < 1e-12\n"
             "assert analytic.drift_velocity(q)[0] > 0.0\n"
             "assert analytic.taylor_small_f0(q, 0.2, 0.0) == 0.2\n"
             "try:\n"

@@ -20,6 +20,7 @@ from conveyor.integrate import (
     Trajectory,
     _check_run,
     _half_map,
+    _tight_config,
     integrate,
     propagate,
 )
@@ -59,6 +60,16 @@ class TestConfig:
             IntegratorConfig(rtol=0.0)
         with pytest.raises(ValueError):
             IntegratorConfig(atol=-1e-12)
+
+    @pytest.mark.parametrize("name", ["rtol", "atol"])
+    def test_hundredth_must_be_a_positive_normal_double(self, name):
+        # an orbit's stored run divides each tolerance by 100; a subnormal
+        # hundredth lost its digits there, and 5e-324 became 0
+        edge = 100.0 * sys.float_info.min
+        assert getattr(_tight_config(IntegratorConfig(**{name: edge})), name) == sys.float_info.min
+        for tol in (math.nextafter(edge, 0.0), 1e-307, 5e-324):
+            with pytest.raises(ValueError, match="positive normal double"):
+                IntegratorConfig(**{name: tol})
 
     def test_infinite_rtol_rejected(self):
         with pytest.raises(ValueError):
@@ -190,19 +201,25 @@ class TestStepBudget:
         with pytest.raises(ValueError, match="first trial step"):
             _check_run(p, IntegratorConfig(initial_step=math.nextafter(floor, 0.0)), 0.5, 0.0, 5.0)
 
+    def test_overflowing_slope_is_infinite(self, lorentzian_params):
+        # log w = 1e6 * 2*pi/b = 6.3e4 is beyond log(DBL_MAX) = 709.8, where
+        # math.exp raises OverflowError
+        z1, mu_h = _half_map(lorentzian_params, 0.25, None, lambda t, z: 0.0,
+                             lambda t, z: (0.0, 1e6))
+        assert (z1, mu_h) == (0.25, math.inf)
+
     def test_late_start_cannot_hang(self):
         # at t ~ 1e17 doubles are 16 s apart, so no step of the 6.3e-3 s
-        # ceiling moves t: the run check rejects the span.  At 1e13 they are
-        # 2e-3 s apart, below the ceiling but above the first trial step,
-        # which the run check rejects too, as the stepper's floor would end
-        # the run at once.  Without either each call loops without moving t;
-        # the timeout fails it
+        # ceiling moves t; at 1e13 they are 2e-3 s apart, below the ceiling
+        # but above the first trial step.  The run check rejects both, as the
+        # stepper's floor would end the run at once.  Without it each call
+        # loops without moving t; the timeout fails it
         script = (
             "from conveyor.integrate import propagate\n"
             "from conveyor.model import default_params, force_closure\n"
             "p = default_params('lorentzian'); rhs = force_closure(p)\n"
-            "for t0, error, words in ((1e17, ValueError, 'cannot move t'),\n"
-            "                         (-1e17 - 100.0, ValueError, 'cannot move t'),\n"
+            "for t0, error, words in ((1e17, ValueError, 'first trial step'),\n"
+            "                         (-1e17 - 100.0, ValueError, 'first trial step'),\n"
             "                         (1e13, ValueError, 'first trial step')):\n"
             "    try:\n"
             "        propagate(p, rhs, 0.0, t0, t0 + 100.0)\n"
@@ -270,7 +287,7 @@ class TestTrajectory:
                                              (np.int64(2), 1, np.float32(1.25))])
     def test_int_and_numpy_inputs_give_floats(self, lorentzian_params, z_i, t0, t1):
         traj = integrate(lorentzian_params, force_closure(lorentzian_params), z_i, t0, t1)
-        for v in (traj.t0, traj.t1, traj.interp(float(t0)), traj.interp(float(t1)),
+        for v in (traj.knots[0][0], traj.t1, traj.interp(float(t0)), traj.interp(float(t1)),
                   traj.sup_norm(), *traj.knots[0], *traj.knots[1]):
             assert type(v) is float
 
@@ -308,8 +325,8 @@ class TestTrajectory:
             # c1 + th * (c2 + (1 - th) * c3) = 1 - (d + h th)^2
             seg_h.append(h)
             seg_c.append((1.0 - d * d, -2.0 * d * h - h * h, h * h, 0.0, 0.0))
-        traj = Trajectory(plane_params, knots, [1.0 - (t - crest) ** 2 for t in knots],
-                          seg_h, seg_c)
+        traj = Trajectory(plane_params, IntegratorConfig(), knots,
+                          [1.0 - (t - crest) ** 2 for t in knots], seg_h, seg_c)
         assert traj.interp(crest) == pytest.approx(1.0, abs=1e-15)
         assert traj.sup_norm() == pytest.approx(1.0, abs=1e-15)
 
@@ -419,7 +436,7 @@ class TestSupNormSkipsSteps:
         knots, kz = [0.0, 1.0, 2.0, 3.0], [start, start, top, top]
         seg_c = [(start, 0.0, bulge, 0.0, 0.0), (start, top - start, 0.0, 0.0, 0.0),
                  (top, 0.0, 0.0, 0.0, 0.0)]
-        traj = Trajectory(plane_params, knots, kz, [1.0, 1.0, 1.0], seg_c)
+        traj = Trajectory(plane_params, IntegratorConfig(), knots, kz, [1.0, 1.0, 1.0], seg_c)
         assert traj.sup_norm() == pytest.approx(start + 0.25 * bulge, abs=1e-15)
         self.assert_unpruned(traj)
 

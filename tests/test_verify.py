@@ -6,6 +6,7 @@ import re
 
 import pytest
 
+from conveyor import verify
 from conveyor.errors import ConveyorError
 from conveyor.integrate import (
     IntegratorConfig,
@@ -247,6 +248,22 @@ class TestMultiplierCrossCheck:
         fd = multiplier_cross_check(p, orbit).finite_difference
         assert fd == pytest.approx(mu_h * mu_h, rel=1e-5)
 
+    def test_maps_run_at_the_stored_runs_config(self, lorentzian_params, monkeypatch):
+        # an orbit solved at rtol 1e-8 stores its run at a hundredth of that;
+        # both maps of the check run there, not at the default solve's hundredth
+        cfg = IntegratorConfig(rtol=1e-8, atol=1e-10)
+        orbit = find_periodic(lorentzian_params, 0.0, cfg)
+        assert orbit.trajectory.cfg == _tight_config(cfg)
+        seen = []
+
+        def spy(p, z0, map_cfg, *rest):
+            seen.append(map_cfg)
+            return _half_map(p, z0, map_cfg, *rest)
+
+        monkeypatch.setattr(verify, "_half_map", spy)
+        assert multiplier_cross_check(lorentzian_params, orbit).rel_error < 1e-4
+        assert seen == [_tight_config(cfg)] * 2
+
     @pytest.mark.parametrize("orbit", ["lorentzian_orbit", "gaussian_orbit"])
     def test_fails_on_a_wrong_multiplier(self, orbit, request):
         o = request.getfixturevalue(orbit)
@@ -315,7 +332,7 @@ class TestAgainstIndependentIntegrator:
         kt = traj.knots[0]
 
         def quad(fn):
-            return self.scipy_integrate.quad(lambda t: fn(t, traj.interp(t)), traj.t0, traj.t1,
+            return self.scipy_integrate.quad(lambda t: fn(t, traj.interp(t)), traj.knots[0][0], traj.t1,
                                              points=kt[1:-1], limit=4 * len(kt),
                                              epsabs=0.0, epsrel=1e-13)[0]
 
